@@ -71,7 +71,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_describe(args) -> int:
-    # everything below is recomputed on each invocation; nothing is cached
+    # gamma_profile reads the factor list that composition_factors cached
+    # on G, so the descent runs once per invocation
     act = construct_recipe(_read_recipe(args.recipe))
     G = act.group
     factors = composition_factors(G, order_cap=args.order_cap)
@@ -288,7 +289,7 @@ def main(argv=None) -> int:
     except ResourceLimit as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return 2
-    except (ManifestError, ConstructionError, ValueError, KeyError) as e:
+    except (ManifestError, ConstructionError, ValueError, KeyError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

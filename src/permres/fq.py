@@ -20,7 +20,8 @@ from typing import Iterable, Sequence
 MAX_Q = 512
 
 
-def _factor(n: int) -> dict[int, int]:
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization of n >= 1 by trial division, as {prime: exponent}."""
     out: dict[int, int] = {}
     f = 2
     while f * f <= n:
@@ -31,6 +32,10 @@ def _factor(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 class FqField:
@@ -47,7 +52,7 @@ class FqField:
     def __init__(self, q: int):
         if not 2 <= q <= MAX_Q:
             raise ValueError(f"field size {q} out of supported range")
-        fac = _factor(q)
+        fac = factorize(q)
         if len(fac) != 1:
             raise ValueError(f"{q} is not a prime power")
         (self.p, self.k), = fac.items()
@@ -62,7 +67,7 @@ class FqField:
         p = self.p
         self.poly = None
         for g in range(2, p):
-            if all(pow(g, (p - 1) // r, p) != 1 for r in _factor(p - 1)):
+            if all(pow(g, (p - 1) // r, p) != 1 for r in factorize(p - 1)):
                 self.primitive = g
                 break
         else:
@@ -78,7 +83,7 @@ class FqField:
         for d in divisors:
             for tail in itertools.product(range(p), repeat=d):
                 lower_monics.append(tail + (1,))
-        rad = list(_factor(q - 1))
+        rad = list(factorize(q - 1))
         for low in range(p ** k):
             f = self._digits(low, k) + (1,)
             if f[0] == 0:

@@ -7,7 +7,9 @@ Composition uses the right-action convention throughout: (p * q) means
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 
@@ -25,6 +27,11 @@ class ParseError(ValueError):
         super().__init__(message)
         self.pos = pos
         self.line = line
+
+
+@lru_cache(maxsize=None)
+def _identity_images(degree: int) -> tuple[int, ...]:
+    return tuple(range(degree))
 
 
 class Perm:
@@ -45,7 +52,7 @@ class Perm:
 
     @classmethod
     def identity(cls, degree: int) -> "Perm":
-        return cls(tuple(range(degree)), validate=False)
+        return cls(_identity_images(degree), validate=False)
 
     @classmethod
     def from_cycles(cls, cycles: Iterable[Iterable[int]], degree: int) -> "Perm":
@@ -62,15 +69,19 @@ class Perm:
         return len(self.images)
 
     def is_identity(self) -> bool:
-        return all(i == v for i, v in enumerate(self.images))
+        return self.images == _identity_images(len(self.images))
 
     def apply(self, point: int) -> int:
         return self.images[point]
 
     def __mul__(self, other: "Perm") -> "Perm":
         # right action: x^(self*other) = (x^self)^other
-        oi = other.images
-        return Perm(tuple(oi[v] for v in self.images), validate=False)
+        images = self.images
+        if len(images) > 1:
+            return Perm(itemgetter(*images)(other.images), validate=False)
+        # itemgetter() cannot be built from no indices, and from one index
+        # it returns a bare item instead of a tuple
+        return Perm(tuple(other.images[v] for v in images), validate=False)
 
     def inv(self) -> "Perm":
         images = self.images

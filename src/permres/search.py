@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .fq import is_prime
 from .stabchain import PermGroup, ResourceLimit, coloring_stabilizer
 from .structure import NO, UNKNOWN, YES, composition_factors, in_gamma, is_solvable
 
@@ -269,8 +270,6 @@ def verify_distinguishing(G: PermGroup, coloring) -> bool:
 
 
 def _prime_order_elements(G: PermGroup, cap: int) -> list:
-    from sympy import isprime
-
     if G.order() > cap:
         raise ResourceLimit(
             f"group order {G.order()} exceeds the exact-coloring element cap {cap};"
@@ -278,7 +277,7 @@ def _prime_order_elements(G: PermGroup, cap: int) -> list:
         )
     out = []
     for g in G.elements():
-        if not g.is_identity() and isprime(g.order()):
+        if not g.is_identity() and is_prime(g.order()):
             out.append((g, g.inv()))
     return out
 

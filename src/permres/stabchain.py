@@ -250,6 +250,8 @@ class PermGroup:
                 raise ValueError("generator degree mismatch")
         self.label = label
         self._chain: StabilizerChain | None = None
+        # sorted composition factors, filled in by structure.composition_factors
+        self._factors: list | None = None
 
     @classmethod
     def trivial(cls, degree: int, label: str | None = None) -> "PermGroup":
@@ -575,7 +577,11 @@ def action_on_blocks(G: PermGroup, blocks: Sequence[Sequence[int]]) -> tuple[Per
 
 
 def normal_closure(G: PermGroup, seeds: Sequence[Perm]) -> PermGroup:
-    """Smallest normal subgroup of G containing the seed elements."""
+    """Smallest normal subgroup of G containing the seed elements.
+
+    The returned group keeps the stabilizer chain built here, so asking it
+    for its order or membership runs no second Schreier-Sims.
+    """
     chain = StabilizerChain(G.degree)
     gens: list[Perm] = []
     work: list[Perm] = []
@@ -590,7 +596,9 @@ def normal_closure(G: PermGroup, seeds: Sequence[Perm]) -> PermGroup:
             if chain.extend(c):
                 gens.append(c)
                 work.append(c)
-    return PermGroup(G.degree, gens)
+    closure = PermGroup(G.degree, gens)
+    closure._chain = chain
+    return closure
 
 
 def derived_subgroup(G: PermGroup) -> PermGroup:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
+from .fq import factorize, is_prime
 from .perm import Perm
 from .stabchain import (
     PermGroup,
@@ -132,7 +133,7 @@ def identify_simple(order: int, spectrum_probe=None) -> str | None:
     """
     if order < 2:
         return None
-    if _is_prime(order):
+    if is_prime(order):
         return f"C{order}"
     candidates: list[str] = []
     m = _alt_degree(order)
@@ -150,19 +151,6 @@ def identify_simple(order: int, spectrum_probe=None) -> str | None:
         sampled = list(spectrum_probe(500))
         return "A8" if 15 in sampled else "L3(4)"
     return None
-
-
-def _is_prime(n: int) -> bool:
-    if n < 4:
-        return n >= 2
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def spectrum_sampler(G: PermGroup, seed: int = 414):
@@ -206,17 +194,23 @@ def composition_factors(G: PermGroup, order_cap: int = 10 ** 12) -> list[FactorD
     on a minimal block system, derived subgroup, then a normal-closure
     search before accepting simplicity. Factors whose order matches no
     table entry come back as kind unknown.
+
+    The descent runs once per group: the sorted list is cached on G and
+    each call returns a fresh copy of it. order_cap is checked on every
+    call, cached or not.
     """
     order = G.order()
     if order > order_cap:
         raise ResourceLimit(f"group order {order} exceeds factor cap {order_cap}")
-    out: list[FactorDescriptor] = []
-    _descend(G, out)
-    prod = 1
-    for f in out:
-        prod *= f.order
-    assert prod == order, "factor orders do not multiply to the group order"
-    return sorted(out, key=FactorDescriptor.sort_key)
+    if G._factors is None:
+        out: list[FactorDescriptor] = []
+        _descend(G, out)
+        prod = 1
+        for f in out:
+            prod *= f.order
+        assert prod == order, "factor orders do not multiply to the group order"
+        G._factors = sorted(out, key=FactorDescriptor.sort_key)
+    return list(G._factors)
 
 
 def _descend(G: PermGroup, out: list[FactorDescriptor]) -> None:
@@ -242,9 +236,7 @@ def _descend(G: PermGroup, out: list[FactorDescriptor]) -> None:
     D = derived_subgroup(G)
     dorder = D.order()
     if dorder < order:
-        from sympy import factorint
-
-        for p, e in sorted(factorint(order // dorder).items()):
+        for p, e in sorted(factorize(order // dorder).items()):
             for _ in range(e):
                 out.append(_cyclic(p))
         _descend(D, out)

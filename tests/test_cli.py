@@ -1,9 +1,14 @@
 """Command line verbs, output shapes, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from permres import cli
 from permres.cli import main
 from permres.manifest import bundled_corpus, group_from_serialized
 
@@ -166,3 +171,21 @@ def test_bad_inputs_exit_three(capsys, tmp_path):
 
 def test_bundled_corpus_is_reachable():
     assert bundled_corpus().exists()
+
+
+def test_ill_typed_recipe_exits_three(capsys):
+    code, out, err = run(capsys, "describe", "--recipe",
+                         '{"kind": "symmetric", "m": "5"}')
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_describe_loads_no_sympy():
+    script = ("import sys\n"
+              "from permres.cli import main\n"
+              f"main(['describe', '--recipe', {AFFINE!r}])\n"
+              "assert 'sympy' not in sys.modules\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", script], check=True, env=env,
+                   capture_output=True)

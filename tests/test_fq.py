@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -9,6 +10,8 @@ from permres.fq import (
     FqMatrix,
     SubspaceFq,
     count_singular,
+    factorize,
+    is_prime,
     make_hermitian_form,
     make_quadratic_form,
     make_symplectic_form,
@@ -17,6 +20,16 @@ from permres.fq import (
 )
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27]
+
+
+def test_factorize_and_is_prime():
+    primes = [p for p in range(2, 2000) if all(p % d for d in range(2, p))]
+    for n in range(1, 2000):
+        fac = factorize(n)
+        assert set(fac) <= set(primes)
+        assert math.prod(p ** e for p, e in fac.items()) == n
+        assert is_prime(n) == (n in primes)
+    assert factorize(1451520) == {2: 9, 3: 4, 5: 1, 7: 1}
 
 
 @pytest.mark.parametrize("q", SMALL_Q)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permres.perm import (
     ParseError,
@@ -34,6 +36,33 @@ def test_inverse_and_pow():
     assert p ** -1 == p.inv()
     assert p ** 2 == p * p
     assert p ** 0 == Perm.identity(5)
+
+
+# degrees 0 and 1 are the edge cases of the itemgetter kernel; 36 and 360
+# are the degrees the benchmark times
+KERNEL_DEGREES = (0, 1, 2, 36, 360)
+
+
+@st.composite
+def perm_pairs(draw):
+    n = draw(st.sampled_from(KERNEL_DEGREES))
+    perm = st.one_of(st.just(list(range(n))), st.permutations(range(n)))
+    return Perm(draw(perm)), Perm(draw(perm))
+
+
+@settings(max_examples=200, deadline=None)
+@given(perm_pairs())
+def test_kernel_matches_reference(pair):
+    p, q = pair
+    n = p.degree
+    assert (p * q).images == tuple(q.images[p.images[i]] for i in range(n))
+    inv = [0] * n
+    for i in range(n):
+        inv[p.images[i]] = i
+    assert p.inv().images == tuple(inv)
+    assert p.is_identity() == all(p.images[i] == i for i in range(n))
+    assert (p * p.inv()).is_identity()
+    assert Perm.identity(n) * Perm.identity(n) == Perm.identity(n)
 
 
 def test_conj():

@@ -293,6 +293,23 @@ def test_normal_closure_in_sym4():
     assert normal_closure(G, []).order() == 1
 
 
+def test_normal_closure_keeps_its_chain(monkeypatch):
+    G = PermGroup.symmetric(6)
+    N = normal_closure(G, [cyc([(0, 1, 2)], 6)])
+    built = []
+    init = StabilizerChain.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StabilizerChain, "__init__", counting_init)
+    assert N.order() == 360
+    assert built == []
+    N.chain().verify()
+    assert all(N.contains(g) for g in N.gens)
+
+
 def test_derived_subgroups():
     assert derived_subgroup(PermGroup.symmetric(4)).order() == 12
     assert derived_subgroup(PermGroup.alternating(4)).order() == 4

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+import permres.structure as structure
 from permres.perm import Perm, iter_alt_gens
-from permres.stabchain import PermGroup
+from permres.stabchain import PermGroup, ResourceLimit
 from permres.structure import (
     NO,
     UNKNOWN,
@@ -114,6 +115,30 @@ def test_factors_product_order_invariant():
         for f in fs:
             prod *= f.order
         assert prod == G.order()
+
+
+def test_factors_descend_once_per_group(monkeypatch):
+    entered = []
+    descend = structure._descend
+
+    def counting_descend(G, out):
+        entered.append(G)
+        descend(G, out)
+
+    monkeypatch.setattr(structure, "_descend", counting_descend)
+    G = a5_wr_c2()
+    first = composition_factors(G)
+    calls = len(entered)
+    assert calls > 0
+    first.clear()
+    second = composition_factors(G)
+    assert len(entered) == calls
+    assert [f.name for f in second] == ["C2", "A5", "A5"]
+    assert gamma_profile(G)["min_certified_d"] == 6
+    assert in_gamma(G, 6) == YES
+    assert len(entered) == calls
+    with pytest.raises(ResourceLimit):
+        composition_factors(G, order_cap=G.order() - 1)
 
 
 def test_factors_unidentified_is_unknown_not_mislabeled():

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from mpmath import iv
 
+from .search import stabilizer_scan
 from .stabchain import PermGroup
 from .structure import NO, UNKNOWN, YES, in_gamma
 
@@ -321,8 +322,6 @@ def theorem13_check(
         if in_gamma(G, d, order_cap=order_cap) != YES:
             raise ValueError("section certificate unresolved or failing")
     else:
-        from .search import stabilizer_scan
-
         rep = stabilizer_scan(G, c, f"gamma:{d}")
         if rep.verdict != "all-pass":
             raise ValueError(f"stabilizer scan came back {rep.verdict}")

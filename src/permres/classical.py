@@ -12,6 +12,7 @@ Orders are validated downstream through faithful permutation actions.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -225,8 +226,6 @@ def _su_generators(field: FqField, form: FormSpec, m: int, q0: int) -> list[FqMa
 
 def _orthogonal_pool(field: FqField, form: FormSpec, m: int) -> list[tuple[int, ...]]:
     """All nonsingular vectors up to scalars; requires q^m <= 4096."""
-    import itertools
-
     q = field.q
     if q ** m > 4096:
         raise ValueError(f"orthogonal recipe needs q^m <= 4096, got {q}^{m}")

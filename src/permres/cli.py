@@ -2,7 +2,8 @@
 
 Verbs take a recipe (inline JSON or @file) and print either an aligned
 text table or, with --json, a machine-readable document. Exit codes:
-0 success, 1 assertion failure, 2 resource budget hit, 3 bad input.
+0 success, 1 assertion failure, 2 resource budget hit, 3 bad input
+(usage errors included).
 """
 
 from __future__ import annotations
@@ -182,8 +183,7 @@ def _cmd_verify(args) -> int:
     source = args.manifest
     if source == "corpus":
         source = bundled_corpus()
-    report = run_manifest(source, threads=args.threads,
-                          budget_ms=args.budget_ms)
+    report = run_manifest(source, budget_ms=args.budget_ms)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -205,8 +205,17 @@ def _cmd_verify(args) -> int:
     return report.exit_code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are bad input: exit 3, not argparse's 2, which this
+    CLI reserves for a resource budget hit."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def _parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="permres",
         description="permutation group measurements and check manifests")
     top.add_argument("--version", action="version",
@@ -273,7 +282,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a check manifest")
     p.add_argument("--manifest", required=True,
                    help="path to a manifest, or 'corpus' for the bundled one")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--budget-ms", type=int,
                    help="per-check budget; default from PERMRES_BUDGET_MS")
     p.add_argument("--json", action="store_true")

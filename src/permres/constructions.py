@@ -9,11 +9,12 @@ numbering is deterministic across runs.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .classical import MatrixGroup
-from .fq import FqField, FqMatrix, SubspaceFq
+from .fq import FqField, FqMatrix, SubspaceFq, subspace_type
 from .perm import Perm, iter_alt_gens, iter_sym_gens
 from .stabchain import PermGroup
 
@@ -46,10 +47,6 @@ class LabeledAction:
         if len(set(images)) != len(images):
             raise ConstructionError("object does not permute the labels")
         return Perm(images)
-
-    # matrix actions are the common case; keep the name from the recipes
-    def perm_of_matrix(self, M: FqMatrix) -> Perm:
-        return self.perm_of(M)
 
 
 def _close_orbit(seed, gen_objs, act, cap: int):
@@ -114,8 +111,6 @@ def _check_seed_filter(grp: MatrixGroup, seed, kind: str, flt: str) -> None:
                 raise ConstructionError("seed vector is not isotropic")
             return
         raise ConstructionError(f"unknown vector filter {flt!r}")
-    from .fq import subspace_type
-
     cls = subspace_type(form, seed.basis)
     if flt == "totally-isotropic":
         ok = cls.totally_singular if form.quad is not None else cls.totally_isotropic
@@ -253,8 +248,6 @@ def subsets_action(m: int, k: int, alt: bool = False,
     """S_m or A_m on k-element subsets of {0..m-1}. Needs 1 <= k < m/2."""
     if not 1 <= k or not 2 * k < m:
         raise ConstructionError(f"subsets need 1 <= k < m/2, got k={k}, m={m}")
-    import math
-
     if math.comb(m, k) > cap:
         raise ConstructionError("degree exceeds cap")
     labels = sorted(itertools.combinations(range(m), k))
@@ -286,8 +279,6 @@ def partitions_action(m: int, k: int, alt: bool = False,
     """S_m or A_m on partitions of {0..m-1} into m/k blocks of size k."""
     if m % k or not 1 < k or not 2 * k <= m:
         raise ConstructionError(f"partitions need k | m, 1 < k <= m/2, got k={k}, m={m}")
-    import math
-
     n_parts = m // k
     degree = math.factorial(m) // (math.factorial(k) ** n_parts * math.factorial(n_parts))
     if degree > cap:

@@ -13,6 +13,7 @@ products compose left to right like permutations.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -575,8 +576,6 @@ def make_quadratic_form(field: FqField, m: int, eps: int) -> FormSpec:
 
 def make_hermitian_form(field: FqField, m: int) -> FormSpec:
     """Standard hermitian form over F_{q0^2}: antidiagonal pairs, odd tail."""
-    import math
-
     q0 = int(math.isqrt(field.q))
     if q0 * q0 != field.q:
         raise ValueError("hermitian forms live over square-order fields")

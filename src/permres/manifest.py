@@ -22,8 +22,8 @@ produced by an independent computation kept alongside the tests.
 Budgets are cooperative: the clock is consulted between assertions, so a
 single long assertion is never interrupted mid-flight. A check that runs
 out of budget or trips an internal resource cap is reported as
-"skipped-resource", never as a failure. Reports are deterministic across
-thread counts apart from wall-clock fields; fingerprint() strips those.
+"skipped-resource", never as a failure. Reports are deterministic apart
+from wall-clock fields; fingerprint() strips those.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import metadata, resources
@@ -195,7 +194,7 @@ def construct_recipe(recipe: dict) -> LabeledAction:
                 and parent_recipe.get("kind") in ("classical", "matrix-generators")):
             sub_mats = _matrix_group(sub_recipe)
             H = PermGroup(parent.degree,
-                          [parent.perm_of_matrix(M) for M in sub_mats.matrices],
+                          [parent.perm_of(M) for M in sub_mats.matrices],
                           label=sub_mats.label)
         else:
             H = construct_recipe(sub_recipe).group
@@ -510,7 +509,7 @@ class RunReport:
 
     def fingerprint(self) -> dict:
         """Report content with wall-clock fields removed; equal across
-        thread counts for the same manifest."""
+        runs of the same manifest."""
         doc = self.to_dict()
         for c in doc["checks"]:
             del c["elapsed_ms"]
@@ -610,7 +609,7 @@ def load_manifest(source: str | Path) -> tuple[dict, str]:
     return doc, digest
 
 
-def run_manifest(source: str | Path | dict, threads: int = 1,
+def run_manifest(source: str | Path | dict,
                  budget_ms: int | None = None) -> RunReport:
     """Run every check and return the merged report, in manifest order.
 
@@ -627,13 +626,6 @@ def run_manifest(source: str | Path | dict, threads: int = 1,
     checks = validate_manifest(doc)
     if budget_ms is None:
         budget_ms = default_budget_ms()
-
-    if threads <= 1 or len(checks) <= 1:
-        results = [run_check(c, budget_ms) for c in checks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run_check, c, budget_ms) for c in checks]
-            results = [f.result() for f in futures]
-
+    results = [run_check(c, budget_ms) for c in checks]
     return RunReport(SCHEMA_VERSION, TOOL_VERSION, digest,
                      doc.get("name"), results)

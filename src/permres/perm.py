@@ -240,11 +240,6 @@ def _parse_cycles(s: str, degree: int) -> Perm:
     return Perm(tuple(images), validate=True)
 
 
-def element_order(p: Perm) -> int:
-    """Least k >= 1 with p**k the identity (lcm of cycle lengths)."""
-    return p.order()
-
-
 def read_generator_file(text: str) -> tuple[int, list[Perm], str | None]:
     """Parse the plain-text generator format.
 

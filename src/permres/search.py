@@ -11,6 +11,7 @@ result exists rather than returning a silently truncated answer.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 from .fq import is_prime
@@ -92,38 +93,28 @@ def base_size_exact(
     if G.order() == 1:
         return BaseWitness((), 0, "exact", "order-bound", 0, 0, 0)
     lb = base_lower_bound(G)
-    nodes = [0]
-
-    def dfs(prefix: tuple[int, ...], grp: PermGroup, target: int) -> tuple[int, ...] | None:
-        nodes[0] += 1
-        if nodes[0] > node_budget:
-            raise ResourceLimit("base search exceeded node budget", partial=prefix)
-        order = grp.order()
-        if order == 1:
-            return prefix
-        rem = target - len(prefix)
-        if rem <= 0:
-            return None
-        orbs = [o for o in grp.orbits() if len(o) > 1]
-        if order > max(len(o) for o in orbs) ** rem:
-            return None
-        for orb in orbs:
-            hit = dfs(prefix + (orb[0],), grp.point_stabilizer(orb[0]), target)
-            if hit is not None:
-                return hit
-        return None
-
+    nodes = 0
     for target in range(lb, max_b + 1):
-        try:
-            hit = dfs((), G, target)
-        except ResourceLimit:
-            upper = greedy_base(G)
-            return BaseWitness(None, None, "partial", None, target, upper.size, nodes[0])
-        if hit is not None:
-            _verify_base(G, hit)
-            proof = "order-bound" if len(hit) == lb else "exhausted"
-            return BaseWitness(hit, len(hit), "exact", proof, lb, len(hit), nodes[0])
-    return BaseWitness(None, None, "exceeds-max-b", None, max_b + 1, None, nodes[0])
+
+        def children(prefix: tuple[int, ...], H: PermGroup) -> list[list[int]]:
+            rem = target - len(prefix)
+            if rem <= 0:
+                return []
+            orbs = [o for o in H.orbits() if len(o) > 1]
+            if H.order() > max(len(o) for o in orbs) ** rem:
+                return []
+            return orbs
+
+        for prefix, H, _ in G.orbit_tree(children):
+            nodes += 1
+            if nodes > node_budget:
+                upper = greedy_base(G)
+                return BaseWitness(None, None, "partial", None, target, upper.size, nodes)
+            if H.order() == 1:
+                _verify_base(G, prefix)
+                proof = "order-bound" if len(prefix) == lb else "exhausted"
+                return BaseWitness(prefix, len(prefix), "exact", proof, lb, len(prefix), nodes)
+    return BaseWitness(None, None, "exceeds-max-b", None, max_b + 1, None, nodes)
 
 
 def greedy_base(G: PermGroup) -> BaseWitness:
@@ -377,8 +368,6 @@ def distinguishing_witness(
             raise AssertionError(f"search returned a non-rigid coloring {hit}")
         return hit
     if rng is None:
-        import random
-
         rng = random.Random(0xD157)
     for _ in range(tries):
         coloring = tuple(rng.randrange(r) for _ in range(n))
@@ -433,35 +422,27 @@ def count_regular_tuples(
     if t < 1:
         raise ValueError("tuple length must be >= 1")
     n = L.degree
-    total = [0]
-    nodes = [0]
 
-    class _Reached(Exception):
-        pass
+    def children(prefix: tuple[int, ...], H: PermGroup) -> list[list[int]]:
+        # a trivial stabilizer is a leaf: its completions are counted at once
+        if len(prefix) == t or H.order() == 1:
+            return []
+        return H.orbits()
 
-    def rec(depth: int, grp: PermGroup, weight: int) -> None:
-        nodes[0] += 1
-        if nodes[0] > node_budget:
+    if first_point is None:
+        walk = L.orbit_tree(children)
+    else:
+        walk = L.point_stabilizer(first_point).orbit_tree(children, (first_point,))
+    total = 0
+    for nodes, (prefix, H, weight) in enumerate(walk, 1):
+        if nodes > node_budget:
             raise ResourceLimit(
                 "regular tuple count exceeded node budget",
-                partial=RegularCount(total[0], t, False, False),
+                partial=RegularCount(total, t, False, False),
             )
-        if grp.order() == 1:
-            total[0] += weight * n ** (t - depth)
-            if threshold is not None and total[0] >= threshold:
-                raise _Reached
-            return
-        if depth == t:
-            return
-        for orb in grp.orbits():
-            rec(depth + 1, grp.point_stabilizer(orb[0]), weight * len(orb))
-
-    try:
-        if first_point is None:
-            rec(0, L, 1)
-        else:
-            rec(1, L.point_stabilizer(first_point), 1)
-    except _Reached:
-        return RegularCount(total[0], t, True, False)
-    reached = threshold is not None and total[0] >= threshold
-    return RegularCount(total[0], t, reached, True)
+        if H.order() == 1:
+            total += weight * n ** (t - len(prefix))
+            if threshold is not None and total >= threshold:
+                return RegularCount(total, t, True, False)
+    reached = threshold is not None and total >= threshold
+    return RegularCount(total, t, reached, True)

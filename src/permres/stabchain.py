@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .perm import Perm
+from .perm import Perm, iter_alt_gens, iter_sym_gens
 
 
 class ResourceLimit(RuntimeError):
@@ -259,12 +259,10 @@ class PermGroup:
 
     @classmethod
     def symmetric(cls, m: int) -> "PermGroup":
-        from .perm import iter_sym_gens
         return cls(m, list(iter_sym_gens(m)), label=f"Sym({m})")
 
     @classmethod
     def alternating(cls, m: int) -> "PermGroup":
-        from .perm import iter_alt_gens
         return cls(m, list(iter_alt_gens(m)), label=f"Alt({m})")
 
     def chain(self, base_hint: Sequence[int] = ()) -> StabilizerChain:
@@ -312,22 +310,8 @@ class PermGroup:
             out.append(sorted(orb))
         return out
 
-    def orbit_of(self, point: int) -> list[int]:
-        orb = [point]
-        seen = {point}
-        idx = 0
-        while idx < len(orb):
-            x = orb[idx]
-            for g in self.gens:
-                y = g.images[x]
-                if y not in seen:
-                    seen.add(y)
-                    orb.append(y)
-            idx += 1
-        return sorted(orb)
-
     def is_transitive(self) -> bool:
-        return self.degree == 1 or len(self.orbit_of(0)) == self.degree
+        return len(self.orbits()) == 1
 
     def minimal_block_systems(self) -> list[tuple[tuple[int, ...], ...]]:
         """Nontrivial block systems refined by no other nontrivial system.
@@ -426,7 +410,29 @@ class PermGroup:
             gens.append(Perm(imgs, validate=False))
         return PermGroup(len(points), gens, label=self.label)
 
-    # -- tuple orbit tree ------------------------------------------------
+    # -- orbit tree ------------------------------------------------------
+
+    def orbit_tree(
+        self,
+        children: Callable[[tuple[int, ...], "PermGroup"], Sequence[list[int]]],
+        prefix: tuple[int, ...] = (),
+        weight: int = 1,
+    ) -> Iterator[tuple[tuple[int, ...], "PermGroup", int]]:
+        """Depth-first preorder walk over point tuples, yielding
+        (prefix, H, weight) with H the pointwise stabilizer reached so far.
+
+        This group is the root node. children(prefix, H) returns the orbits
+        of H to branch into, a subsequence of H.orbits(); a child appends
+        its orbit's smallest point, stabilizes that point, and multiplies
+        the weight by the orbit length, so the weight is |root| / |H|. A
+        child's stabilizer is built only when the walk reaches it: callers
+        count their own nodes and stop with break or return.
+        """
+        yield prefix, self, weight
+        for orb in children(prefix, self):
+            point = orb[0]
+            yield from self.point_stabilizer(point).orbit_tree(
+                children, prefix + (point,), weight * len(orb))
 
     def orbit_tuple_reps(self, c: int, node_budget: int = 200_000) -> list[tuple[tuple[int, ...], "PermGroup", int]]:
         """Representatives of orbits on c-tuples of distinct points.
@@ -435,27 +441,19 @@ class PermGroup:
         Branches over orbit representatives of the running stabilizer; the
         orbit sizes of all representatives sum to n(n-1)...(n-c+1).
         """
-        out: list[tuple[tuple[int, ...], PermGroup, int]] = []
-        budget = [node_budget]
 
-        def rec(prefix: tuple[int, ...], grp: PermGroup, weight: int) -> None:
-            if budget[0] <= 0:
-                raise ResourceLimit("orbit tuple tree exceeded node budget", partial=out)
-            budget[0] -= 1
+        def children(prefix: tuple[int, ...], H: PermGroup) -> list[list[int]]:
             if len(prefix) == c:
-                out.append((prefix, grp, weight))
-                return
-            used = set(prefix)
-            seen = set(prefix)
-            for start in range(self.degree):
-                if start in seen:
-                    continue
-                orb = [p for p in grp.orbit_of(start) if p not in used]
-                seen.update(orb)
-                stab = grp.point_stabilizer(start)
-                rec(prefix + (start,), stab, weight * len(orb))
+                return []
+            # H fixes each prefix point, so those are its singleton orbits
+            return [orb for orb in H.orbits() if orb[0] not in prefix]
 
-        rec((), self, 1)
+        out: list[tuple[tuple[int, ...], PermGroup, int]] = []
+        for nodes, (prefix, H, weight) in enumerate(self.orbit_tree(children), 1):
+            if nodes > node_budget:
+                raise ResourceLimit("orbit tuple tree exceeded node budget", partial=out)
+            if len(prefix) == c:
+                out.append((prefix, H, weight))
         return out
 
 

@@ -169,6 +169,16 @@ def test_bad_inputs_exit_three(capsys, tmp_path):
     assert code == 3 and "schema" in err
 
 
+def test_usage_errors_exit_three(capsys):
+    for argv in (["order"],
+                 ["verify", "--manifest", "corpus", "--bogus"],
+                 ["verify", "--manifest", "corpus", "--threads", "2"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 3
+        assert "usage:" in capsys.readouterr().err
+
+
 def test_bundled_corpus_is_reachable():
     assert bundled_corpus().exists()
 

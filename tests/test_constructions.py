@@ -74,14 +74,14 @@ def test_labels_distinct_and_consistent():
     grp = classical_generators("Sp", 4, 3)
     act = matrix_orbit_action(grp, kind="vector")
     assert len(set(act.labels)) == act.degree
-    perms = [act.perm_of_matrix(M) for M in grp.matrices]
+    perms = [act.perm_of(M) for M in grp.matrices]
     for M, p in zip(grp.matrices, perms):
         for _ in range(100):
             i = rng.randrange(act.degree)
             assert act.labels[p.images[i]] == act.act(act.labels[i], M)
 
 
-def test_perm_of_matrix_outside_orbit():
+def test_perm_of_outside_orbit():
     grp = classical_generators("GO-odd", 7, 2)
     act = matrix_orbit_action(grp, kind="subspace", k=6, flt="nondegenerate-plus")
     from permres.fq import FqMatrix
@@ -91,7 +91,7 @@ def test_perm_of_matrix_outside_orbit():
     rows[0][6] = 1
     shear = FqMatrix(grp.field, rows)
     with pytest.raises(ConstructionError):
-        act.perm_of_matrix(shear)
+        act.perm_of(shear)
 
 
 # -- coset actions ---------------------------------------------------------
@@ -180,7 +180,7 @@ def test_sp62_coset_route_degree_36():
     vec = matrix_orbit_action(sp, kind="vector")
     G = vec.group
     go = classical_generators("GO+", 6, 2)
-    H = PermGroup(63, [vec.perm_of_matrix(M) for M in go.matrices])
+    H = PermGroup(63, [vec.perm_of(M) for M in go.matrices])
     act = coset_action(G, H)
     assert act.degree == 36
     assert act.group.chain().order() == 1451520

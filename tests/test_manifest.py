@@ -283,7 +283,7 @@ def test_run_manifest_merges_in_manifest_order():
          "assertions": [{"op": "order", "expect": i + 1, "tag": "direct"}]}
         for i in range(6)
     ]}
-    rep = run_manifest(doc, threads=3)
+    rep = run_manifest(doc)
     assert [c.id for c in rep.checks] == [f"c{i}" for i in range(6)]
     assert rep.exit_code == 0
 
@@ -298,9 +298,9 @@ def test_reports_deterministic_across_threads():
         {"id": "d6", "recipe": {"kind": "dihedral", "m": 6},
          "assertions": [{"op": "dist-number", "expect": 2, "tag": "derived"}]},
     ]}
-    one = run_manifest(doc, threads=1).fingerprint()
-    four = run_manifest(doc, threads=4).fingerprint()
-    assert one == four
+    one = run_manifest(doc).fingerprint()
+    two = run_manifest(doc).fingerprint()
+    assert one == two
     assert one["summary"] == {"pass": 2, "fail": 1, "skipped-resource": 0}
 
 

@@ -365,3 +365,42 @@ def test_count_budget_carries_partial(deg36):
 def test_count_rejects_bad_length():
     with pytest.raises(ValueError):
         count_regular_tuples(PermGroup.symmetric(3), 0)
+
+
+# -- the orbit-tree walk ---------------------------------------------------
+
+
+@pytest.fixture
+def stabilizer_builds(monkeypatch):
+    """Counts PermGroup.pointwise_stabilizer calls, one per stabilizer
+    built; a walk that builds unvisited siblings shows up here."""
+    calls = [0]
+    inner = PermGroup.pointwise_stabilizer
+
+    def counted(self, points):
+        calls[0] += 1
+        return inner(self, points)
+
+    monkeypatch.setattr(PermGroup, "pointwise_stabilizer", counted)
+    return calls
+
+
+def test_walk_pins_witnesses_nodes_and_builds(deg36, stabilizer_builds):
+    w = base_size_exact(deg36)
+    assert (w.points, w.nodes, stabilizer_builds[0]) == ((0, 1, 2, 4, 8, 12), 23, 21)
+
+    stabilizer_builds[0] = 0
+    w = base_size_exact(PermGroup.symmetric(6))
+    assert (w.points, w.nodes, stabilizer_builds[0]) == ((0, 1, 2, 3, 4), 9, 8)
+
+    w = base_size_exact(deg36, node_budget=3)
+    assert (w.status, w.nodes, w.lower_bound, w.upper_bound) == ("partial", 4, 5, 6)
+
+    stabilizer_builds[0] = 0
+    rc = count_regular_tuples(deg36, 6, threshold=1451520)
+    assert (rc.value, stabilizer_builds[0]) == (1451520, 1291)
+
+    stabilizer_builds[0] = 0
+    reps = deg36.orbit_tuple_reps(2)
+    assert [(pts, weight) for pts, _, weight in reps] == [((0, 1), 1260)]
+    assert stabilizer_builds[0] == 2

@@ -357,3 +357,16 @@ def test_orbit_tuple_reps_budget():
     G = PermGroup.trivial(8)
     with pytest.raises(ResourceLimit):
         G.orbit_tuple_reps(3, node_budget=10)
+
+
+def test_orbit_tree_preorder_weights():
+    # <(0 1)> on 4 points: orbits {0, 1}, {2}, {3}
+    G = PermGroup(4, [cyc([(0, 1)], 4)])
+    walk = G.orbit_tree(lambda prefix, H: H.orbits() if len(prefix) < 2 else [])
+    nodes = [(prefix, weight) for prefix, _, weight in walk]
+    assert nodes[:7] == [((), 1), ((0,), 2), ((0, 0), 2), ((0, 1), 2),
+                         ((0, 2), 2), ((0, 3), 2), ((2,), 1)]
+    # every pair of points lies in the orbit of exactly one leaf
+    assert sum(w for prefix, w in nodes if len(prefix) == 2) == 4 ** 2
+    pinned = G.point_stabilizer(3).orbit_tree(lambda prefix, H: [], (3,), 5)
+    assert [(p, w) for p, _, w in pinned] == [((3,), 5)]

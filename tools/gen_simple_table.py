@@ -221,7 +221,7 @@ def run_witnesses(rows: list[dict], log: list[str]) -> None:
     sp62_act = matrix_orbit_action(classical_generators("Sp", 6, 2), kind="vector")
     sp62 = sp62_act.group
     go6p = classical_generators("GO+", 6, 2)
-    sub_gens = [sp62_act.perm_of_matrix(M) for M in go6p.matrices]
+    sub_gens = [sp62_act.perm_of(M) for M in go6p.matrices]
     sub = PermGroup(sp62.degree, sub_gens)
     assert sp62.order() == 1451520
     for g in sub.gens:

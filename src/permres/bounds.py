@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from mpmath import iv
 
+from .fq import ceil_log
 from .search import stabilizer_scan
 from .stabchain import PermGroup
 from .structure import NO, UNKNOWN, YES, in_gamma
@@ -49,25 +50,6 @@ class BoundReport:
     bound_value: object
     measured_value: object
     verdict: str | None
-
-
-# -- exact ceiling logs ----------------------------------------------------
-
-
-def ceil_log(base: int, x: int) -> int:
-    """min t with base**t >= x, by integer powering only."""
-    if base < 2:
-        raise ValueError("log base must be >= 2")
-    if x < 1:
-        raise ValueError("log argument must be >= 1")
-    t, p = 0, 1
-    while p < x:
-        p *= base
-        t += 1
-    assert x <= base ** t
-    if t:
-        assert base ** (t - 1) < x
-    return t
 
 
 def prod_bound(deg: int, d_q: int, b_l: int) -> int:

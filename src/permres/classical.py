@@ -83,13 +83,10 @@ def _basis(m: int, i: int) -> tuple[int, ...]:
     return tuple(1 if j == i else 0 for j in range(m))
 
 
-def _perm_matrix(field: FqField, images: list[tuple[int, ...]]) -> FqMatrix:
-    return FqMatrix(field, images)
-
-
 def _transvection(field: FqField, form: FormSpec, v, a) -> FqMatrix:
-    # x -> x + a B(x, v) v ; preserves an alternating form for any v and
-    # a quadratic form when v is nonsingular and a = Q(v)^-1 (char 2)
+    # x -> x + a B(x, v) v ; preserves an alternating form for any v, a
+    # quadratic form when v is nonsingular and a = Q(v)^-1 (char 2), and a
+    # hermitian form when h(v, v) = 0 and a + conj(a) = 0
     m = form.dim
     rows = []
     for i in range(m):
@@ -112,17 +109,6 @@ def _reflection(field: FqField, form: FormSpec, v) -> FqMatrix:
     return FqMatrix(field, rows)
 
 
-def _unitary_transvection(field: FqField, form: FormSpec, v, a) -> FqMatrix:
-    # x -> x + a h(x, v) v with h(v, v) = 0 and a + conj(a) = 0
-    m = form.dim
-    rows = []
-    for i in range(m):
-        e = _basis(m, i)
-        coef = field.mul(a, form.bilinear(e, v))
-        rows.append(field.vec_add(e, field.vec_scale(coef, v)))
-    return FqMatrix(field, rows)
-
-
 def _sl_generators(field: FqField, m: int) -> list[FqMatrix]:
     gens = []
     mu = field.primitive
@@ -134,7 +120,7 @@ def _sl_generators(field: FqField, m: int) -> list[FqMatrix]:
     last = [0] * m
     last[0] = 1 if m % 2 == 1 else field.neg(1)
     images.append(tuple(last))
-    gens.append(_perm_matrix(field, images))
+    gens.append(FqMatrix(field, images))
     return gens
 
 
@@ -156,7 +142,7 @@ def _sp_generators(field: FqField, form: FormSpec, m: int) -> list[FqMatrix]:
             images.append(_basis(m, (i + 1) % n))
         for i in range(n):
             images.append(_basis(m, n + (i + 1) % n))
-        gens.append(_perm_matrix(field, images))
+        gens.append(FqMatrix(field, images))
     return gens
 
 
@@ -173,8 +159,8 @@ def _su_generators(field: FqField, form: FormSpec, m: int, q0: int) -> list[FqMa
     e0, f0 = _basis(m, 0), _basis(m, ell)
     gens = []
     for a in skew:
-        gens.append(_unitary_transvection(field, form, e0, a))
-        gens.append(_unitary_transvection(field, form, f0, a))
+        gens.append(_transvection(field, form, e0, a))
+        gens.append(_transvection(field, form, f0, a))
     if ell >= 2:
         # GL(2)-block unipotents mixing the first two pairs carry the full
         # field into the entries: e0 -> e0 + b e1, f1 -> f1 - conj(b) f0
@@ -183,12 +169,12 @@ def _su_generators(field: FqField, form: FormSpec, m: int, q0: int) -> list[FqMa
             rows[0][1] = b
             rows[ell + 1][ell] = field.neg(field.pow(b, q0))
             gens.append(FqMatrix(field, rows))
-        gens.append(_unitary_transvection(field, form, field.vec_add(e0, _basis(m, ell + 1)), skew[0]))
+        gens.append(_transvection(field, form, field.vec_add(e0, _basis(m, ell + 1)), skew[0]))
         images = [_basis(m, (i + 1) % ell) for i in range(ell)]
         images += [_basis(m, ell + (i + 1) % ell) for i in range(ell)]
         if m % 2:
             images.append(_basis(m, m - 1))
-        gens.append(_perm_matrix(field, images))
+        gens.append(FqMatrix(field, images))
         # torus with determinant fixed across two pairs:
         # diag(z, z^q0, z^-q0, z^-1) on (e0, e1, f0, f1)
         rows = [list(_basis(m, i)) for i in range(m)]
@@ -250,7 +236,7 @@ def _go_generators(field: FqField, form: FormSpec, m: int) -> list[FqMatrix]:
         images = [_basis(m, i) for i in range(m)]
         images[0], images[1] = images[1], images[0]
         images[n], images[n + 1] = images[n + 1], images[n]
-        gens.append(_perm_matrix(field, images))
+        gens.append(FqMatrix(field, images))
     return gens
 
 
@@ -360,7 +346,3 @@ def scalar_kernel_order(grp: MatrixGroup) -> int:
                 continue
         count += 1
     return count
-
-
-def primitive_element(field: FqField) -> int:
-    return field.primitive

@@ -21,6 +21,7 @@ from .manifest import (
     TOOL_VERSION,
     bundled_corpus,
     construct_recipe,
+    pick,
     run_manifest,
     serialize_group,
 )
@@ -76,8 +77,9 @@ def _cmd_describe(args) -> int:
     # on G, so the descent runs once per invocation
     act = construct_recipe(_read_recipe(args.recipe))
     G = act.group
-    factors = composition_factors(G, order_cap=args.order_cap)
-    prof = gamma_profile(G, order_cap=args.order_cap)
+    caps = pick(vars(args), "order_cap")
+    factors = composition_factors(G, **caps)
+    prof = gamma_profile(G, **caps)
     doc = {
         "label": G.label,
         "degree": G.degree,
@@ -101,8 +103,7 @@ def _cmd_order(args) -> int:
 
 def _cmd_base_size(args) -> int:
     act = construct_recipe(_read_recipe(args.recipe))
-    w = base_size_exact(act.group, max_b=args.max_b,
-                        node_budget=args.node_budget)
+    w = base_size_exact(act.group, **pick(vars(args), "max_b", "node_budget"))
     doc = {"status": w.status, "size": w.size,
            "proof": w.proof_of_minimality,
            "points": list(w.points) if w.points is not None else None,
@@ -113,7 +114,7 @@ def _cmd_base_size(args) -> int:
 
 def _cmd_dist_number(args) -> int:
     act = construct_recipe(_read_recipe(args.recipe))
-    res = distinguishing_number(act.group, elem_cap=args.elem_cap)
+    res = distinguishing_number(act.group, **pick(vars(args), "elem_cap"))
     _emit({"distinguishing-number": res.number, "method": res.method},
           args.json)
     return 0
@@ -122,7 +123,7 @@ def _cmd_dist_number(args) -> int:
 def _cmd_stab_scan(args) -> int:
     act = construct_recipe(_read_recipe(args.recipe))
     rep = stabilizer_scan(act.group, args.c, args.predicate,
-                          node_budget=args.node_budget)
+                          **pick(vars(args), "node_budget"))
     doc = {"verdict": rep.verdict, "classes": rep.classes,
            "exhaustive": rep.exhaustive}
     if rep.worst_witness is not None:
@@ -142,7 +143,7 @@ def _cmd_reg_count(args) -> int:
     act = construct_recipe(_read_recipe(args.recipe))
     res = count_regular_tuples(act.group, args.t, threshold=args.threshold,
                                first_point=args.first_point,
-                               node_budget=args.node_budget)
+                               **pick(vars(args), "node_budget"))
     _emit({"value": res.value, "t": res.t, "exact": res.exact,
            "reached-threshold": res.reached_threshold}, args.json)
     return 0
@@ -170,7 +171,7 @@ def _cmd_bounds(args) -> int:
         else:
             rep = theorem13_check(act.group, params.get("c", 0), params["d"],
                                   Fraction(params.get("delta", 1)),
-                                  order_cap=params.get("order_cap", 10 ** 12))
+                                  **pick(params, "order_cap"))
         doc = {"bound": rep.bound_value, "measured": rep.measured_value,
                "verdict": rep.verdict}
     else:
@@ -238,7 +239,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("describe", help="order, orbits, factors, profile")
     common(p)
-    p.add_argument("--order-cap", type=int, default=10 ** 12)
+    p.add_argument("--order-cap", type=int, default=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_describe)
 
     p = sub.add_parser("order", help="group order")
@@ -247,13 +248,13 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("base-size", help="exact minimal base size")
     common(p)
-    p.add_argument("--max-b", type=int, default=16)
-    p.add_argument("--node-budget", type=int, default=2_000_000)
+    p.add_argument("--max-b", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--node-budget", type=int, default=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_base_size)
 
     p = sub.add_parser("dist-number", help="exact distinguishing number")
     common(p)
-    p.add_argument("--elem-cap", type=int, default=200_000)
+    p.add_argument("--elem-cap", type=int, default=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_dist_number)
 
     p = sub.add_parser("stab-scan", help="predicate over c-point stabilizers")
@@ -261,7 +262,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--predicate", default="solvable",
                    help="solvable or gamma:<d>")
-    p.add_argument("--node-budget", type=int, default=500_000)
+    p.add_argument("--node-budget", type=int, default=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_stab_scan)
 
     p = sub.add_parser("reg-count", help="count tuples with trivial stabilizer")
@@ -269,7 +270,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--threshold", type=int)
     p.add_argument("--first-point", type=int)
-    p.add_argument("--node-budget", type=int, default=1_000_000)
+    p.add_argument("--node-budget", type=int, default=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_reg_count)
 
     p = sub.add_parser("bounds", help="closed-form bounds and thresholds")

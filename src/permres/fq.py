@@ -2,9 +2,10 @@
 
 Fields cover q = p^k up to 512. Elements are ints in 0..q-1 encoding
 base-p digit vectors, so 0 and 1 are the field zero and one. The defining
-polynomial is the lexicographically least primitive one, found by trial
-division and order checking at construction; multiplication runs on
-exp/log tables, addition on a precomputed table.
+polynomial is the lexicographically least primitive one: the first monic
+candidate modulo which x has order exactly q - 1, which makes it
+irreducible as well. Multiplication runs on exp/log tables, addition on a
+precomputed table.
 
 Vectors are rows and matrices act on the right, x -> x*M, so matrix
 products compose left to right like permutations.
@@ -37,6 +38,22 @@ def factorize(n: int) -> dict[int, int]:
 
 def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == {n: 1}
+
+
+def ceil_log(base: int, x: int) -> int:
+    """min t with base**t >= x, by integer powering only."""
+    if base < 2:
+        raise ValueError("log base must be >= 2")
+    if x < 1:
+        raise ValueError("log argument must be >= 1")
+    t, p = 0, 1
+    while p < x:
+        p *= base
+        t += 1
+    assert x <= base ** t
+    if t:
+        assert base ** (t - 1) < x
+    return t
 
 
 class FqField:
@@ -79,18 +96,9 @@ class FqField:
 
     def _init_extension(self) -> None:
         p, k, q = self.p, self.k, self.q
-        divisors = [d for d in range(1, k // 2 + 1)]
-        lower_monics = []
-        for d in divisors:
-            for tail in itertools.product(range(p), repeat=d):
-                lower_monics.append(tail + (1,))
         rad = list(factorize(q - 1))
         for low in range(p ** k):
             f = self._digits(low, k) + (1,)
-            if f[0] == 0:
-                continue  # reducible: x divides
-            if not self._is_irreducible(f, lower_monics):
-                continue
             if self._is_primitive_poly(f, rad):
                 self.poly = f
                 break
@@ -143,31 +151,6 @@ class FqField:
         while len(a) > 1 and a[-1] == 0:
             a.pop()
         return tuple(a)
-
-    def _is_irreducible(self, f, lower_monics) -> bool:
-        for g in lower_monics:
-            if len(g) > len(f):
-                continue
-            if self._poly_divides(g, f):
-                return False
-        return True
-
-    def _poly_divides(self, g, f) -> bool:
-        p = self.p
-        a = list(f)
-        dg = len(g) - 1
-        inv_lead = pow(g[-1], p - 2, p)
-        while len(a) - 1 >= dg and any(a):
-            lead = a[-1]
-            if lead == 0:
-                a.pop()
-                continue
-            coef = lead * inv_lead % p
-            shift = len(a) - 1 - dg
-            for i, gi in enumerate(g):
-                a[shift + i] = (a[shift + i] - coef * gi) % p
-            a.pop()
-        return not any(a)
 
     def _is_primitive_poly(self, f, rad) -> bool:
         q = self.q
@@ -310,9 +293,6 @@ class FqMatrix:
         F = self.field
         bt = tuple(zip(*self.rows))
         return tuple(F.dot(v, col) for col in bt)
-
-    def transpose(self) -> "FqMatrix":
-        return FqMatrix(self.field, zip(*self.rows))
 
     def map_entries(self, fn) -> "FqMatrix":
         return FqMatrix(self.field, [[fn(x) for x in row] for row in self.rows])
@@ -457,16 +437,7 @@ class FormSpec:
     def quad_value(self, v: Sequence[int]) -> int:
         if self.quad is None:
             raise ValueError("not a quadratic form")
-        F = self.field
-        s = 0
-        for i, vi in enumerate(v):
-            if not vi:
-                continue
-            row = self.quad[i]
-            for j in range(i, len(v)):
-                if row[j] and v[j]:
-                    s = F.add(s, F.mul(F.mul(vi, v[j]), row[j]))
-        return s
+        return _quad_eval(self.field, self.quad, v)
 
     def is_isometry(self, M: FqMatrix) -> bool:
         n = self.dim
@@ -640,64 +611,20 @@ def _quad_eval(field: FqField, quad, v) -> int:
     return s
 
 
-def _bil_eval(field: FqField, gram, x, y) -> int:
-    s = 0
-    for i, xi in enumerate(x):
-        if xi:
-            s = field.add(s, field.mul(xi, field.dot(gram[i], y)))
-    return s
-
-
-def _witt_index(field: FqField, gram, quad, ell: int) -> int:
-    """Hyperbolic-pair splitting on an abstract nondegenerate quadratic space."""
-    if ell == 0:
-        return 0
-    singular = None
-    for v in _enumerate_vectors(field.q, ell):
-        if any(v) and _quad_eval(field, quad, v) == 0:
-            singular = v
-            break
-    if singular is None:
-        return 0
-    w = next(u for u in _enumerate_vectors(field.q, ell)
-             if _bil_eval(field, gram, singular, u) != 0)
-    c = field.inv(_bil_eval(field, gram, singular, w))
-    w = tuple(field.mul(c, x) for x in w)
-    lam = field.neg(_quad_eval(field, quad, w))
-    w = field.vec_add(w, field.vec_scale(lam, singular))
-    # complement: vectors orthogonal to both members of the pair
-    kernel_basis = _solve_orthogonal(field, gram, [singular, w], ell)
-    sub_gram = [[_bil_eval(field, gram, a, b) for b in kernel_basis] for a in kernel_basis]
-    sub_quad = [[0] * len(kernel_basis) for _ in kernel_basis]
-    for i, a in enumerate(kernel_basis):
-        sub_quad[i][i] = _quad_eval(field, quad, a)
-        for j in range(i + 1, len(kernel_basis)):
-            sub_quad[i][j] = sub_gram[i][j]
-    return 1 + _witt_index(field, sub_gram, sub_quad, len(kernel_basis))
-
-
-def _solve_orthogonal(field: FqField, gram, vectors, ell: int):
-    """Basis of the joint polar-orthogonal complement inside F_q^ell."""
-    rows = [[_bil_eval(field, gram, v, tuple(1 if t == j else 0 for t in range(ell)))
-             for j in range(ell)] for v in vectors]
-    reduced, pivots = rref(field, rows)
-    free = [j for j in range(ell) if j not in pivots]
-    basis = []
-    for j in free:
-        v = [0] * ell
-        v[j] = 1
-        for r, pc in zip(reduced, pivots):
-            v[pc] = field.neg(field.mul(r[j], 1))
-        basis.append(tuple(v))
-    return basis
+def _count_singular(field: FqField, quad, ell: int) -> int:
+    return sum(1 for v in _enumerate_vectors(field.q, ell)
+               if any(v) and _quad_eval(field, quad, v) == 0)
 
 
 def subspace_type(form: FormSpec, basis: Sequence[Sequence[int]]) -> SubspaceClass:
     """Classify a subspace under the restricted form.
 
     Witt index and plus/minus type are computed only for nondegenerate
-    quadratic restrictions (hyperbolic splitting); symplectic restrictions
-    get witt = dim/2 when nondegenerate. For hermitian forms only the
+    quadratic restrictions: odd dimension 2n+1 has witt index n, and even
+    dimension 2n is of plus type (witt index n) exactly when it holds
+    (q^n - 1)(q^(n-1) + 1) nonzero singular vectors, of minus type
+    (witt index n - 1) otherwise. Symplectic restrictions get
+    witt = dim/2 when nondegenerate. For hermitian forms only the
     degeneracy and isotropy flags are filled in.
     """
     F = form.field
@@ -712,11 +639,13 @@ def subspace_type(form: FormSpec, basis: Sequence[Sequence[int]]) -> SubspaceCla
     witt = None
     eps = None
     if quad is not None and not degenerate:
-        witt = _witt_index(F, gram, quad, ell)
-        if ell % 2 == 0:
-            eps = "+" if witt == ell // 2 else "-"
+        n = ell // 2
+        if ell % 2:
+            witt, eps = n, "o"
+        elif n == 0 or _count_singular(F, quad, ell) == (F.q ** n - 1) * (F.q ** (n - 1) + 1):
+            witt, eps = n, "+"
         else:
-            eps = "o"
+            witt, eps = n - 1, "-"
     elif form.kind == "symplectic" and not degenerate:
         witt = ell // 2
     return SubspaceClass(ell, degenerate, tot_iso, tot_sing, witt, eps)
@@ -724,12 +653,7 @@ def subspace_type(form: FormSpec, basis: Sequence[Sequence[int]]) -> SubspaceCla
 
 def count_singular(form: FormSpec, basis: Sequence[Sequence[int]]) -> int:
     """Nonzero vectors of the subspace on which the quadratic form vanishes."""
-    F = form.field
     _, quad = _restricted_quad(form, basis)
     if quad is None:
         raise ValueError("count_singular needs a quadratic form")
-    count = 0
-    for coeffs in _enumerate_vectors(F.q, len(basis)):
-        if any(coeffs) and _quad_eval(F, quad, coeffs) == 0:
-            count += 1
-    return count
+    return _count_singular(form.field, quad, len(basis))

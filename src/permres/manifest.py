@@ -229,7 +229,13 @@ def construct_recipe(recipe: dict) -> LabeledAction:
 # -- assertion operations --------------------------------------------------
 # Every runner takes the constructed action and the assertion's parameter
 # object and returns a JSON-comparable measured value. Expected values that
-# are objects match as subsets: only the listed keys are compared.
+# are objects match as subsets: only the listed keys are compared. Budgets
+# and caps a check leaves out take the library function's own default.
+
+
+def pick(params: dict, *keys: str) -> dict:
+    """The entries of params under the given keys, for those present."""
+    return {k: params[k] for k in keys if k in params}
 
 
 def _op_order(act: LabeledAction, p: dict):
@@ -262,24 +268,21 @@ def _op_suborbit_sizes(act: LabeledAction, p: dict):
 
 
 def _op_comp_factors(act: LabeledAction, p: dict):
-    factors = composition_factors(act.group,
-                                  order_cap=p.get("order_cap", 10 ** 12))
+    factors = composition_factors(act.group, **pick(p, "order_cap"))
     return [f.name for f in factors]
 
 
 def _op_gamma_min_d(act: LabeledAction, p: dict):
-    prof = gamma_profile(act.group, d_max=p.get("d_max", 40),
-                         order_cap=p.get("order_cap", 10 ** 12))
+    prof = gamma_profile(act.group, **pick(p, "d_max", "order_cap"))
     return prof["min_certified_d"]
 
 
 def _op_in_gamma(act: LabeledAction, p: dict):
-    return in_gamma(act.group, p["d"], order_cap=p.get("order_cap", 10 ** 12))
+    return in_gamma(act.group, p["d"], **pick(p, "order_cap"))
 
 
 def _op_base_size(act: LabeledAction, p: dict):
-    w = base_size_exact(act.group, max_b=p.get("max_b", 16),
-                        node_budget=p.get("node_budget", 2_000_000))
+    w = base_size_exact(act.group, **pick(p, "max_b", "node_budget"))
     if w.status != "exact":
         raise ResourceLimit(f"base search stopped with status {w.status}")
     return {"size": w.size, "proof": w.proof_of_minimality}
@@ -290,13 +293,12 @@ def _op_base_upper(act: LabeledAction, p: dict):
 
 
 def _op_dist_number(act: LabeledAction, p: dict):
-    res = distinguishing_number(act.group,
-                                elem_cap=p.get("elem_cap", 200_000))
+    res = distinguishing_number(act.group, **pick(p, "elem_cap"))
     return res.number
 
 
 def _op_dist_upper(act: LabeledAction, p: dict):
-    w = distinguishing_witness(act.group, p["r"], tries=p.get("tries", 200))
+    w = distinguishing_witness(act.group, p["r"], **pick(p, "tries"))
     if w is None:
         return False
     return verify_distinguishing(act.group, w)
@@ -304,7 +306,7 @@ def _op_dist_upper(act: LabeledAction, p: dict):
 
 def _op_stab_scan(act: LabeledAction, p: dict):
     rep = stabilizer_scan(act.group, p["c"], p["predicate"],
-                          node_budget=p.get("node_budget", 500_000))
+                          **pick(p, "node_budget"))
     out = {"verdict": rep.verdict, "classes": rep.classes,
            "exhaustive": rep.exhaustive}
     if rep.worst_witness is not None:
@@ -314,9 +316,7 @@ def _op_stab_scan(act: LabeledAction, p: dict):
 
 def _op_reg_count(act: LabeledAction, p: dict):
     res = count_regular_tuples(act.group, p["t"],
-                               threshold=p.get("threshold"),
-                               first_point=p.get("first_point"),
-                               node_budget=p.get("node_budget", 1_000_000))
+                               **pick(p, "threshold", "first_point", "node_budget"))
     return {"value": res.value, "reached": res.reached_threshold,
             "exact": res.exact, "t": res.t}
 
@@ -327,7 +327,7 @@ def _op_lemma22(act: LabeledAction, p: dict):
 
 def _op_thm13(act: LabeledAction, p: dict):
     rep = theorem13_check(act.group, p["c"], p["d"], Fraction(p["delta"]),
-                          order_cap=p.get("order_cap", 10 ** 12))
+                          **pick(p, "order_cap"))
     return rep.verdict
 
 
@@ -541,6 +541,12 @@ def default_budget_ms() -> int | None:
     return val if val > 0 else None
 
 
+def _reason(e: Exception) -> str:
+    # an ill-typed or missing field surfaces as TypeError or KeyError, whose
+    # bare message (a key such as 'd') needs the exception name to read
+    return f"{type(e).__name__}: {e}" if isinstance(e, (TypeError, KeyError)) else str(e)
+
+
 def run_check(chk: dict, budget_ms: int | None = None) -> CheckResult:
     clock = _Clock(chk.get("budget_ms", budget_ms))
     cid = chk["id"]
@@ -549,9 +555,9 @@ def run_check(chk: dict, budget_ms: int | None = None) -> CheckResult:
     except ResourceLimit as e:
         return CheckResult(cid, "skipped-resource", clock.elapsed_ms(),
                            error=f"construction: {e}")
-    except (ConstructionError, ManifestError, ValueError) as e:
+    except (ConstructionError, ManifestError, ValueError, TypeError, KeyError) as e:
         return CheckResult(cid, "fail", clock.elapsed_ms(),
-                           error=f"construction: {e}")
+                           error=f"construction: {_reason(e)}")
 
     results: list[AssertionResult] = []
     failed = skipped = False
@@ -564,8 +570,8 @@ def run_check(chk: dict, budget_ms: int | None = None) -> CheckResult:
             results.append(AssertionResult(op, expected, None, None, str(e)))
             skipped = True
             break  # later assertions would blow the same budget
-        except (ConstructionError, ManifestError, ValueError) as e:
-            results.append(AssertionResult(op, expected, None, False, str(e)))
+        except (ConstructionError, ManifestError, ValueError, TypeError, KeyError) as e:
+            results.append(AssertionResult(op, expected, None, False, _reason(e)))
             failed = True
             continue
         ok = _matches(expected, measured)

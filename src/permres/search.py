@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .fq import is_prime
+from .fq import ceil_log, is_prime
 from .stabchain import PermGroup, ResourceLimit, coloring_stabilizer
 from .structure import NO, UNKNOWN, YES, composition_factors, in_gamma, is_solvable
 
@@ -62,14 +62,9 @@ def base_lower_bound(G: PermGroup) -> int:
     order = G.order()
     if order == 1:
         return 0
-    n = G.degree
-    if n < 2:
+    if G.degree < 2:
         raise ValueError("nontrivial group needs degree >= 2")
-    b, power = 0, 1
-    while power < order:
-        power *= n
-        b += 1
-    return b
+    return ceil_log(G.degree, order)
 
 
 def _verify_base(G: PermGroup, points: tuple[int, ...]) -> None:
@@ -183,10 +178,9 @@ def _structure_summary(H: PermGroup, order_cap: int = 10 ** 7) -> str:
 def _parse_predicate(predicate: str):
     if predicate == "solvable":
         return lambda H: YES if is_solvable(H) else NO
-    for prefix in ("gamma:", "in_gamma:"):
-        if predicate.startswith(prefix):
-            d = int(predicate[len(prefix):])
-            return lambda H: in_gamma(H, d)
+    if predicate.startswith("gamma:"):
+        d = int(predicate[len("gamma:"):])
+        return lambda H: in_gamma(H, d)
     raise ValueError(f"unknown predicate {predicate!r}")
 
 

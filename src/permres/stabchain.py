@@ -178,9 +178,6 @@ class StabilizerChain:
         residue, _ = self._sift(g, 0)
         return residue
 
-    def strong_gens(self) -> list[Perm]:
-        return list(self.levels[0].gens) if self.levels else []
-
     def gens_fixing_prefix(self, k: int) -> list[Perm]:
         """Strong generators of the stabilizer of the first k base points."""
         if k >= len(self.levels):
@@ -277,9 +274,6 @@ class PermGroup:
 
     def contains(self, g: Perm) -> bool:
         return self.chain().contains(g)
-
-    def is_trivial(self) -> bool:
-        return not self.gens or self.order() == 1
 
     def random_element(self, rng) -> Perm:
         return self.chain().random_element(rng)

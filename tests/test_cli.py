@@ -66,6 +66,17 @@ def test_base_size_verb(capsys):
     assert doc["size"] == 2 and doc["status"] == "exact"
 
 
+def test_budget_flags_pass_only_when_given(capsys, monkeypatch):
+    # unset budget flags leave the library signature's default in force
+    seen = []
+    real = cli.base_size_exact
+    monkeypatch.setattr(cli, "base_size_exact",
+                        lambda G, **kw: seen.append(kw) or real(G, **kw))
+    run(capsys, "base-size", "--recipe", S5)
+    run(capsys, "base-size", "--recipe", S5, "--max-b", "6")
+    assert seen == [{}, {"max_b": 6}]
+
+
 def test_dist_number_verb(capsys):
     code, out, _ = run(capsys, "dist-number", "--recipe",
                        '{"kind": "dihedral", "m": 4}', "--json")

@@ -290,3 +290,71 @@ def test_is_isometry_quadratic():
     assert form.is_isometry(swap)
     bad = FqMatrix(F, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     assert not form.is_isometry(bad)
+
+
+# Defining polynomials of every extension field up to MAX_Q, little-endian
+# and monic: the lexicographically least primitive polynomial of degree k.
+EXTENSION_POLYS = {
+    4: (1, 1, 1), 8: (1, 1, 0, 1), 9: (2, 1, 1), 16: (1, 1, 0, 0, 1),
+    25: (2, 1, 1), 27: (1, 2, 0, 1), 32: (1, 0, 1, 0, 0, 1), 49: (3, 1, 1),
+    64: (1, 1, 0, 0, 0, 0, 1), 81: (2, 1, 0, 0, 1), 121: (7, 1, 1),
+    125: (2, 3, 0, 1), 128: (1, 1, 0, 0, 0, 0, 0, 1), 169: (2, 1, 1),
+    243: (1, 2, 0, 0, 0, 1), 256: (1, 0, 1, 1, 1, 0, 0, 0, 1), 289: (3, 1, 1),
+    343: (2, 3, 0, 1), 361: (2, 1, 1), 512: (1, 0, 0, 0, 1, 0, 0, 0, 0, 1),
+}
+
+
+def test_extension_polys():
+    extensions = [q for q in range(2, 513)
+                  if len(factorize(q)) == 1 and FqField.of(q).k > 1]
+    assert {q: FqField.of(q).poly for q in extensions} == EXTENSION_POLYS
+
+
+def _all_subspaces(q, m):
+    # one reduced-echelon basis per subspace of F_q^m
+    for k in range(m + 1):
+        for piv in itertools.combinations(range(m), k):
+            free = [(r, c) for r in range(k) for c in range(piv[r] + 1, m) if c not in piv]
+            for vals in itertools.product(range(q), repeat=len(free)):
+                rows = [[1 if c == piv[r] else 0 for c in range(m)] for r in range(k)]
+                for (r, c), v in zip(free, vals):
+                    rows[r][c] = v
+                yield rows
+
+
+# (dim, degenerate, witt_index, eps) -> number of subspaces in that class
+SUBSPACE_CLASS_COUNTS = {
+    (2, 6, 1): {
+        (0, False, 0, "+"): 1, (1, True, None, None): 63, (2, False, 0, "-"): 56,
+        (2, False, 1, "+"): 280, (2, True, None, None): 315, (3, True, None, None): 1395,
+        (4, False, 1, "-"): 56, (4, False, 2, "+"): 280, (4, True, None, None): 315,
+        (5, True, None, None): 63, (6, False, 3, "+"): 1,
+    },
+    (2, 6, -1): {
+        (0, False, 0, "+"): 1, (1, True, None, None): 63, (2, False, 0, "-"): 120,
+        (2, False, 1, "+"): 216, (2, True, None, None): 315, (3, True, None, None): 1395,
+        (4, False, 1, "-"): 216, (4, False, 2, "+"): 120, (4, True, None, None): 315,
+        (5, True, None, None): 63, (6, False, 2, "-"): 1,
+    },
+    (3, 4, 1): {
+        (0, False, 0, "+"): 1, (1, False, 0, "o"): 24, (1, True, None, None): 16,
+        (2, False, 0, "-"): 18, (2, False, 1, "+"): 72, (2, True, None, None): 40,
+        (3, False, 1, "o"): 24, (3, True, None, None): 16, (4, False, 2, "+"): 1,
+    },
+    (3, 4, -1): {
+        (0, False, 0, "+"): 1, (1, False, 0, "o"): 30, (1, True, None, None): 10,
+        (2, False, 0, "-"): 45, (2, False, 1, "+"): 45, (2, True, None, None): 40,
+        (3, False, 1, "o"): 30, (3, True, None, None): 10, (4, False, 1, "-"): 1,
+    },
+}
+
+
+@pytest.mark.parametrize("q,m,eps", list(SUBSPACE_CLASS_COUNTS))
+def test_subspace_class_counts(q, m, eps):
+    form = make_quadratic_form(FqField.of(q), m, eps)
+    counts = {}
+    for basis in _all_subspaces(q, m):
+        cls = subspace_type(form, basis)
+        key = (cls.dim, cls.degenerate, cls.witt_index, cls.eps)
+        counts[key] = counts.get(key, 0) + 1
+    assert counts == SUBSPACE_CLASS_COUNTS[(q, m, eps)]

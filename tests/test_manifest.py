@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from permres import manifest
 from permres.constructions import ConstructionError
 from permres.manifest import (
     ManifestError,
@@ -18,6 +19,7 @@ from permres.manifest import (
     serialize_group,
     validate_manifest,
 )
+from permres.search import base_size_exact
 from permres.stabchain import PermGroup
 
 
@@ -229,6 +231,34 @@ def test_run_check_construction_failure():
                      "assertions": [{"op": "order", "expect": 1,
                                      "tag": "direct"}]})
     assert res.status == "fail" and "construction" in res.error
+
+
+def test_ill_typed_checks_fail_alone():
+    # a string where an int belongs and a missing op parameter each fail
+    # their own check with a one-line cause; the next check still runs
+    rep = run_manifest({"schema": 1, "checks": [
+        {"id": "typed", "recipe": {"kind": "symmetric", "m": "5"},
+         "assertions": [{"op": "order", "expect": 120, "tag": "direct"}]},
+        {"id": "no-d", "recipe": {"kind": "symmetric", "m": 5},
+         "assertions": [{"op": "in-gamma", "expect": "yes", "tag": "direct"}]},
+        {"id": "s5", "recipe": {"kind": "symmetric", "m": 5},
+         "assertions": [{"op": "order", "expect": 120, "tag": "direct"}]},
+    ]})
+    typed, no_d, s5 = rep.checks
+    assert [c.status for c in rep.checks] == ["fail", "fail", "pass"]
+    assert typed.error.startswith("construction: TypeError") and "\n" not in typed.error
+    assert no_d.assertions[0].ok is False
+    assert no_d.assertions[0].error == "KeyError: 'd'"
+    assert s5.assertions[0].measured == 120
+
+
+def test_ops_leave_absent_caps_to_the_library(monkeypatch):
+    seen = []
+    monkeypatch.setattr(manifest, "base_size_exact",
+                        lambda G, **kw: seen.append(kw) or base_size_exact(G, **kw))
+    for params in ({}, {"node_budget": 50}):
+        OPS["base-size"](construct_recipe({"kind": "symmetric", "m": 4}), params)
+    assert seen == [{}, {"node_budget": 50}]
 
 
 def test_run_check_resource_skip_from_operation():

@@ -71,10 +71,7 @@ def classical_order(family: str, m: int, q: int) -> int:
             o *= q ** (2 * i) - 1
         return o
     if family == "GO-odd":
-        n = m // 2
-        o = q ** (n * n)
-        for i in range(1, n + 1):
-            o *= q ** (2 * i) - 1
+        o = classical_order("Sp", m - 1, q)
         return o if q % 2 == 0 else 2 * o
     raise ValueError(f"unknown family {family!r}")
 
@@ -85,7 +82,8 @@ def _basis(m: int, i: int) -> tuple[int, ...]:
 
 def _transvection(field: FqField, form: FormSpec, v, a) -> FqMatrix:
     # x -> x + a B(x, v) v ; preserves an alternating form for any v, a
-    # quadratic form when v is nonsingular and a = Q(v)^-1 (char 2), and a
+    # quadratic form when v is nonsingular and a = -Q(v)^-1 (the reflection
+    # in v; in characteristic 2 the orthogonal transvection), and a
     # hermitian form when h(v, v) = 0 and a + conj(a) = 0
     m = form.dim
     rows = []
@@ -93,19 +91,6 @@ def _transvection(field: FqField, form: FormSpec, v, a) -> FqMatrix:
         e = _basis(m, i)
         coef = field.mul(a, form.bilinear(e, v))
         rows.append(field.vec_add(e, field.vec_scale(coef, v)))
-    return FqMatrix(field, rows)
-
-
-def _reflection(field: FqField, form: FormSpec, v) -> FqMatrix:
-    # x -> x - Q(v)^-1 B(x, v) v for nonsingular v; in characteristic 2 the
-    # subtraction is addition and this is the orthogonal transvection
-    m = form.dim
-    qv_inv = field.inv(form.quad_value(v))
-    rows = []
-    for i in range(m):
-        e = _basis(m, i)
-        coef = field.mul(qv_inv, form.bilinear(e, v))
-        rows.append(field.vec_add(e, field.vec_scale(field.neg(coef), v)))
     return FqMatrix(field, rows)
 
 
@@ -228,7 +213,8 @@ def _orthogonal_pool(field: FqField, form: FormSpec, m: int) -> list[tuple[int, 
 
 
 def _go_generators(field: FqField, form: FormSpec, m: int) -> list[FqMatrix]:
-    gens = [_reflection(field, form, v) for v in _orthogonal_pool(field, form, m)]
+    gens = [_transvection(field, form, v, field.neg(field.inv(form.quad_value(v))))
+            for v in _orthogonal_pool(field, form, m)]
     n = m // 2
     if field.p == 2 and m % 2 == 0 and n >= 2 and form.kind == "quadratic-plus":
         # transvections alone fall short for the smallest plus-type space;

@@ -21,6 +21,7 @@ from .manifest import (
     TOOL_VERSION,
     bundled_corpus,
     construct_recipe,
+    describe_error,
     pick,
     run_manifest,
     serialize_group,
@@ -299,7 +300,7 @@ def main(argv=None) -> int:
         print(f"resource limit: {e}", file=sys.stderr)
         return 2
     except (ManifestError, ConstructionError, ValueError, KeyError, TypeError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {describe_error(e)}", file=sys.stderr)
         return 3
 
 

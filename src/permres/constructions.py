@@ -79,10 +79,8 @@ def _action_from_orbit(degree_gens, labels, act, label=None) -> LabeledAction:
 # -- matrix orbit actions --------------------------------------------------
 
 
-def _vector_act(field: FqField):
-    def act(v, M: FqMatrix):
-        return M.apply(v)
-    return act
+def _vector_act(v, M: FqMatrix):
+    return M.apply(v)
 
 
 def _subspace_act(field: FqField):
@@ -141,7 +139,7 @@ def matrix_orbit_action(grp: MatrixGroup, seed=None, kind: str = "vector",
             seed = tuple(1 if i == 0 else 0 for i in range(m))
         else:
             seed = tuple(seed)
-        act = _vector_act(field)
+        act = _vector_act
     elif kind == "subspace":
         if seed is None:
             if k is None:
@@ -173,11 +171,7 @@ def affine_action(grp: MatrixGroup, cap: int = DEGREE_CAP) -> LabeledAction:
         e = tuple(1 if j == i else 0 for j in range(m))
         perms.append(Perm([index[field.vec_add(v, e)] for v in labels]))
     group = PermGroup(len(labels), perms, label=f"{field.q}^{m}:{grp.label}")
-
-    def act(v, M: FqMatrix):
-        return M.apply(v)
-
-    return LabeledAction(group, labels, index, act)
+    return LabeledAction(group, labels, index, _vector_act)
 
 
 # -- coset actions ---------------------------------------------------------
@@ -211,33 +205,14 @@ def coset_action(G: PermGroup, H: PermGroup, cap: int = DEGREE_CAP) -> LabeledAc
         raise ConstructionError(f"index {index_bound} exceeds cap {cap}")
     hchain = H.chain()
 
-    reps = {}
-    seed = _canonical_coset_rep(hchain, Perm.identity(G.degree))
-    reps[seed.images] = seed
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for r in frontier:
-            for g in G.gens:
-                cand = _canonical_coset_rep(hchain, r * g)
-                if cand.images not in reps:
-                    reps[cand.images] = cand
-                    nxt.append(cand)
-        frontier = nxt
-    labels = sorted(reps)
-    index = {lbl: i for i, lbl in enumerate(labels)}
-
+    # a coset is labeled by the images of its canonical representative
     def act(lbl, g: Perm):
-        return _canonical_coset_rep(hchain, reps[lbl] * g).images
+        return _canonical_coset_rep(hchain, Perm(lbl, validate=False) * g).images
 
-    perms = []
-    for g in G.gens:
-        perms.append(Perm([index[act(lbl, g)] for lbl in labels]))
-    group = PermGroup(len(labels), perms,
-                      label=f"[{G.label or 'G'}:{H.label or 'H'}]")
-    action = LabeledAction(group, labels, index, act)
-    action.reps = reps
-    return action
+    seed = _canonical_coset_rep(hchain, Perm.identity(G.degree)).images
+    labels = _close_orbit(seed, G.gens, act, cap)
+    return _action_from_orbit(G.gens, labels, act,
+                              label=f"[{G.label or 'G'}:{H.label or 'H'}]")
 
 
 # -- symmetric-group combinatorial actions ---------------------------------

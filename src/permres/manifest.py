@@ -61,7 +61,6 @@ from .search import (
     distinguishing_witness,
     greedy_base,
     stabilizer_scan,
-    verify_distinguishing,
 )
 from .stabchain import PermGroup, ResourceLimit
 from .structure import composition_factors, gamma_profile, in_gamma, is_solvable
@@ -298,10 +297,7 @@ def _op_dist_number(act: LabeledAction, p: dict):
 
 
 def _op_dist_upper(act: LabeledAction, p: dict):
-    w = distinguishing_witness(act.group, p["r"], **pick(p, "tries"))
-    if w is None:
-        return False
-    return verify_distinguishing(act.group, w)
+    return distinguishing_witness(act.group, p["r"], **pick(p, "tries")) is not None
 
 
 def _op_stab_scan(act: LabeledAction, p: dict):
@@ -541,10 +537,15 @@ def default_budget_ms() -> int | None:
     return val if val > 0 else None
 
 
-def _reason(e: Exception) -> str:
-    # an ill-typed or missing field surfaces as TypeError or KeyError, whose
-    # bare message (a key such as 'd') needs the exception name to read
-    return f"{type(e).__name__}: {e}" if isinstance(e, (TypeError, KeyError)) else str(e)
+def describe_error(e: Exception) -> str:
+    # an ill-typed or missing field surfaces as TypeError or KeyError, and a
+    # search too deep for the interpreter stack as RecursionError; their bare
+    # messages (a key such as 'd') need the exception name to read.
+    # run_check skips on RecursionError only until the coloring searches
+    # use explicit stacks; a recursion bug elsewhere also reads as a skip.
+    if isinstance(e, (TypeError, KeyError, RecursionError)):
+        return f"{type(e).__name__}: {e}"
+    return str(e)
 
 
 def run_check(chk: dict, budget_ms: int | None = None) -> CheckResult:
@@ -552,12 +553,12 @@ def run_check(chk: dict, budget_ms: int | None = None) -> CheckResult:
     cid = chk["id"]
     try:
         act = construct_recipe(chk["recipe"])
-    except ResourceLimit as e:
+    except (ResourceLimit, RecursionError) as e:
         return CheckResult(cid, "skipped-resource", clock.elapsed_ms(),
-                           error=f"construction: {e}")
+                           error=f"construction: {describe_error(e)}")
     except (ConstructionError, ManifestError, ValueError, TypeError, KeyError) as e:
         return CheckResult(cid, "fail", clock.elapsed_ms(),
-                           error=f"construction: {_reason(e)}")
+                           error=f"construction: {describe_error(e)}")
 
     results: list[AssertionResult] = []
     failed = skipped = False
@@ -566,12 +567,12 @@ def run_check(chk: dict, budget_ms: int | None = None) -> CheckResult:
         try:
             clock.check()
             measured = OPS[op](act, params)
-        except ResourceLimit as e:
-            results.append(AssertionResult(op, expected, None, None, str(e)))
+        except (ResourceLimit, RecursionError) as e:
+            results.append(AssertionResult(op, expected, None, None, describe_error(e)))
             skipped = True
             break  # later assertions would blow the same budget
         except (ConstructionError, ManifestError, ValueError, TypeError, KeyError) as e:
-            results.append(AssertionResult(op, expected, None, False, _reason(e)))
+            results.append(AssertionResult(op, expected, None, False, describe_error(e)))
             failed = True
             continue
         ok = _matches(expected, measured)

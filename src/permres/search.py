@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .fq import ceil_log, is_prime
-from .stabchain import PermGroup, ResourceLimit, coloring_stabilizer
+from .stabchain import PermGroup, ResourceLimit, _preserving_elements
 from .structure import NO, UNKNOWN, YES, composition_factors, in_gamma, is_solvable
 
 __all__ = [
@@ -237,21 +237,15 @@ class DistinguishingResult:
 
 
 _DEGREE_CAP = 64
+_PROBE_SEED = 0xD157
 
 
 def verify_distinguishing(G: PermGroup, coloring) -> bool:
     """Check a coloring is preserved only by the identity, independently of
-    the search that produced it: intersect setwise stabilizers of the color
-    classes by successive refinement."""
-    classes: dict[int, list[int]] = {}
-    for x, col in enumerate(coloring):
-        classes.setdefault(col, []).append(x)
-    H = G
-    for col in sorted(classes):
-        H = H.setwise_stabilizer(classes[col])
-        if H.order() == 1:
-            return True
-    return H.order() == 1
+    the search that produced it: coloring_stabilizer's backtrack over base
+    images, never the list of prime-order elements the rigid-coloring search
+    filters against. It stops at the first preserving non-identity element."""
+    return not _preserving_elements(G, coloring, first=True)
 
 
 def _prime_order_elements(G: PermGroup, cap: int) -> list:
@@ -260,11 +254,7 @@ def _prime_order_elements(G: PermGroup, cap: int) -> list:
             f"group order {G.order()} exceeds the exact-coloring element cap {cap};"
             " use distinguishing_witness for an upper bound"
         )
-    out = []
-    for g in G.elements():
-        if not g.is_identity() and is_prime(g.order()):
-            out.append((g, g.inv()))
-    return out
+    return [(g, g.inv()) for g in G.elements() if not g.is_identity() and is_prime(g.order())]
 
 
 def _rigid_coloring_dfs(n: int, r: int, elems: list) -> tuple[int, ...] | None:
@@ -304,6 +294,13 @@ def _rigid_coloring_dfs(n: int, r: int, elems: list) -> tuple[int, ...] | None:
     return tuple(coloring) if rec(0, 0, elems) else None
 
 
+def _verified_rigid_coloring(G: PermGroup, r: int, elems: list) -> tuple[int, ...] | None:
+    hit = _rigid_coloring_dfs(G.degree, r, elems)
+    if hit is not None and not verify_distinguishing(G, hit):
+        raise AssertionError(f"search returned a non-rigid coloring {hit}")
+    return hit
+
+
 def distinguishing_number(G: PermGroup, elem_cap: int = 200_000) -> DistinguishingResult:
     """Least r admitting a coloring of the points with r colors whose only
     color-preserving group element is the identity, with a witness.
@@ -329,22 +326,21 @@ def distinguishing_number(G: PermGroup, elem_cap: int = 200_000) -> Distinguishi
         return DistinguishingResult(n - 1, witness, "closed-form")
     elems = _prime_order_elements(G, elem_cap)
     for r in range(2, n + 1):
-        hit = _rigid_coloring_dfs(n, r, elems)
+        hit = _verified_rigid_coloring(G, r, elems)
         if hit is not None:
-            if not verify_distinguishing(G, hit):
-                raise AssertionError(f"search returned a non-rigid coloring {hit}")
             return DistinguishingResult(r, hit, "exhausted")
     raise AssertionError("coloring all points distinctly is always rigid")
 
 
 def distinguishing_witness(
-    G: PermGroup, r: int, rng=None, tries: int = 200, elem_cap: int = 200_000
+    G: PermGroup, r: int, tries: int = 200, elem_cap: int = 200_000
 ) -> tuple[int, ...] | None:
     """A verified r-coloring preserved only by the identity, or None.
 
     Small groups get the deterministic exhaustive search. Larger ones fall
-    back to random colorings checked by backtracking, then to coloring a
-    base with fresh colors (rigid whenever the base fits in r - 1 colors).
+    back to seeded random colorings, then to coloring a base with fresh
+    colors (rigid whenever the base fits in r - 1 colors). Every coloring
+    returned has passed verify_distinguishing.
     Establishes an upper bound only; None does not prove impossibility.
     """
     n = G.degree
@@ -357,24 +353,17 @@ def distinguishing_witness(
     except ResourceLimit:
         elems = None
     if elems is not None:
-        hit = _rigid_coloring_dfs(n, r, elems)
-        if hit is not None and not verify_distinguishing(G, hit):
-            raise AssertionError(f"search returned a non-rigid coloring {hit}")
-        return hit
-    if rng is None:
-        rng = random.Random(0xD157)
+        return _verified_rigid_coloring(G, r, elems)
+    rng = random.Random(_PROBE_SEED)
     for _ in range(tries):
         coloring = tuple(rng.randrange(r) for _ in range(n))
-        if coloring_stabilizer(G, coloring, find_nontrivial=True) is None:
-            if verify_distinguishing(G, coloring):
-                return coloring
-    base = greedy_base(G)
-    assert base.points is not None
-    if len(base.points) + 1 <= r:
-        coloring_l = [0] * n
-        for i, p in enumerate(base.points):
-            coloring_l[p] = i + 1
-        coloring = tuple(coloring_l)
+        if verify_distinguishing(G, coloring):
+            return coloring
+    base = greedy_base(G).points
+    assert base is not None
+    if len(base) < r:
+        fresh = {p: i + 1 for i, p in enumerate(base)}
+        coloring = tuple(fresh.get(x, 0) for x in range(n))
         if verify_distinguishing(G, coloring):
             return coloring
     return None

@@ -377,12 +377,7 @@ class PermGroup:
         return self.pointwise_stabilizer((point,))
 
     def pointwise_stabilizer(self, points: Sequence[int]) -> "PermGroup":
-        pts = []
-        seen = set()
-        for p in points:
-            if p not in seen:
-                seen.add(p)
-                pts.append(p)
+        pts = list(dict.fromkeys(points))  # first occurrences, in order
         chain = self.chain(base_hint=pts)
         gens = chain.gens_fixing_prefix(len(pts))
         return PermGroup(self.degree, gens)
@@ -457,22 +452,33 @@ class PermGroup:
 def coloring_stabilizer(
     G: PermGroup,
     coloring: Sequence[int],
-    find_nontrivial: bool = False,
     node_budget: int | None = None,
-) -> "PermGroup | Perm | None":
-    """Subgroup of G preserving a point coloring.
+) -> PermGroup:
+    """Subgroup of G preserving a point coloring (for a two-valued coloring,
+    a setwise stabilizer).
 
-    With find_nontrivial=True, returns the first non-identity preserving
-    element found, or None if the preserving subgroup is trivial. Otherwise
-    returns the full preserving subgroup (for a two-valued coloring this is
-    a setwise stabilizer). Complete depth-first search over base images
-    with color and fixed-point pruning.
+    Complete depth-first search over base images with color and fixed-point
+    pruning. Exceeding node_budget raises ResourceLimit carrying the
+    preserving elements found so far.
     """
+    return PermGroup(G.degree, _preserving_elements(G, coloring, node_budget))
+
+
+def _preserving_elements(
+    G: PermGroup,
+    coloring: Sequence[int],
+    node_budget: int | None = None,
+    first: bool = False,
+) -> list[Perm]:
+    """Generators of the subgroup preserving the coloring, as found by
+    coloring_stabilizer's search. With first=True the search stops at the
+    first non-identity preserving element, so the list is empty exactly when
+    the coloring is distinguishing."""
     n = G.degree
     if len(coloring) != n:
         raise ValueError("coloring length must match degree")
     if not G.gens:
-        return None if find_nontrivial else PermGroup.trivial(n)
+        return []
 
     class_size: dict[int, int] = {}
     for c in coloring:
@@ -480,56 +486,46 @@ def coloring_stabilizer(
     order_key = sorted(range(n), key=lambda x: (class_size[coloring[x]], coloring[x], x))
     chain = StabilizerChain(n, G.gens, base_hint=order_key)
 
-    # per level: points fixed by that level's group, computed from its gens
+    # per level: points first fixed by that level's group, computed from its
+    # gens; the last level's group is trivial, so every point is listed once
     fixed_at: list[list[int]] = []
-    prev: set[int] | None = None
+    prev: set[int] = set()
     for i in range(len(chain.levels) + 1):
-        gens = chain.gens_fixing_prefix(i)
-        moved: set[int] = set()
-        for g in gens:
-            moved.update(g.moved())
-        fixed = set(range(n)) - moved
-        newly = sorted(fixed if prev is None else fixed - prev)
-        fixed_at.append(newly)
-        prev = fixed if prev is None else prev | fixed
+        fixed = set(range(n)).difference(*(g.moved() for g in chain.gens_fixing_prefix(i)))
+        fixed_at.append(sorted(fixed - prev))
+        prev |= fixed
     levels = chain.levels
 
     found: list[Perm] = []
     sub = StabilizerChain(n)
     budget = [node_budget if node_budget is not None else -1]
 
-    def dfs(i: int, u: Perm) -> Perm | None:
+    def dfs(i: int, u: Perm) -> bool:
+        # True once first=True has its element and the search may stop
         if budget[0] == 0:
             raise ResourceLimit("coloring stabilizer search exceeded node budget", partial=found)
         if budget[0] > 0:
             budget[0] -= 1
-        # points newly determined at this depth must keep their colors
+        # points newly determined at this depth must keep their colors; at
+        # a leaf every point has been checked
         for x in fixed_at[i]:
             if coloring[u.images[x]] != coloring[x]:
-                return None
+                return False
         if i == len(levels):
-            if all(coloring[u.images[x]] == coloring[x] for x in range(n)):
-                if find_nontrivial:
-                    return u if not u.is_identity() else None
-                if not u.is_identity() and not sub.contains(u):
-                    sub.extend(u)
-                    found.append(u)
-            return None
+            if not u.is_identity() and not sub.contains(u):
+                sub.extend(u)
+                found.append(u)
+                return first
+            return False
         lvl = levels[i]
         pt_color = coloring[lvl.point]
         for beta in lvl.orbit:
-            gamma = u.images[beta]
-            if coloring[gamma] != pt_color:
-                continue
-            hit = dfs(i + 1, lvl.transversal[beta] * u)
-            if hit is not None:
-                return hit
-        return None
+            if coloring[u.images[beta]] == pt_color and dfs(i + 1, lvl.transversal[beta] * u):
+                return True
+        return False
 
-    hit = dfs(0, chain.identity)
-    if find_nontrivial:
-        return hit
-    return PermGroup(n, found)
+    dfs(0, chain.identity)
+    return found
 
 
 # -- actions with kernels -------------------------------------------------

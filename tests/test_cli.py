@@ -201,6 +201,13 @@ def test_ill_typed_recipe_exits_three(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_missing_parameter_names_the_exception(capsys):
+    code, out, err = run(capsys, "bounds", "--check", "lemma22",
+                         "--recipe", S5, "--params", "{}")
+    assert code == 3 and out == ""
+    assert err == "error: KeyError: 'd'\n"
+
+
 def test_describe_loads_no_sympy():
     script = ("import sys\n"
               "from permres.cli import main\n"

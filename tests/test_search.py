@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from permres import search
 from permres.classical import classical_generators
 from permres.constructions import (
     affine_action,
@@ -279,6 +280,28 @@ def test_witness_on_large_group(deg36):
     assert wit is not None
     assert len(set(wit)) <= 7
     assert verify_distinguishing(deg36, wit)
+
+
+def test_verify_matches_brute_force():
+    # every coloring with at most 3 colors, against the full element list
+    for G in (PermGroup.symmetric(4), dihedral8(), PermGroup(5, [Perm([1, 2, 3, 4, 0])])):
+        n = G.degree
+        movers = [g for g in G.elements() if not g.is_identity()]
+        for coloring in itertools.product(range(3), repeat=n):
+            preserved = any(all(coloring[g.images[x]] == coloring[x] for x in range(n))
+                            for g in movers)
+            assert verify_distinguishing(G, coloring) is not preserved, (G.gens, coloring)
+
+
+def test_probe_stops_at_first_preserving_element(monkeypatch, deg36):
+    # a random 2-coloring of S9 is preserved by about 7,000 elements on
+    # average and the 1-coloring of deg36 by all 1,451,520; each probe must
+    # stop at the first, a few dozen nodes in, not visit them all
+    real = search._preserving_elements
+    monkeypatch.setattr(search, "_preserving_elements",
+                        lambda G, coloring, first: real(G, coloring, 200, first))
+    assert distinguishing_witness(PermGroup.symmetric(9), 2, tries=20) is None
+    assert distinguishing_witness(deg36, 1, tries=5) is None
 
 
 def test_verify_rejects_preserved_coloring():

@@ -259,11 +259,11 @@ def test_coloring_stabilizer_three_colors():
 def test_coloring_stabilizer_nontrivial_witness():
     G = PermGroup.symmetric(5)
     coloring = [0, 0, 1, 1, 1]
-    w = coloring_stabilizer(G, coloring, find_nontrivial=True)
-    assert w is not None and not w.is_identity()
-    assert all(coloring[w.images[x]] == coloring[x] for x in range(5))
+    S = coloring_stabilizer(G, coloring)
+    assert S.order() == 12
+    assert all(coloring[w.images[x]] == coloring[x] for w in S.gens for x in range(5))
     # all-distinct coloring admits no nontrivial preserver
-    assert coloring_stabilizer(G, [0, 1, 2, 3, 4], find_nontrivial=True) is None
+    assert coloring_stabilizer(G, [0, 1, 2, 3, 4]).order() == 1
 
 
 def test_coloring_stabilizer_budget():

@@ -538,12 +538,9 @@ def default_budget_ms() -> int | None:
 
 
 def describe_error(e: Exception) -> str:
-    # an ill-typed or missing field surfaces as TypeError or KeyError, and a
-    # search too deep for the interpreter stack as RecursionError; their bare
-    # messages (a key such as 'd') need the exception name to read.
-    # run_check skips on RecursionError only until the coloring searches
-    # use explicit stacks; a recursion bug elsewhere also reads as a skip.
-    if isinstance(e, (TypeError, KeyError, RecursionError)):
+    # an ill-typed or missing field surfaces as TypeError or KeyError, whose
+    # bare messages (a key such as 'd') need the exception name to read.
+    if isinstance(e, (TypeError, KeyError)):
         return f"{type(e).__name__}: {e}"
     return str(e)
 
@@ -553,7 +550,7 @@ def run_check(chk: dict, budget_ms: int | None = None) -> CheckResult:
     cid = chk["id"]
     try:
         act = construct_recipe(chk["recipe"])
-    except (ResourceLimit, RecursionError) as e:
+    except ResourceLimit as e:
         return CheckResult(cid, "skipped-resource", clock.elapsed_ms(),
                            error=f"construction: {describe_error(e)}")
     except (ConstructionError, ManifestError, ValueError, TypeError, KeyError) as e:
@@ -567,7 +564,7 @@ def run_check(chk: dict, budget_ms: int | None = None) -> CheckResult:
         try:
             clock.check()
             measured = OPS[op](act, params)
-        except (ResourceLimit, RecursionError) as e:
+        except ResourceLimit as e:
             results.append(AssertionResult(op, expected, None, None, describe_error(e)))
             skipped = True
             break  # later assertions would blow the same budget

@@ -266,32 +266,52 @@ def _rigid_coloring_dfs(n: int, r: int, elems: list) -> tuple[int, ...] | None:
     A pair survives a partial coloring while no already-colored point
     witnesses a color mismatch; an empty survivor list makes every
     completion rigid.
+
+    Points are colored in increasing order, so once point i is colored a
+    survivor whose largest moved point is at most i has every moved point
+    colored and preserves every completion: the branch holds no rigid
+    coloring and the next color is tried at once. The cut removes only
+    branches without a solution, so the first coloring found is the one the
+    uncut search finds. The walk keeps one stack frame per colored point
+    rather than one interpreter frame, so the degree is not bounded by the
+    recursion limit.
     """
     coloring = [0] * n
-
-    def rec(i: int, used: int, alive: list) -> bool:
-        if not alive:
-            for j in range(i, n):
-                coloring[j] = 0
-            return True
-        if i == n:
-            return False
-        for col in range(min(used + 1, r)):
-            coloring[i] = col
-            nxt = []
-            for g, ginv in alive:
-                y = g.images[i]
-                if y <= i and coloring[y] != col:
-                    continue
-                x = ginv.images[i]
-                if x < i and coloring[x] != col:
-                    continue
-                nxt.append((g, ginv))
-            if rec(i + 1, max(used, col + 1), nxt):
-                return True
-        return False
-
-    return tuple(coloring) if rec(0, 0, elems) else None
+    # ordered by largest moved point, so a dead branch ends the filter early
+    alive = sorted(((g.images, ginv.images, max(g.moved())) for g, ginv in elems),
+                   key=lambda e: e[2])
+    if not alive:
+        return tuple(coloring)
+    # frame i: survivors before point i is colored, colors used by points
+    # 0..i-1, next color to try at point i
+    stack = [[alive, 0, 0]]
+    while stack:
+        i = len(stack) - 1
+        frame = stack[i]
+        alive, used, col = frame
+        if col > used or col == r:
+            stack.pop()
+            continue
+        frame[2] = col + 1
+        coloring[i] = col
+        nxt = []
+        for g, ginv, last in alive:
+            y = g[i]
+            if y <= i and coloring[y] != col:
+                continue
+            x = ginv[i]
+            if x < i and coloring[x] != col:
+                continue
+            if last <= i:
+                break  # dead branch: this survivor preserves every completion
+            nxt.append((g, ginv, last))
+        else:
+            if not nxt:
+                coloring[i + 1:] = [0] * (n - i - 1)
+                return tuple(coloring)
+            # every survivor moves a point past i, so i + 1 < n
+            stack.append([nxt, max(used, col + 1), 0])
+    return None
 
 
 def _verified_rigid_coloring(G: PermGroup, r: int, elems: list) -> tuple[int, ...] | None:
@@ -348,6 +368,8 @@ def distinguishing_witness(
         raise ValueError("need at least one color")
     if G.order() == 1:
         return tuple([0] * n)
+    if r == 1:
+        return None  # every element preserves the one 1-coloring
     try:
         elems = _prime_order_elements(G, elem_cap)
     except ResourceLimit:
@@ -355,10 +377,12 @@ def distinguishing_witness(
     if elems is not None:
         return _verified_rigid_coloring(G, r, elems)
     rng = random.Random(_PROBE_SEED)
+    tried = set()
     for _ in range(tries):
         coloring = tuple(rng.randrange(r) for _ in range(n))
-        if verify_distinguishing(G, coloring):
+        if coloring not in tried and verify_distinguishing(G, coloring):
             return coloring
+        tried.add(coloring)
     base = greedy_base(G).points
     assert base is not None
     if len(base) < r:

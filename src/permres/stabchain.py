@@ -473,7 +473,14 @@ def _preserving_elements(
     """Generators of the subgroup preserving the coloring, as found by
     coloring_stabilizer's search. With first=True the search stops at the
     first non-identity preserving element, so the list is empty exactly when
-    the coloring is distinguishing."""
+    the coloring is distinguishing.
+
+    The chain is hinted with every point, so most of its levels have a
+    trivial basic orbit. Those levels are dropped: each has one branch, and
+    the fixed_at table already checks its point. The search then walks one
+    stack entry per remaining level, a depth bounded by the base length and
+    not by the degree.
+    """
     n = G.degree
     if len(coloring) != n:
         raise ValueError("coloring length must match degree")
@@ -485,46 +492,48 @@ def _preserving_elements(
         class_size[c] = class_size.get(c, 0) + 1
     order_key = sorted(range(n), key=lambda x: (class_size[coloring[x]], coloring[x], x))
     chain = StabilizerChain(n, G.gens, base_hint=order_key)
+    levels = [lvl for lvl in chain.levels if len(lvl.orbit) > 1]
 
     # per level: points first fixed by that level's group, computed from its
-    # gens; the last level's group is trivial, so every point is listed once
+    # gens; the group below the last level is trivial, so every point is
+    # listed once
     fixed_at: list[list[int]] = []
     prev: set[int] = set()
-    for i in range(len(chain.levels) + 1):
-        fixed = set(range(n)).difference(*(g.moved() for g in chain.gens_fixing_prefix(i)))
+    for gens in [lvl.gens for lvl in levels] + [[]]:
+        fixed = set(range(n)).difference(*(g.moved() for g in gens))
         fixed_at.append(sorted(fixed - prev))
         prev |= fixed
-    levels = chain.levels
+
+    def branches(lvl: _Level, u: Perm) -> Iterator[Perm]:
+        # the coset representatives below u that keep lvl's point's color
+        color, images, transversal = coloring[lvl.point], u.images, lvl.transversal
+        return (transversal[beta] * u for beta in lvl.orbit if coloring[images[beta]] == color)
 
     found: list[Perm] = []
     sub = StabilizerChain(n)
-    budget = [node_budget if node_budget is not None else -1]
-
-    def dfs(i: int, u: Perm) -> bool:
-        # True once first=True has its element and the search may stop
-        if budget[0] == 0:
+    nodes = 0
+    # stack[i] yields the depth-i nodes still to visit, in orbit order
+    stack: list[Iterator[Perm]] = [iter([chain.identity])]
+    while stack:
+        u = next(stack[-1], None)
+        if u is None:
+            stack.pop()
+            continue
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
             raise ResourceLimit("coloring stabilizer search exceeded node budget", partial=found)
-        if budget[0] > 0:
-            budget[0] -= 1
         # points newly determined at this depth must keep their colors; at
         # a leaf every point has been checked
-        for x in fixed_at[i]:
-            if coloring[u.images[x]] != coloring[x]:
-                return False
-        if i == len(levels):
-            if not u.is_identity() and not sub.contains(u):
-                sub.extend(u)
-                found.append(u)
-                return first
-            return False
-        lvl = levels[i]
-        pt_color = coloring[lvl.point]
-        for beta in lvl.orbit:
-            if coloring[u.images[beta]] == pt_color and dfs(i + 1, lvl.transversal[beta] * u):
-                return True
-        return False
-
-    dfs(0, chain.identity)
+        i = len(stack) - 1
+        if any(coloring[u.images[x]] != coloring[x] for x in fixed_at[i]):
+            continue
+        if i < len(levels):
+            stack.append(branches(levels[i], u))
+        elif not u.is_identity() and not sub.contains(u):
+            sub.extend(u)
+            found.append(u)
+            if first:
+                break
     return found
 
 

@@ -301,7 +301,52 @@ def test_probe_stops_at_first_preserving_element(monkeypatch, deg36):
     monkeypatch.setattr(search, "_preserving_elements",
                         lambda G, coloring, first: real(G, coloring, 200, first))
     assert distinguishing_witness(PermGroup.symmetric(9), 2, tries=20) is None
-    assert distinguishing_witness(deg36, 1, tries=5) is None
+    assert not verify_distinguishing(deg36, [0] * 36)
+
+
+def test_probe_verifies_each_distinct_coloring_once(monkeypatch, deg36):
+    real = search._preserving_elements
+    seen = []
+    monkeypatch.setattr(search, "_preserving_elements",
+                        lambda G, coloring, first: seen.append(tuple(coloring))
+                        or real(G, coloring, first=first))
+    # the constant coloring is the only 1-coloring, and every element keeps it
+    assert distinguishing_witness(deg36, 1) is None
+    assert seen == []
+    # 200 random 2-colorings of 3 points hold at most 8 distinct ones
+    assert distinguishing_witness(PermGroup.symmetric(3), 2, elem_cap=1) is None
+    assert len(seen) == len(set(seen)) <= 8
+
+
+def first_rigid_coloring(n, r, elems):
+    # canonical colorings in lexicographic order, each tested against the
+    # whole element list: the order the rigid-coloring search walks
+    for coloring in itertools.product(range(r), repeat=n):
+        canonical = all(c <= max(coloring[:i], default=-1) + 1 for i, c in enumerate(coloring))
+        if canonical and not any(all(coloring[g.images[x]] == coloring[x] for x in range(n))
+                                 for g, _ in elems):
+            return coloring
+    return None
+
+
+@pytest.mark.parametrize("G", [
+    PermGroup.symmetric(4),
+    dihedral8(),
+    PermGroup(5, [Perm([1, 2, 3, 4, 0])]),
+    PermGroup.alternating(4),
+    wreath_imprimitive(PermGroup.symmetric(3), PermGroup.symmetric(2)).group,
+], ids=["S4", "D8", "C5", "A4", "S3wrS2"])
+def test_rigid_coloring_search_finds_first_rigid_coloring(G):
+    n = G.degree
+    elems = _prime_order_elements(G, 10 ** 6)
+    for r in range(1, n + 1):
+        assert _rigid_coloring_dfs(n, r, elems) == first_rigid_coloring(n, r, elems), r
+
+
+def test_witness_on_wreath_is_pinned():
+    # S4 wr S3 with 5 colors: the dead-branch cut keeps the first coloring
+    G = wreath_imprimitive(PermGroup.symmetric(4), PermGroup.symmetric(3)).group
+    assert distinguishing_witness(G, 5) == (0, 1, 2, 3, 0, 1, 2, 4, 0, 1, 3, 4)
 
 
 def test_verify_rejects_preserved_coloring():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -270,6 +271,16 @@ def test_coloring_stabilizer_budget():
     G = PermGroup.symmetric(7)
     with pytest.raises(ResourceLimit):
         coloring_stabilizer(G, [0] * 7, node_budget=5)
+
+
+def test_coloring_stabilizer_deep_degree():
+    # a base hint of all 1200 points gives one nontrivial level; the search
+    # depth follows the levels, not the points, so no RecursionError
+    n = 1200
+    G = PermGroup(n, [Perm(list(range(1, n)) + [0])])
+    t0 = time.perf_counter()
+    assert coloring_stabilizer(G, [0] * n).order() == n
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_restriction():

@@ -13,7 +13,6 @@ Orders are validated downstream through faithful permutation actions.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .fq import (

@@ -17,7 +17,6 @@ from .bounds import formula_suite, lemma22_check, m_epsilon, n_c_delta, theorem1
 from .constructions import ConstructionError
 from .manifest import (
     ManifestError,
-    OPS,
     TOOL_VERSION,
     bundled_corpus,
     construct_recipe,

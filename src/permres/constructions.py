@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .classical import MatrixGroup
 from .fq import FqField, FqMatrix, SubspaceFq, subspace_type

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 MAX_Q = 512
@@ -219,9 +218,6 @@ class FqField:
             raise ZeroDivisionError("field inverse of zero")
         return self._exp[(-self._log[a]) % (self.q - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e < 0:
@@ -318,35 +314,6 @@ class FqMatrix:
                         a[r][j] = F.sub(a[r][j], F.mul(c, a[col][j]))
         return d
 
-    def inverse(self) -> "FqMatrix":
-        F = self.field
-        n = self.n
-        a = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col]), None)
-            if piv is None:
-                raise ValueError("singular matrix")
-            a[col], a[piv] = a[piv], a[col]
-            inv = F.inv(a[col][col])
-            a[col] = [F.mul(inv, x) for x in a[col]]
-            for r in range(n):
-                if r != col and a[r][col]:
-                    c = a[r][col]
-                    a[r] = [F.sub(x, F.mul(c, y)) for x, y in zip(a[r], a[col])]
-        return FqMatrix(F, [row[n:] for row in a])
-
-    def __pow__(self, e: int) -> "FqMatrix":
-        if e < 0:
-            return self.inverse() ** (-e)
-        res = FqMatrix.identity(self.field, self.n)
-        base = self
-        while e:
-            if e & 1:
-                res = res * base
-            base = base * base
-            e >>= 1
-        return res
-
 
 def rref(field: FqField, rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Reduced row echelon form and pivot columns; canonical per row space."""
@@ -389,10 +356,6 @@ class SubspaceFq:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def contains_vector(self, field: FqField, v: Sequence[int]) -> bool:
-        rows, _ = rref(field, list(self.basis) + [list(v)])
-        return len(rows) == self.dim
 
 
 # -- classical forms -------------------------------------------------------

@@ -8,7 +8,6 @@ tie-breaks, so identical inputs give identical chains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .perm import Perm, iter_alt_gens, iter_sym_gens
@@ -79,7 +78,8 @@ class StabilizerChain:
                 self._extend_orbit(i)
                 if beta not in lvl.transversal:
                     return g, i
-            g = g * lvl.tinv[beta]
+            if beta != lvl.point:
+                g = g * lvl.tinv[beta]
         return g, len(self.levels)
 
     def _install(self, g: Perm, j: int) -> None:
@@ -172,11 +172,6 @@ class StabilizerChain:
             return False
         residue, _ = self._sift(g, 0)
         return residue.is_identity()
-
-    def sift(self, g: Perm) -> Perm:
-        """Residue after dividing out transversal representatives."""
-        residue, _ = self._sift(g, 0)
-        return residue
 
     def gens_fixing_prefix(self, k: int) -> list[Perm]:
         """Strong generators of the stabilizer of the first k base points."""
@@ -381,11 +376,6 @@ class PermGroup:
         chain = self.chain(base_hint=pts)
         gens = chain.gens_fixing_prefix(len(pts))
         return PermGroup(self.degree, gens)
-
-    def setwise_stabilizer(self, points: Iterable[int], node_budget: int | None = None) -> "PermGroup":
-        pts = set(points)
-        coloring = [1 if x in pts else 0 for x in range(self.degree)]
-        return coloring_stabilizer(self, coloring, node_budget=node_budget)
 
     def restriction(self, points: Sequence[int]) -> "PermGroup":
         """Action on an invariant point set, relabeled to 0..len-1."""

@@ -2,16 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permres.perm import (
-    ParseError,
-    Perm,
-    format_permutation,
-    iter_alt_gens,
-    iter_sym_gens,
-    parse_permutation,
-    read_generator_file,
-    write_generator_file,
-)
+from permres.perm import Perm, format_permutation, iter_alt_gens, iter_sym_gens
 
 
 def test_identity_and_apply():
@@ -31,10 +22,6 @@ def test_composition_is_left_to_right():
 def test_inverse_and_pow():
     p = Perm.from_cycles([(0, 1, 2, 3)], 5)
     assert (p * p.inv()).is_identity()
-    assert p ** 4 == Perm.identity(5)
-    assert p ** -1 == p.inv()
-    assert p ** 2 == p * p
-    assert p ** 0 == Perm.identity(5)
 
 
 # degrees 0 and 1 are the edge cases of the itemgetter kernel; 36 and 360
@@ -65,9 +52,10 @@ def test_kernel_matches_reference(pair):
 
 
 def test_conj():
+    # g^-1 * p * g, as normal_closure forms conjugates, relabels p's cycles by g
     p = Perm.from_cycles([(0, 1)], 4)
     g = Perm.from_cycles([(0, 2), (1, 3)], 4)
-    assert p.conj(g) == Perm.from_cycles([(2, 3)], 4)
+    assert g.inv() * p * g == Perm.from_cycles([(2, 3)], 4)
 
 
 @pytest.mark.parametrize(
@@ -81,79 +69,21 @@ def test_conj():
 )
 def test_cycle_type_and_order(cycles, degree, ctype, order):
     p = Perm.from_cycles(cycles, degree)
-    assert p.cycle_type() == ctype
+    assert tuple(sorted(map(len, p.cycles(include_fixed=True)))) == ctype
     assert p.order() == order
-
-
-def test_parity():
-    assert Perm.from_cycles([(0, 1, 2)], 4).is_even()
-    assert not Perm.from_cycles([(0, 1)], 4).is_even()
-    assert Perm.from_cycles([(0, 1), (2, 3)], 4).is_even()
 
 
 def test_moved():
     p = Perm.from_cycles([(1, 3)], 6)
     assert p.moved() == [1, 3]
-    assert p.min_moved() == 1
-    assert Perm.identity(3).min_moved() is None
+    assert Perm.identity(3).moved() == []
 
 
 def test_format_one_based():
     p = Perm.from_cycles([(0, 1, 2)], 4)
     assert format_permutation(p) == "(1 2 3)"
     assert format_permutation(Perm.identity(4)) == "()"
-
-
-def test_parse_cycles_round_trip():
-    for text in ["(1 2 3)(4 5)", "(1 5)(2 3)", "()"]:
-        p = parse_permutation(text, 6)
-        assert parse_permutation(format_permutation(p), 6) == p
-
-
-def test_parse_image_list():
-    p = parse_permutation("[2 1 3]", 3)
-    assert p == Perm.from_cycles([(0, 1)], 3)
-    assert parse_permutation("[2, 1, 3]", 3) == p
-
-
-@pytest.mark.parametrize(
-    "bad",
-    ["(1 2", "(1 2)(2 3)", "(0 1)", "(1 7)", "[1 1 2]", "[1 2]", "(a b)"],
-)
-def test_parse_rejects(bad):
-    with pytest.raises(ParseError):
-        parse_permutation(bad, 3)
-
-
-def test_parse_error_carries_position():
-    try:
-        parse_permutation("(1 2)(2 3)", 4)
-    except ParseError as e:
-        assert "position" in str(e)
-    else:
-        raise AssertionError("expected ParseError")
-
-
-def test_generator_file_round_trip():
-    from permres.stabchain import PermGroup
-
-    gens = list(iter_sym_gens(4))
-    text = write_generator_file(4, gens, label="sym4")
-    degree, back, label = read_generator_file(text)
-    assert degree == 4
-    assert back == gens
-    assert label == "sym4"
-
-
-def test_generator_file_comments_and_errors():
-    degree, gens, label = read_generator_file("# comment\ndegree 3\n(1 2)\n\n(2 3)\n")
-    assert degree == 3
-    assert len(gens) == 2
-    assert label is None
-    with pytest.raises(ParseError):
-        read_generator_file("(1 2)\n")
-    with pytest.raises(ParseError):
-        read_generator_file("degree 3\n(1 4)\n")
+    assert format_permutation(Perm.from_cycles([(4, 0), (2, 1)], 6)) == "(1 5)(2 3)"
 
 
 def _closure_size(degree, gens):
@@ -185,5 +115,6 @@ def test_alt_gens(m):
     import math
 
     gens = list(iter_alt_gens(m))
-    assert all(g.is_even() for g in gens)
+    # a cycle of length k is a product of k - 1 transpositions
+    assert all(sum(len(c) - 1 for c in g.cycles()) % 2 == 0 for g in gens)
     assert _closure_size(m, gens) == math.factorial(m) // 2

@@ -101,8 +101,8 @@ def test_order_is_product_of_orbit_lengths():
 def test_sift_residue_identity_only_for_members():
     degree, gens = SAMPLES["alt4"]
     chain = StabilizerChain(degree, gens)
-    assert chain.sift(cyc([(0, 1, 2)], 4)).is_identity()
-    assert not chain.sift(cyc([(0, 1)], 4)).is_identity()
+    assert chain.contains(cyc([(0, 1, 2)], 4))
+    assert not chain.contains(cyc([(0, 1)], 4))
 
 
 def test_extend_grows_incrementally():
@@ -243,7 +243,7 @@ def test_setwise_stabilizer_matches_closure(name, points):
     elems = closure(degree, gens)
     pts = set(points)
     want = {e for e in elems if {e[x] for x in pts} == pts}
-    S = G.setwise_stabilizer(points)
+    S = coloring_stabilizer(G, [1 if x in pts else 0 for x in range(degree)])
     assert S.order() == len(want)
     assert {e.images for e in S.elements()} == want
 

@@ -18,6 +18,9 @@ def _identity_images(degree: int) -> tuple[int, ...]:
     return tuple(range(degree))
 
 
+_new = object.__new__
+
+
 class Perm:
     """Immutable permutation of {0, ..., degree-1}, stored as an image tuple."""
 
@@ -36,7 +39,7 @@ class Perm:
 
     @classmethod
     def identity(cls, degree: int) -> "Perm":
-        return cls(_identity_images(degree), validate=False)
+        return _from_images(_identity_images(degree))
 
     @classmethod
     def from_cycles(cls, cycles: Iterable[Iterable[int]], degree: int) -> "Perm":
@@ -61,18 +64,22 @@ class Perm:
     def __mul__(self, other: "Perm") -> "Perm":
         # right action: x^(self*other) = (x^self)^other
         images = self.images
+        # _from_images, inlined: this is the hottest call in the package
+        p = _new(Perm)
         if len(images) > 1:
-            return Perm(itemgetter(*images)(other.images), validate=False)
-        # itemgetter() cannot be built from no indices, and from one index
-        # it returns a bare item instead of a tuple
-        return Perm(tuple(other.images[v] for v in images), validate=False)
+            p.images = itemgetter(*images)(other.images)
+        else:
+            # itemgetter() cannot be built from no indices, and from one
+            # index it returns a bare item instead of a tuple
+            p.images = tuple(other.images[v] for v in images)
+        return p
 
     def inv(self) -> "Perm":
         images = self.images
         out = [0] * len(images)
         for i, v in enumerate(images):
             out[v] = i
-        return Perm(tuple(out), validate=False)
+        return _from_images(tuple(out))
 
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Disjoint cycles, 0-based, each starting at its least point."""
@@ -109,6 +116,14 @@ class Perm:
 
     def __str__(self) -> str:
         return format_permutation(self)
+
+
+def _from_images(images: tuple[int, ...]) -> Perm:
+    """A Perm on an image tuple already known to be a permutation, built
+    without __init__'s copy and check; Perm(images) is the public entry."""
+    p = _new(Perm)
+    p.images = images
+    return p
 
 
 def format_permutation(p: Perm) -> str:

@@ -249,23 +249,57 @@ def verify_distinguishing(G: PermGroup, coloring) -> bool:
 
 
 def _prime_order_elements(G: PermGroup, cap: int) -> list:
+    """(images, inverse images, largest moved point) of every element of
+    prime order, sorted by largest moved point.
+
+    An element has prime order p exactly when each of its nontrivial
+    cycles has length p, so one walk over the cycles decides it, and the
+    walk stops at the first cycle that breaks the pattern.
+    """
     if G.order() > cap:
         raise ResourceLimit(
             f"group order {G.order()} exceeds the exact-coloring element cap {cap};"
             " use distinguishing_witness for an upper bound"
         )
-    return [(g, g.inv()) for g in G.elements() if not g.is_identity() and is_prime(g.order())]
+    n = G.degree
+    primes = {p for p in range(2, n + 1) if is_prime(p)}
+    rows = []
+    for g in G.elements():
+        images = g.images
+        seen = [False] * n
+        p = 0
+        for start in range(n):
+            x = images[start]
+            if seen[start] or x == start:
+                continue
+            seen[start] = True
+            length = 1
+            while x != start:
+                seen[x] = True
+                x = images[x]
+                length += 1
+            if p == 0 and length in primes:
+                p = length
+            elif length != p:
+                break
+        else:
+            if p:
+                last = max(i for i, x in enumerate(images) if x != i)
+                rows.append((images, g.inv().images, last))
+    # ordered by largest moved point, so a dead branch ends the filter early
+    rows.sort(key=lambda e: e[2])
+    return rows
 
 
-def _rigid_coloring_dfs(n: int, r: int, elems: list) -> tuple[int, ...] | None:
+def _rigid_coloring_dfs(n: int, r: int, alive: list) -> tuple[int, ...] | None:
     """First r-coloring (canonical form: color k appears only after 0..k-1)
     preserved by no listed element, or None if none exists.
 
-    elems holds (g, g inverse) pairs of prime order; a nontrivial preserving
-    subgroup always contains one, so filtering against this list is exact.
-    A pair survives a partial coloring while no already-colored point
-    witnesses a color mismatch; an empty survivor list makes every
-    completion rigid.
+    alive holds the elements of prime order as _prime_order_elements lists
+    them; a nontrivial preserving subgroup always contains one, so
+    filtering against this list is exact. An element survives a partial
+    coloring while no already-colored point witnesses a color mismatch; an
+    empty survivor list makes every completion rigid.
 
     Points are colored in increasing order, so once point i is colored a
     survivor whose largest moved point is at most i has every moved point
@@ -277,9 +311,6 @@ def _rigid_coloring_dfs(n: int, r: int, elems: list) -> tuple[int, ...] | None:
     recursion limit.
     """
     coloring = [0] * n
-    # ordered by largest moved point, so a dead branch ends the filter early
-    alive = sorted(((g.images, ginv.images, max(g.moved())) for g, ginv in elems),
-                   key=lambda e: e[2])
     if not alive:
         return tuple(coloring)
     # frame i: survivors before point i is colored, colors used by points

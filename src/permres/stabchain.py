@@ -4,6 +4,15 @@ Deterministic Schreier-Sims with explicit permutation transversals. Base
 points are chosen as the smallest point in the largest remaining orbit
 unless a base hint pins them down. Every search and orbit walk uses fixed
 tie-breaks, so identical inputs give identical chains.
+
+Point stabilizers cost one Schreier-Sims run each. The stabilizer of a
+point tuple is read off a chain whose base starts with those points: its
+levels below the prefix are a chain for the stabilizer, and the stabilizer
+keeps them. When the group being cut already has a chain, its order is
+known, and the hinted run stops as soon as its basic orbits multiply to
+that order; a base and strong generating set whose basic orbits multiply
+to the group order is complete (Seress, Permutation Group Algorithms,
+2003, Ch. 4).
 """
 
 from __future__ import annotations
@@ -35,9 +44,20 @@ class _Level:
 
 
 class StabilizerChain:
-    """Base, strong generators, and explicit transversals for a group."""
+    """Base, strong generators, and explicit transversals for a group.
 
-    def __init__(self, degree: int, gens: Iterable[Perm] = (), base_hint: Sequence[int] = ()):
+    order, when given, is the order of the group the generators generate;
+    construction then stops as soon as the chain reaches it. Only the
+    construction uses it: a later extend closes the chain fully.
+    """
+
+    def __init__(
+        self,
+        degree: int,
+        gens: Iterable[Perm] = (),
+        base_hint: Sequence[int] = (),
+        order: int | None = None,
+    ):
         self.degree = degree
         self.identity = Perm.identity(degree)
         self.levels: list[_Level] = []
@@ -57,7 +77,16 @@ class StabilizerChain:
                 self._install(residue, j)
                 grew = True
         if grew:
-            self._close()
+            self._close(order)
+
+    def tail(self, k: int) -> "StabilizerChain":
+        """Chain of the stabilizer of the first k base points: this chain's
+        levels k and below, shared, not copied. Runs no Schreier-Sims."""
+        sub = object.__new__(StabilizerChain)
+        sub.degree = self.degree
+        sub.identity = self.identity
+        sub.levels = self.levels[k:]
+        return sub
 
     # -- construction ----------------------------------------------------
 
@@ -118,19 +147,31 @@ class StabilizerChain:
             idx += 1
         lvl.scan_state = (len(orbit), len(gens))
 
-    def _close(self) -> None:
-        work = True
-        while work:
-            work = False
-            i = len(self.levels) - 1
-            while i >= 0:
-                if self._process_level(i):
-                    work = True
-                    i = len(self.levels) - 1
-                else:
-                    i -= 1
+    def _close(self, target: int | None = None) -> None:
+        # sweep up from the deepest level, restarting there after every
+        # install, until a sweep installs nothing or the target is reached
+        if self._reached(target):
+            return
+        i = len(self.levels) - 1
+        while i >= 0:
+            if self._process_level(i, target):
+                if self._reached(target):
+                    return
+                i = len(self.levels) - 1
+            else:
+                i -= 1
 
-    def _process_level(self, i: int) -> bool:
+    def _reached(self, target: int | None) -> bool:
+        # each basic orbit is at most the index of the next stabilizer, so
+        # a product equal to the group order forces every orbit and every
+        # level's group to be complete
+        if target is None:
+            return False
+        for i in range(len(self.levels)):
+            self._extend_orbit(i)
+        return self.order() == target
+
+    def _process_level(self, i: int, target: int | None) -> bool:
         lvl = self.levels[i]
         self._extend_orbit(i)
         added = False
@@ -150,6 +191,8 @@ class StabilizerChain:
                         residue, j = self._sift(sch, i + 1)
                         if not residue.is_identity():
                             self._install(residue, j)
+                            if self._reached(target):
+                                return True
                             added = True
                 gi += 1
             oi += 1
@@ -258,8 +301,11 @@ class PermGroup:
         return cls(m, list(iter_alt_gens(m)), label=f"Alt({m})")
 
     def chain(self, base_hint: Sequence[int] = ()) -> StabilizerChain:
+        """The cached chain, or a new one whose base starts with base_hint,
+        built to the cached chain's order when there is one."""
         if base_hint:
-            return StabilizerChain(self.degree, self.gens, base_hint=base_hint)
+            order = None if self._chain is None else self._chain.order()
+            return StabilizerChain(self.degree, self.gens, base_hint=base_hint, order=order)
         if self._chain is None:
             self._chain = StabilizerChain(self.degree, self.gens)
         return self._chain
@@ -372,10 +418,19 @@ class PermGroup:
         return self.pointwise_stabilizer((point,))
 
     def pointwise_stabilizer(self, points: Sequence[int]) -> "PermGroup":
+        """Stabilizer of each of the points, from one hinted Schreier-Sims
+        run (stopped at this group's order if that is known). The returned
+        group keeps the levels of that chain below the points, so its order
+        and membership tests run no second Schreier-Sims, and its own point
+        stabilizers stop at that order in turn."""
         pts = list(dict.fromkeys(points))  # first occurrences, in order
         chain = self.chain(base_hint=pts)
-        gens = chain.gens_fixing_prefix(len(pts))
-        return PermGroup(self.degree, gens)
+        stab = PermGroup(self.degree, chain.gens_fixing_prefix(len(pts)))
+        # the tail shares _Level objects with the hinted chain, which nobody
+        # else holds; nothing extends a group's cached chain, and that must
+        # stay so, or an extend would reach into both
+        stab._chain = chain.tail(len(pts))
+        return stab
 
     def restriction(self, points: Sequence[int]) -> "PermGroup":
         """Action on an invariant point set, relabeled to 0..len-1."""
@@ -406,6 +461,10 @@ class PermGroup:
         the weight by the orbit length, so the weight is |root| / |H|. A
         child's stabilizer is built only when the walk reaches it: callers
         count their own nodes and stop with break or return.
+
+        Each child costs one Schreier-Sims run: it is handed the tail of its
+        parent's hinted chain (see pointwise_stabilizer), and its own
+        children's runs stop at its known order.
         """
         yield prefix, self, weight
         for orb in children(prefix, self):

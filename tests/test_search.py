@@ -12,6 +12,7 @@ from permres.constructions import (
     matrix_orbit_action,
     wreath_imprimitive,
 )
+from permres.fq import is_prime
 from permres.perm import Perm
 from permres.search import (
     BaseWitness,
@@ -27,7 +28,7 @@ from permres.search import (
     stabilizer_scan,
     verify_distinguishing,
 )
-from permres.stabchain import PermGroup, ResourceLimit
+from permres.stabchain import PermGroup, ResourceLimit, StabilizerChain
 
 
 @pytest.fixture(scope="module")
@@ -323,10 +324,23 @@ def first_rigid_coloring(n, r, elems):
     # whole element list: the order the rigid-coloring search walks
     for coloring in itertools.product(range(r), repeat=n):
         canonical = all(c <= max(coloring[:i], default=-1) + 1 for i, c in enumerate(coloring))
-        if canonical and not any(all(coloring[g.images[x]] == coloring[x] for x in range(n))
-                                 for g, _ in elems):
+        if canonical and not any(all(coloring[images[x]] == coloring[x] for x in range(n))
+                                 for images, _, _ in elems):
             return coloring
     return None
+
+
+@pytest.mark.parametrize("G", [
+    PermGroup.symmetric(5),
+    dihedral8(),
+    PermGroup(6, [Perm([1, 2, 3, 4, 5, 0])]),
+    wreath_imprimitive(PermGroup.symmetric(3), PermGroup.symmetric(2)).group,
+], ids=["S5", "D8", "C6", "S3wrS2"])
+def test_prime_order_rows_match_element_orders(G):
+    # the cycle walk that exits early, against full element orders
+    want = sorted(((g.images, g.inv().images, max(g.moved())) for g in G.elements()
+                   if not g.is_identity() and is_prime(g.order())), key=lambda e: e[2])
+    assert _prime_order_elements(G, 10 ** 6) == want
 
 
 @pytest.mark.parametrize("G", [
@@ -472,3 +486,29 @@ def test_walk_pins_witnesses_nodes_and_builds(deg36, stabilizer_builds):
     reps = deg36.orbit_tuple_reps(2)
     assert [(pts, weight) for pts, _, weight in reps] == [((0, 1), 1260)]
     assert stabilizer_builds[0] == 2
+
+
+@pytest.fixture
+def chain_builds(monkeypatch):
+    """Counts StabilizerChain constructions, one per Schreier-Sims run."""
+    calls = [0]
+    inner = StabilizerChain.__init__
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(StabilizerChain, "__init__", counted)
+    return calls
+
+
+def test_walk_pins_chain_builds(deg36, chain_builds):
+    # one Schreier-Sims run per stabilizer: each child keeps the tail of its
+    # hinted chain, so its order needs no second run (the counts were 42 and
+    # 2582 when every child built its own chain again)
+    assert base_size_exact(deg36).size == 6
+    assert chain_builds[0] == 21
+
+    chain_builds[0] = 0
+    rc = count_regular_tuples(deg36, 6, threshold=1451520)
+    assert (rc.value, chain_builds[0]) == (1451520, 1291)

@@ -3,6 +3,8 @@ import time
 
 import pytest
 
+from permres.classical import classical_generators
+from permres.constructions import matrix_orbit_action, wreath_imprimitive
 from permres.perm import Perm, iter_alt_gens, iter_sym_gens
 from permres.stabchain import (
     PermGroup,
@@ -381,3 +383,54 @@ def test_orbit_tree_preorder_weights():
     assert sum(w for prefix, w in nodes if len(prefix) == 2) == 4 ** 2
     pinned = G.point_stabilizer(3).orbit_tree(lambda prefix, H: [], (3,), 5)
     assert [(p, w) for p, _, w in pinned] == [((3,), 5)]
+
+
+# -- chains handed down the orbit tree ------------------------------------
+
+
+def deg36():
+    grp = classical_generators("GO-odd", 7, 2)
+    return matrix_orbit_action(grp, kind="subspace", k=6, flt="nondegenerate-plus").group
+
+
+WALKED = {
+    "deg36": deg36,
+    "sym6": lambda: PermGroup.symmetric(6),
+    "s5wrs2": lambda: wreath_imprimitive(PermGroup.symmetric(5), PermGroup.symmetric(2)).group,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALKED))
+def test_handed_down_chains_check_out(name):
+    # every node's chain is the tail of its parent's hinted chain, built with
+    # the parent's order as its stopping point; each is re-checked here
+    # against the chain invariants and a fresh build from its generators
+    G = WALKED[name]()
+    nodes = {}
+
+    def children(prefix, H):
+        nodes[prefix] = H
+        return H.orbits() if len(prefix) < 3 else []
+
+    depth = 0
+    for prefix, H, _ in G.orbit_tree(children):
+        H.chain().verify()
+        assert H.order() == StabilizerChain(H.degree, H.gens).order()
+        if prefix:
+            parent = nodes[prefix[:-1]]
+            orbit = next(o for o in parent.orbits() if prefix[-1] in o)
+            assert H.order() * len(orbit) == parent.order()
+        depth = max(depth, len(prefix))
+    assert depth == 3
+
+
+def test_known_order_is_not_kept_for_extend():
+    G = PermGroup.alternating(6)
+    assert G.order() == 360
+    chain = G.chain(base_hint=[4])  # built to the known order 360
+    assert chain.order() == 360
+    chain.verify()
+    outside = cyc([(0, 1)], 6)
+    assert chain.extend(outside)
+    chain.verify()
+    assert chain.order() == StabilizerChain(6, G.gens + [outside]).order() == 720

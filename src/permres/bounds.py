@@ -5,6 +5,12 @@ No verdict here ever comes from a bare floating-point comparison: integer
 bounds use big-integer powering, real comparisons run in directed-rounding
 intervals whose endpoints convert exactly to rationals, and precision
 escalates through a fixed ladder until the sign of the margin is certain.
+
+The threshold M(eps) needs the margin's sign at only a few m. The margin is
+nondecreasing from a certified point cap on, so the search starts at
+max(14, cap), gallops up to the first success and bisects back to the last
+failure; when the margin already holds there, it walks down to the first
+failure, which assumes nothing about the margin below cap.
 """
 
 from __future__ import annotations
@@ -148,8 +154,12 @@ def _margin_sign(m: int, base: Fraction, power: Fraction) -> int:
 
 
 def _mstar_cap(base: Fraction, power: Fraction) -> int:
-    """Integer upper bound for 3e / (2 ln(base**power)), past which the
-    margin is nondecreasing in m."""
+    """Integer upper bound for 3e / (2 ln(base**power)).
+
+    The margin's derivative in m is ln(base**power)/e - 3/(2m), which is
+    nonnegative from that point on: the margin is nondecreasing on
+    [cap, oo), so there a failure can only precede a success. Below the cap
+    it may fall, and nothing is assumed there."""
     old = iv.dps
     try:
         iv.dps = _DPS_LADDER[0]
@@ -164,18 +174,34 @@ def _mstar_cap(base: Fraction, power: Fraction) -> int:
 
 def _m_threshold(base: Fraction, power: Fraction) -> int:
     """Minimal M >= 14 such that the defining inequality holds for every
-    m >= M, where 1 + eps = base**power > 1."""
-    cap = max(_SCAN_FLOOR, _mstar_cap(base, power))
-    last_fail = _SCAN_FLOOR - 1
-    m = _SCAN_FLOOR
-    while True:
-        s = _margin_sign(m, base, power)
-        if s < 0:
-            last_fail = m
-        if m >= cap and s > 0:
-            break
-        m += 1
-    M = max(_SCAN_FLOOR, last_fail + 1)
+    m >= M, where 1 + eps = base**power > 1.
+
+    The search starts at m1 = max(14, cap), cap from _mstar_cap. If the
+    margin fails at m1, it gallops up (m1+1, m1+2, m1+4, ...) to the first
+    success and bisects between the last failure and that success; this
+    needs the margin nondecreasing, which holds on [cap, oo). If the margin
+    holds at m1, it holds on all of [m1, oo) by the same monotonicity, and
+    a walk down from m1 - 1 stops at the first failure; that walk assumes
+    nothing. Either way M is one past the last failure, or 14 if there is
+    none."""
+    m1 = max(_SCAN_FLOOR, _mstar_cap(base, power))
+    if _margin_sign(m1, base, power) < 0:
+        fail, step = m1, 1
+        while _margin_sign(m1 + step, base, power) < 0:
+            fail = m1 + step
+            step *= 2
+        hold = m1 + step
+        while hold - fail > 1:
+            mid = (fail + hold) // 2
+            if _margin_sign(mid, base, power) < 0:
+                fail = mid
+            else:
+                hold = mid
+        M = hold
+    else:
+        M = m1
+        while M > _SCAN_FLOOR and _margin_sign(M - 1, base, power) > 0:
+            M -= 1
     # contract checks: holds at M and well beyond, fails just below unless clamped
     assert _margin_sign(M, base, power) > 0
     assert _margin_sign(M + 1000, base, power) > 0

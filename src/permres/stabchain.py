@@ -12,7 +12,8 @@ keeps them. When the group being cut already has a chain, its order is
 known, and the hinted run stops as soon as its basic orbits multiply to
 that order; a base and strong generating set whose basic orbits multiply
 to the group order is complete (Seress, Permutation Group Algorithms,
-2003, Ch. 4).
+2003, Ch. 4). A normal closure in a group with a chain stops the same way
+once it reaches the group's order, and is then the group itself.
 """
 
 from __future__ import annotations
@@ -38,9 +39,17 @@ class _Level:
         self.gens: list[Perm] = []
         self.orbit: list[int] = [point]
         self.transversal: dict[int, Perm] = {point: identity}
+        # inverses of transversal elements, filled in on first read
         self.tinv: dict[int, Perm] = {point: identity}
         self.scan_state: tuple[int, int] = (1, 0)
         self.processed: set[tuple[int, int]] = set()
+
+    def inverse(self, beta: int) -> Perm:
+        """Inverse of the transversal element for beta, computed once."""
+        u = self.tinv.get(beta)
+        if u is None:
+            u = self.tinv[beta] = self.transversal[beta].inv()
+        return u
 
 
 class StabilizerChain:
@@ -90,13 +99,20 @@ class StabilizerChain:
 
     # -- construction ----------------------------------------------------
 
-    def extend(self, g: Perm) -> bool:
-        """Add one generator; returns True if the group grew."""
+    def extend(self, g: Perm, order: int | None = None) -> bool:
+        """Add one generator; returns True if the group grew.
+
+        order, when given, is the order of a group known to contain every
+        element added so far. Closing then stops once the basic orbits
+        multiply to it: they never multiply to more than the order of the
+        group generated, so the chain is then complete and that group is
+        the whole overgroup. A chain that falls short closes fully, as
+        without order."""
         residue, j = self._sift(g, 0)
         if residue.is_identity():
             return False
         self._install(residue, j)
-        self._close()
+        self._close(order)
         return True
 
     def _sift(self, g: Perm, start: int) -> tuple[Perm, int]:
@@ -108,7 +124,7 @@ class StabilizerChain:
                 if beta not in lvl.transversal:
                     return g, i
             if beta != lvl.point:
-                g = g * lvl.tinv[beta]
+                g = g * lvl.inverse(beta)
         return g, len(self.levels)
 
     def _install(self, g: Perm, j: int) -> None:
@@ -119,20 +135,30 @@ class StabilizerChain:
             self.levels[i].gens.append(g)
 
     def _pick_point(self, g: Perm) -> int:
-        # smallest point in the largest cycle; ties by smallest cycle minimum
-        best = None
-        for cyc in g.cycles():
-            key = (-len(cyc), min(cyc))
-            if best is None or key < best[0]:
-                best = (key, min(cyc))
-        assert best is not None
-        return best[1]
+        # smallest point in the largest cycle; ties by smallest cycle minimum.
+        # Starts run upward, so each cycle is met first at its smallest point
+        # and the first longest cycle wins.
+        images = g.images
+        seen = [False] * len(images)
+        best, best_len = -1, 1
+        for start, x in enumerate(images):
+            if seen[start] or x == start:
+                continue
+            length = 1
+            while x != start:
+                seen[x] = True
+                x = images[x]
+                length += 1
+            if length > best_len:
+                best, best_len = start, length
+        assert best >= 0
+        return best
 
     def _extend_orbit(self, i: int) -> None:
         lvl = self.levels[i]
         if lvl.scan_state == (len(lvl.orbit), len(lvl.gens)):
             return
-        orbit, transversal, tinv, gens = lvl.orbit, lvl.transversal, lvl.tinv, lvl.gens
+        orbit, transversal, gens = lvl.orbit, lvl.transversal, lvl.gens
         idx = 0
         while idx < len(orbit):
             beta = orbit[idx]
@@ -140,9 +166,7 @@ class StabilizerChain:
             for s in gens:
                 gamma = s.images[beta]
                 if gamma not in transversal:
-                    v = u * s
-                    transversal[gamma] = v
-                    tinv[gamma] = v.inv()
+                    transversal[gamma] = u * s
                     orbit.append(gamma)
             idx += 1
         lvl.scan_state = (len(orbit), len(gens))
@@ -186,7 +210,7 @@ class StabilizerChain:
                     s = lvl.gens[gi]
                     gamma = s.images[beta]
                     self._extend_orbit(i)
-                    sch = lvl.transversal[beta] * s * lvl.tinv[gamma]
+                    sch = lvl.transversal[beta] * s * lvl.inverse(gamma)
                     if not sch.is_identity():
                         residue, j = self._sift(sch, i + 1)
                         if not residue.is_identity():
@@ -268,7 +292,7 @@ class StabilizerChain:
                     gamma = s.images[beta]
                     if gamma not in lvl.transversal:
                         raise AssertionError("orbit not closed")
-                    sch = lvl.transversal[beta] * s * lvl.tinv[gamma]
+                    sch = lvl.transversal[beta] * s * lvl.inverse(gamma)
                     residue, _ = self._sift(sch, i + 1)
                     if not residue.is_identity():
                         raise AssertionError("Schreier generator fails to sift to identity")
@@ -627,21 +651,34 @@ def normal_closure(G: PermGroup, seeds: Sequence[Perm]) -> PermGroup:
 
     The returned group keeps the stabilizer chain built here, so asking it
     for its order or membership runs no second Schreier-Sims.
+
+    When G already has a chain, its order is handed to every extend, and
+    once the closure's basic orbits multiply to it G itself is returned:
+    a subgroup of G of order |G| is G. A proper closure never reaches that
+    order, so it is built in full. Without a cached chain no Schreier-Sims
+    run is started to learn |G|.
     """
+    target = None if G._chain is None else G._chain.order()
     chain = StabilizerChain(G.degree)
+    conjugators = [(g.inv(), g) for g in G.gens]
     gens: list[Perm] = []
     work: list[Perm] = []
+
+    def grew(x: Perm) -> bool:
+        if not chain.extend(x, order=target):
+            return False
+        gens.append(x)
+        work.append(x)
+        return True
+
     for s in seeds:
-        if chain.extend(s):
-            gens.append(s)
-            work.append(s)
+        if grew(s) and chain.order() == target:
+            return G
     while work:
         k = work.pop()
-        for g in G.gens:
-            c = g.inv() * k * g
-            if chain.extend(c):
-                gens.append(c)
-                work.append(c)
+        for g_inv, g in conjugators:
+            if grew(g_inv * k * g) and chain.order() == target:
+                return G
     closure = PermGroup(G.degree, gens)
     closure._chain = chain
     return closure

@@ -22,7 +22,8 @@ from permres.bounds import (
     theorem13_check,
     thm13_compare,
 )
-from permres.bounds import _margin_sign
+import permres.bounds as bounds
+from permres.bounds import _SCAN_FLOOR, _m_threshold, _margin_sign, _mstar_cap
 from permres.classical import classical_generators
 from permres.constructions import (
     matrix_orbit_action,
@@ -137,6 +138,57 @@ def test_n_memo_stable_across_calls():
     a = n_c_delta(2, Fraction(1, 2))
     b = n_c_delta(2, Fraction(1, 2))
     assert a == b == 141
+
+
+def linear_scan_threshold(base, power):
+    """The threshold by evaluating the margin at every m from 14 up to the
+    first success at or past the monotone point, as the scan did before it
+    galloped; the reference for _m_threshold."""
+    cap = max(_SCAN_FLOOR, _mstar_cap(base, power))
+    last_fail = _SCAN_FLOOR - 1
+    m = _SCAN_FLOOR
+    while True:
+        s = _margin_sign(m, base, power)
+        if s < 0:
+            last_fail = m
+        if m >= cap and s > 0:
+            break
+        m += 1
+    return max(_SCAN_FLOOR, last_fail + 1)
+
+
+def test_threshold_gallop_matches_linear_scan():
+    # powers (3/5)**k are the shrunk parameters n_c_delta recurses through
+    for eps in ("1/10", "1/4", "1/2", "1", "2", "3", "100"):
+        for k in range(4):
+            base, power = 1 + Fraction(eps), Fraction(3, 5) ** k
+            assert _m_threshold(base, power) == linear_scan_threshold(base, power), (eps, k)
+
+
+@pytest.fixture
+def margin_evaluations(monkeypatch):
+    """Counts _margin_sign calls made through the bounds module."""
+    calls = [0]
+    inner = bounds._margin_sign
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(bounds, "_margin_sign", counted)
+    return calls
+
+
+def test_threshold_scan_evaluation_counts(margin_evaluations, monkeypatch):
+    # the linear scan made 227 and 2,879 evaluations; the counts include
+    # the three contract checks per threshold
+    assert m_epsilon(Fraction(1, 10)) == 237
+    assert margin_evaluations[0] == 20
+
+    margin_evaluations[0] = 0
+    monkeypatch.setattr(bounds, "_N_MEMO", {})
+    assert n_c_delta(4, Fraction(1, 4)) == 973
+    assert margin_evaluations[0] == 108
 
 
 # -- section-free order bound ----------------------------------------------

@@ -118,6 +118,57 @@ def test_extend_grows_incrementally():
     chain.verify()
 
 
+def test_transversal_inverses_are_made_on_first_read():
+    # a hinted build stopped at the known order reads few inverses
+    G = PermGroup.symmetric(6)
+    G.order()
+    chain = G.chain(base_hint=[5, 0])
+    lvl = chain.levels[0]
+    assert len(lvl.orbit) == 6
+    assert set(lvl.tinv) < set(lvl.transversal)
+    for beta in lvl.orbit:
+        inv = lvl.inverse(beta)
+        assert (lvl.transversal[beta] * inv).is_identity()
+        assert lvl.inverse(beta) is inv
+    assert set(lvl.tinv) == set(lvl.transversal)
+    chain.verify()
+
+
+def cycles_rule_point(g):
+    """Smallest point of a longest cycle, ties to the smallest cycle minimum,
+    through the full cycle decomposition."""
+    return min(g.cycles(), key=lambda c: (-len(c), min(c)))[0]
+
+
+def test_pick_point_matches_cycles_rule():
+    rng = random.Random(2012)
+    chain = StabilizerChain(12)
+    for _ in range(500):
+        n = rng.randrange(2, 13)
+        images = list(range(n))
+        # a few random transpositions give mixed cycle types with ties
+        for _ in range(rng.randrange(1, 5)):
+            a, b = rng.sample(range(n), 2)
+            images[a], images[b] = images[b], images[a]
+        g = Perm(images)
+        if g.is_identity():
+            continue
+        assert chain._pick_point(g) == cycles_rule_point(g), g
+
+
+def test_extend_stops_closing_at_the_given_order():
+    gens = list(iter_sym_gens(8))
+    full, stopped = StabilizerChain(8), StabilizerChain(8)
+    for g in gens:
+        full.extend(g)
+        stopped.extend(g, order=40320)
+    assert stopped.order() == full.order() == 40320
+    stopped.verify()
+    # fewer (orbit point, generator) pairs were turned into Schreier generators
+    pairs = [sum(len(lvl.processed) for lvl in c.levels) for c in (stopped, full)]
+    assert pairs[0] < pairs[1]
+
+
 def test_random_element_lands_in_group():
     degree, gens = SAMPLES["dihedral4"]
     G = PermGroup(degree, gens)
@@ -321,6 +372,54 @@ def test_normal_closure_keeps_its_chain(monkeypatch):
     assert built == []
     N.chain().verify()
     assert all(N.contains(g) for g in N.gens)
+
+
+def test_normal_closure_reaching_the_order_is_the_group():
+    # with G's chain cached, a closure whose basic orbits multiply to |G|
+    # stops there and is G itself
+    for G in (PermGroup.alternating(5), deg36()):
+        G.order()
+        z = next(g for g in G.gens if not g.is_identity())
+        assert normal_closure(G, [z]) is G
+
+
+@pytest.mark.parametrize("make,seed,order", [
+    (lambda: PermGroup.symmetric(4), cyc([(0, 1), (2, 3)], 4), 4),
+    (lambda: PermGroup.symmetric(5), cyc([(0, 1, 2)], 5), 60),
+    (lambda: PermGroup.symmetric(7), cyc([(2, 4, 6)], 7), 2520),
+    (lambda: wreath_imprimitive(PermGroup.symmetric(3), PermGroup.symmetric(3)).group,
+     cyc([(0, 1)], 9), 216),
+], ids=["V4-in-S4", "A5-in-S5", "A7-in-S7", "base-of-S3wrS3"])
+def test_proper_closure_is_built_as_without_a_target(make, seed, order):
+    # a proper closure never reaches |G|, so the stop changes nothing in it
+    plain = normal_closure(make(), [seed])  # G has no chain: no target
+    G = make()
+    G.order()
+    targeted = normal_closure(G, [seed])
+    assert targeted is not G
+    assert targeted.order() == plain.order() == order
+    assert [g.images for g in targeted.gens] == [g.images for g in plain.gens]
+    assert targeted.chain().base == plain.chain().base
+    targeted.chain().verify()
+
+
+def test_normal_closure_without_a_cached_chain_does_not_stop(monkeypatch):
+    G = PermGroup.alternating(5)
+    built = []
+    init = StabilizerChain.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StabilizerChain, "__init__", counting_init)
+    N = normal_closure(G, [cyc([(0, 1, 2)], 5)])
+    # only the closure's own chain is built; |G| is not computed to stop early
+    assert len(built) == 1
+    assert G._chain is None
+    assert N is not G
+    assert N.order() == 60
+    N.chain().verify()
 
 
 def test_derived_subgroups():

@@ -4,8 +4,10 @@ import random
 import pytest
 
 import permres.structure as structure
+from permres.classical import classical_generators
+from permres.constructions import matrix_orbit_action
 from permres.perm import Perm, iter_alt_gens
-from permres.stabchain import PermGroup, ResourceLimit
+from permres.stabchain import PermGroup, ResourceLimit, StabilizerChain
 from permres.structure import (
     NO,
     UNKNOWN,
@@ -139,6 +141,23 @@ def test_factors_descend_once_per_group(monkeypatch):
     assert len(entered) == calls
     with pytest.raises(ResourceLimit):
         composition_factors(G, order_cap=G.order() - 1)
+
+
+def test_descent_pins_closure_extends(monkeypatch):
+    # the probe closures of the simple group stop once they reach its order
+    # (1,529 extends when every closure ran to the end)
+    grp = classical_generators("GO-odd", 7, 2)
+    G = matrix_orbit_action(grp, kind="subspace", k=6, flt="nondegenerate-plus").group
+    extends = [0]
+    inner = StabilizerChain.extend
+
+    def counted(self, *args, **kwargs):
+        extends[0] += 1
+        return inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(StabilizerChain, "extend", counted)
+    assert names(composition_factors(G)) == ["S6(2)"]
+    assert extends[0] == 444
 
 
 def test_factors_unidentified_is_unknown_not_mislabeled():

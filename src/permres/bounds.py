@@ -130,6 +130,12 @@ def _endpoints(x) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
+def _ln_power(base: Fraction, power: Fraction):
+    """Interval ln(base**power) at the current iv precision."""
+    ln_base = iv.log(iv.mpf(base.numerator) / iv.mpf(base.denominator))
+    return ln_base * iv.mpf(power.numerator) / iv.mpf(power.denominator)
+
+
 def _margin_sign(m: int, base: Fraction, power: Fraction) -> int:
     """Certified sign of (m/e - 1)*ln(base**power) - (3/2)*ln m.
 
@@ -140,8 +146,7 @@ def _margin_sign(m: int, base: Fraction, power: Fraction) -> int:
         old = iv.dps
         try:
             iv.dps = dps
-            ln1e = iv.log(iv.mpf(base.numerator) / iv.mpf(base.denominator))
-            ln1e = ln1e * iv.mpf(power.numerator) / iv.mpf(power.denominator)
+            ln1e = _ln_power(base, power)
             margin = (iv.mpf(m) / iv.e - 1) * ln1e - iv.mpf(3) / 2 * iv.log(iv.mpf(m))
         finally:
             iv.dps = old
@@ -163,9 +168,7 @@ def _mstar_cap(base: Fraction, power: Fraction) -> int:
     old = iv.dps
     try:
         iv.dps = _DPS_LADDER[0]
-        ln1e = iv.log(iv.mpf(base.numerator) / iv.mpf(base.denominator))
-        ln1e = ln1e * iv.mpf(power.numerator) / iv.mpf(power.denominator)
-        mstar = 3 * iv.e / (2 * ln1e)
+        mstar = 3 * iv.e / (2 * _ln_power(base, power))
     finally:
         iv.dps = old
     _lo, hi = _endpoints(mstar)

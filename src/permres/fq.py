@@ -225,9 +225,6 @@ class FqField:
             return 0 if e else 1
         return self._exp[(self._log[a] * e) % (self.q - 1)]
 
-    def elements(self) -> range:
-        return range(self.q)
-
     def units(self) -> list[int]:
         return list(self._exp)
 

@@ -58,9 +58,6 @@ class Perm:
     def is_identity(self) -> bool:
         return self.images == _identity_images(len(self.images))
 
-    def apply(self, point: int) -> int:
-        return self.images[point]
-
     def __mul__(self, other: "Perm") -> "Perm":
         # right action: x^(self*other) = (x^self)^other
         images = self.images

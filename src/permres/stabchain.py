@@ -14,6 +14,12 @@ that order; a base and strong generating set whose basic orbits multiply
 to the group order is complete (Seress, Permutation Group Algorithms,
 2003, Ch. 4). A normal closure in a group with a chain stops the same way
 once it reaches the group's order, and is then the group itself.
+
+Schreier-Sims is one sweep, _close, over two counters per level (see
+_Level). Orbits are closed lazily, when a sift or the sweep reads them:
+closing under several new generators at once lists an orbit in another
+order than closing after each, and orbit order is part of the chain's
+layout, which seeded probes and pinned work counters read.
 """
 
 from __future__ import annotations
@@ -32,7 +38,10 @@ class ResourceLimit(RuntimeError):
 
 
 class _Level:
-    __slots__ = ("point", "gens", "orbit", "transversal", "tinv", "scan_state", "processed")
+    # closed: the orbit is closed under gens[:closed].
+    # done[k]: orbit[k] has been paired with gens[:done[k]] and each pair's
+    # Schreier generator sifted; the list grows with the orbit.
+    __slots__ = ("point", "gens", "orbit", "transversal", "tinv", "closed", "done")
 
     def __init__(self, point: int, identity: Perm):
         self.point = point
@@ -41,8 +50,8 @@ class _Level:
         self.transversal: dict[int, Perm] = {point: identity}
         # inverses of transversal elements, filled in on first read
         self.tinv: dict[int, Perm] = {point: identity}
-        self.scan_state: tuple[int, int] = (1, 0)
-        self.processed: set[tuple[int, int]] = set()
+        self.closed = 0
+        self.done: list[int] = [0]
 
     def inverse(self, beta: int) -> Perm:
         """Inverse of the transversal element for beta, computed once."""
@@ -50,6 +59,26 @@ class _Level:
         if u is None:
             u = self.tinv[beta] = self.transversal[beta].inv()
         return u
+
+    def close_orbit(self) -> None:
+        """Close the orbit under all gens: old points meet only gens[closed:],
+        new points all of them, which lists the orbit as a full rescan does."""
+        gens = self.gens
+        if self.closed == len(gens):
+            return
+        orbit, transversal = self.orbit, self.transversal
+        newer = gens[self.closed:]
+        old = len(orbit)
+        # the loop also walks the points appended while it runs
+        for idx, beta in enumerate(orbit):
+            u = transversal[beta]
+            for s in newer if idx < old else gens:
+                gamma = s.images[beta]
+                if gamma not in transversal:
+                    transversal[gamma] = u * s
+                    orbit.append(gamma)
+        self.closed = len(gens)
+        self.done += [0] * (len(orbit) - old)
 
 
 class StabilizerChain:
@@ -120,7 +149,7 @@ class StabilizerChain:
             lvl = self.levels[i]
             beta = g.images[lvl.point]
             if beta not in lvl.transversal:
-                self._extend_orbit(i)
+                lvl.close_orbit()
                 if beta not in lvl.transversal:
                     return g, i
             if beta != lvl.point:
@@ -154,36 +183,36 @@ class StabilizerChain:
         assert best >= 0
         return best
 
-    def _extend_orbit(self, i: int) -> None:
-        lvl = self.levels[i]
-        if lvl.scan_state == (len(lvl.orbit), len(lvl.gens)):
-            return
-        orbit, transversal, gens = lvl.orbit, lvl.transversal, lvl.gens
-        idx = 0
-        while idx < len(orbit):
-            beta = orbit[idx]
-            u = transversal[beta]
-            for s in gens:
-                gamma = s.images[beta]
-                if gamma not in transversal:
-                    transversal[gamma] = u * s
-                    orbit.append(gamma)
-            idx += 1
-        lvl.scan_state = (len(orbit), len(gens))
-
     def _close(self, target: int | None = None) -> None:
-        # sweep up from the deepest level, restarting there after every
-        # install, until a sweep installs nothing or the target is reached
+        # The one sweep: walk up from the deepest level, sifting the Schreier
+        # generator of every pair that done has not reached; after an install
+        # close this level's orbit only (orbits stay lazy, see the module
+        # docstring) and, once the level is finished, restart at the deepest
+        # level. Ends when a walk installs nothing or the target is reached.
         if self._reached(target):
             return
         i = len(self.levels) - 1
         while i >= 0:
-            if self._process_level(i, target):
-                if self._reached(target):
-                    return
-                i = len(self.levels) - 1
-            else:
-                i -= 1
+            lvl = self.levels[i]
+            lvl.close_orbit()
+            orbit, gens, done = lvl.orbit, lvl.gens, lvl.done
+            installed = False
+            for k, beta in enumerate(orbit):  # orbit grows with each install
+                while done[k] < len(gens):
+                    s = gens[done[k]]
+                    done[k] += 1
+                    sch = lvl.transversal[beta] * s * lvl.inverse(s.images[beta])
+                    if sch.is_identity():
+                        continue
+                    residue, j = self._sift(sch, i + 1)
+                    if residue.is_identity():
+                        continue
+                    self._install(residue, j)
+                    if self._reached(target):
+                        return
+                    lvl.close_orbit()
+                    installed = True
+            i = len(self.levels) - 1 if installed else i - 1
 
     def _reached(self, target: int | None) -> bool:
         # each basic orbit is at most the index of the next stabilizer, so
@@ -191,36 +220,9 @@ class StabilizerChain:
         # level's group to be complete
         if target is None:
             return False
-        for i in range(len(self.levels)):
-            self._extend_orbit(i)
+        for lvl in self.levels:
+            lvl.close_orbit()
         return self.order() == target
-
-    def _process_level(self, i: int, target: int | None) -> bool:
-        lvl = self.levels[i]
-        self._extend_orbit(i)
-        added = False
-        oi = 0
-        while oi < len(lvl.orbit):
-            beta = lvl.orbit[oi]
-            gi = 0
-            while gi < len(lvl.gens):
-                key = (beta, gi)
-                if key not in lvl.processed:
-                    lvl.processed.add(key)
-                    s = lvl.gens[gi]
-                    gamma = s.images[beta]
-                    self._extend_orbit(i)
-                    sch = lvl.transversal[beta] * s * lvl.inverse(gamma)
-                    if not sch.is_identity():
-                        residue, j = self._sift(sch, i + 1)
-                        if not residue.is_identity():
-                            self._install(residue, j)
-                            if self._reached(target):
-                                return True
-                            added = True
-                gi += 1
-            oi += 1
-        return added
 
     # -- queries ---------------------------------------------------------
 
@@ -339,9 +341,6 @@ class PermGroup:
 
     def contains(self, g: Perm) -> bool:
         return self.chain().contains(g)
-
-    def random_element(self, rng) -> Perm:
-        return self.chain().random_element(rng)
 
     def elements(self, limit: int | None = 10 ** 7) -> list[Perm]:
         return list(self.chain().elements(limit=limit))

@@ -8,15 +8,15 @@ from permres.perm import Perm, format_permutation, iter_alt_gens, iter_sym_gens
 def test_identity_and_apply():
     p = Perm.identity(5)
     assert p.is_identity()
-    assert [p.apply(i) for i in range(5)] == [0, 1, 2, 3, 4]
+    assert [p.images[i] for i in range(5)] == [0, 1, 2, 3, 4]
 
 
 def test_composition_is_left_to_right():
     # p then q: (p * q)(x) = q(p(x))
     p = Perm.from_cycles([(0, 1)], 3)
     q = Perm.from_cycles([(1, 2)], 3)
-    assert (p * q).apply(0) == 2
-    assert (q * p).apply(0) == 1
+    assert (p * q).images[0] == 2
+    assert (q * p).images[0] == 1
 
 
 def test_inverse_and_pow():

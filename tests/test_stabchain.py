@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -165,8 +166,66 @@ def test_extend_stops_closing_at_the_given_order():
     assert stopped.order() == full.order() == 40320
     stopped.verify()
     # fewer (orbit point, generator) pairs were turned into Schreier generators
-    pairs = [sum(len(lvl.processed) for lvl in c.levels) for c in (stopped, full)]
+    pairs = [sum(sum(lvl.done) for lvl in c.levels) for c in (stopped, full)]
     assert pairs[0] < pairs[1]
+
+
+def layout_digest(chain):
+    """sha256 of every level's point, strong generators, orbit in order and
+    transversal images in orbit order."""
+    h = hashlib.sha256()
+    for lvl in chain.levels:
+        h.update(repr((lvl.point, [g.images for g in lvl.gens], lvl.orbit,
+                       [lvl.transversal[b].images for b in lvl.orbit])).encode())
+    return h.hexdigest()
+
+
+def pinned_chains():
+    for name, (degree, gens) in sorted(SAMPLES.items()):
+        yield name, StabilizerChain(degree, gens)
+        yield name + "/reversed", StabilizerChain(degree, gens, base_hint=range(degree)[::-1])
+    s8 = StabilizerChain(8)
+    for g in iter_sym_gens(8):
+        s8.extend(g, order=40320)
+    yield "sym8/extend", s8
+    G = deg36()
+    yield "deg36", G.chain()
+    yield "deg36/hint", G.chain(base_hint=[5, 0])  # stops at the known order
+    yield "deg36/stab", G.pointwise_stabilizer([0, 1])._chain
+    yield "closure", normal_closure(PermGroup.symmetric(7), [cyc([(0, 1, 2)], 7)])._chain
+
+
+# Seeded probes and pinned work counters read the orbit order, so a change
+# to how chains are closed must leave every layout as it is.
+LAYOUTS = {
+    "alt4": "4be7796faa143a7107c398cea196f3d4626195f528cbcaf33747bc9fd534f73a",
+    "alt4/reversed": "c7dd0df82236570f7603727e8ba06b098ce0c88eb4ca7b4362af42e19e5e0706",
+    "alt6": "6250a99e0ae454fc2ce134b1b20526100f7d3e76df2c404b717d700e5a53f409",
+    "alt6/reversed": "65c6dcb912e5d0910cb3f7399a8705eb02bb707f48d8e44221f27e7c0d1855d8",
+    "cyclic6": "207da052119bcdb82f79df2b38aa3760669b6a7aae2138e7a063cd63c98b722e",
+    "cyclic6/reversed": "684b966b69e17b654f9849c5e7536c16fae2e32cd5a67a5c47ce188488f168d2",
+    "dihedral4": "88f84db7f9f12e4a844e5705f1c4ceae430ab6447886e3d6a4512540aa07e4c6",
+    "dihedral4/reversed": "e969cada4020cc6ec0b2e363f49952837e6056089e2a4a9cf4b82f9315236547",
+    "klein": "5627c827dc66b272b943d1035ebc95e428684df7d484bf40ac01bb48bf672f75",
+    "klein/reversed": "c522d6931997108d64d7406fee67d7fdb016da0e888818acc238a88b3ab38db4",
+    "psl27": "41032f7fc20106ab6bbe872333d063a9976e46a4e6f8ab3fff0cd38d7a155ac2",
+    "psl27/reversed": "62d42888e7a8f8942b29af43e704361b0bd2d40d9234316208798341bfe892ee",
+    "sym5": "ea96655aaade9f265e9c4e3533847fd38a67f8845685dcb4fbcf9f8e3f93663d",
+    "sym5/reversed": "26f0069461ebfb438db921db3ddf8efbffc38c983f3741216ef3ce78f2f72098",
+    "trivial": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "trivial/reversed": "b3323ed30575813e831b0db2b16ead4136d1387e524f91a88f3f4f5bd2481420",
+    "two_orbit": "632052a8c6e58d2d1cedabe944c48993cef5561253b0859881025de35685146f",
+    "two_orbit/reversed": "966bed8527df9da96fd0177f60b2df37270ce1a32edcc0c3686e2fbeaa6773c9",
+    "sym8/extend": "dd9fd0ecee1728d1761855b62c31b200773e68d59264750eb3b0ba875e3915af",
+    "deg36": "528339c150ec582ec3727f6d789023a9f953536fbbcc6cbd5b02a8c025198795",
+    "deg36/hint": "06e84d48eddb550fc09c106a8ae0e7bd7acd0b6e6501ead5f6571a4730a4b376",
+    "deg36/stab": "59bcd36dfbbbc65f3d814bfdacbf3bb9fd2d97bc16302eeb6dfb949e90c2bd84",
+    "closure": "6f07ef4b991a78075bd0f2efae5fa25f30d459afc0ad879c1b95020ec682a9ff",
+}
+
+
+def test_chain_layouts_are_pinned():
+    assert {name: layout_digest(c) for name, c in pinned_chains()} == LAYOUTS
 
 
 def test_random_element_lands_in_group():
@@ -176,7 +235,7 @@ def test_random_element_lands_in_group():
     rng = random.Random(7)
     seen = set()
     for _ in range(100):
-        p = G.random_element(rng)
+        p = G.chain().random_element(rng)
         assert p.images in elems
         seen.add(p.images)
     assert len(seen) == 8  # all elements reached

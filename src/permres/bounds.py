@@ -1,9 +1,11 @@
 """Explicit order bounds and threshold integers, evaluated exactly or in
-certified interval arithmetic.
+certified rational enclosures.
 
 No verdict here ever comes from a bare floating-point comparison: integer
-bounds use big-integer powering, real comparisons run in directed-rounding
-intervals whose endpoints convert exactly to rationals, and precision
+bounds use big-integer powering, and each real quantity is an exact rational
+enclosure. The certificate is the documented correct rounding of the stdlib
+decimal module's exp and ln: a rounded result's two neighbours enclose the
+true value, and all arithmetic after that is on exact Fractions. Precision
 escalates through a fixed ladder until the sign of the margin is certain.
 
 The threshold M(eps) needs the margin's sign at only a few m. The margin is
@@ -16,9 +18,9 @@ failure, which assumes nothing about the margin below cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import MAX_EMAX, Context, Inexact
 from fractions import Fraction
-
-from mpmath import iv
+from functools import lru_cache
 
 from .fq import ceil_log
 from .search import stabilizer_scan
@@ -111,46 +113,52 @@ def formula_suite(name: str, params: dict, measured: int | None = None) -> Bound
     return BoundReport(name, dict(params), value, measured, verdict)
 
 
-# -- certified interval helpers --------------------------------------------
+# -- rational enclosures ---------------------------------------------------
 
 
-def _endpoints(x) -> tuple[Fraction, Fraction]:
-    """Exact rational endpoints of an interval value."""
-    out = []
-    for sign, man, exp, _bc in x._mpi_:
-        man = int(man)
-        if man == 0:
-            if exp != 0:
-                raise ArithmeticError("nonfinite interval endpoint")
-            out.append(Fraction(0))
-            continue
-        v = Fraction(man) * Fraction(2) ** int(exp)
-        out.append(-v if sign else v)
-    lo, hi = out
-    return lo, hi
+def _enclose(value, dps: int) -> tuple[Fraction, Fraction]:
+    """Exact rational endpoints enclosing value(ctx), a correctly rounded
+    decimal operation run in a fresh dps-digit context.
+
+    A correctly rounded result lies within half a unit in the last place of
+    the true value, so its two neighbours enclose it; an exact result is its
+    own point (its neighbours at 0 would be subnormals with huge digits)."""
+    ctx = Context(prec=dps, Emax=MAX_EMAX)
+    v = value(ctx)
+    if not ctx.flags[Inexact]:
+        return Fraction(v), Fraction(v)
+    return Fraction(ctx.next_minus(v)), Fraction(ctx.next_plus(v))
 
 
-def _ln_power(base: Fraction, power: Fraction):
-    """Interval ln(base**power) at the current iv precision."""
-    ln_base = iv.log(iv.mpf(base.numerator) / iv.mpf(base.denominator))
-    return ln_base * iv.mpf(power.numerator) / iv.mpf(power.denominator)
+@lru_cache
+def _exp(k: int, dps: int) -> tuple[Fraction, Fraction]:
+    """Enclosure of e**k for an integer k."""
+    return _enclose(lambda ctx: ctx.exp(k), dps)
+
+
+@lru_cache
+def _ln(x: Fraction, dps: int) -> tuple[Fraction, Fraction]:
+    """Enclosure of ln x as ln(numerator) - ln(denominator): both arguments
+    are exact integers, so nothing is rounded before the logs."""
+    n_lo, n_hi = _enclose(lambda ctx: ctx.ln(x.numerator), dps)
+    d_lo, d_hi = _enclose(lambda ctx: ctx.ln(x.denominator), dps)
+    return n_lo - d_hi, n_hi - d_lo
 
 
 def _margin_sign(m: int, base: Fraction, power: Fraction) -> int:
     """Certified sign of (m/e - 1)*ln(base**power) - (3/2)*ln m.
 
     Positive means m**(3/2) <= (1+eps)**(m/e - 1) strictly holds, with
-    1 + eps = base**power. Escalates precision until the interval excludes
-    zero."""
+    1 + eps = base**power. Escalates precision until the enclosure excludes
+    zero. With m > e and ln(base) > 0 each product grows with its factors,
+    so the low endpoints give the low end; a low ln endpoint below zero only
+    makes lo negative, never a false positive."""
     for dps in _DPS_LADDER:
-        old = iv.dps
-        try:
-            iv.dps = dps
-            ln1e = _ln_power(base, power)
-            margin = (iv.mpf(m) / iv.e - 1) * ln1e - iv.mpf(3) / 2 * iv.log(iv.mpf(m))
-        finally:
-            iv.dps = old
-        lo, hi = _endpoints(margin)
+        e_lo, e_hi = _exp(1, dps)
+        l_lo, l_hi = _ln(base, dps)
+        g_lo, g_hi = _ln(Fraction(m), dps)
+        lo = (m / e_hi - 1) * l_lo * power - Fraction(3, 2) * g_hi
+        hi = (m / e_lo - 1) * l_hi * power - Fraction(3, 2) * g_lo
         if lo > 0:
             return 1
         if hi < 0:
@@ -165,14 +173,11 @@ def _mstar_cap(base: Fraction, power: Fraction) -> int:
     nonnegative from that point on: the margin is nondecreasing on
     [cap, oo), so there a failure can only precede a success. Below the cap
     it may fall, and nothing is assumed there."""
-    old = iv.dps
-    try:
-        iv.dps = _DPS_LADDER[0]
-        mstar = 3 * iv.e / (2 * _ln_power(base, power))
-    finally:
-        iv.dps = old
-    _lo, hi = _endpoints(mstar)
-    return int(hi) + 1
+    for dps in _DPS_LADDER:
+        l_lo, _l_hi = _ln(base, dps)
+        if l_lo > 0:
+            return int(3 * _exp(1, dps)[1] / (2 * l_lo * power)) + 1
+    raise ArithmeticError(f"ln of {base} unresolved at dps {_DPS_LADDER[-1]}")
 
 
 def _m_threshold(base: Fraction, power: Fraction) -> int:
@@ -284,8 +289,8 @@ def thm13_compare(order: int, n: int, d: int, delta) -> BoundReport:
     use this for tightness probes against groups outside the hypothesis.
 
     The comparison multiplies through by e**(n-1): the power of e is the
-    only non-rational factor, so its interval endpoints against an exact
-    rational decide the verdict, at escalating precision."""
+    only non-rational factor, so its enclosure against an exact rational
+    decides the verdict, at escalating precision."""
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -294,15 +299,8 @@ def thm13_compare(order: int, n: int, d: int, delta) -> BoundReport:
     params = {"d": d, "delta": str(delta), "degree": n}
     rhs = (Fraction(d) * (1 + delta)) ** (n - 1)  # bound times e**(n-1), exact
     verdict = None
-    e_lo = e_hi = None
     for dps in _DPS_LADDER:
-        old = iv.dps
-        try:
-            iv.dps = dps
-            e_pow = iv.e ** (n - 1)
-        finally:
-            iv.dps = old
-        e_lo, e_hi = _endpoints(e_pow)
+        e_lo, e_hi = _exp(n - 1, dps)
         if order * e_hi <= rhs:
             verdict = "holds"
             break
@@ -312,8 +310,8 @@ def thm13_compare(order: int, n: int, d: int, delta) -> BoundReport:
     if verdict is None:
         verdict = "inconclusive-interval"
         bound_value = None
-    else:
-        bound_value = (_approx(rhs / e_hi), _approx(rhs / e_lo))  # enclosure of the real bound
+    else:  # enclosure of the real bound
+        bound_value = (_approx(rhs, e_hi), _approx(rhs, e_lo))
     return BoundReport("thm13", params, bound_value, order, verdict)
 
 
@@ -342,9 +340,17 @@ def theorem13_check(
     return BoundReport(out.bound_name, params, out.bound_value, out.measured_value, out.verdict)
 
 
-def _approx(fr: Fraction) -> str:
-    # display only; verdicts never read this
+def _approx(rhs: Fraction, e_pow: Fraction) -> str:
+    """rhs / e_pow for display only; verdicts never read this. The quotient
+    is never reduced (its gcd dominates at large degree); past the float
+    range it shows 17 significant digits from the leading 200 bits of each
+    term."""
+    num, den = rhs.numerator * e_pow.denominator, rhs.denominator * e_pow.numerator
     try:
-        return repr(float(fr))
+        return repr(num / den)
     except OverflowError:
-        return str(int(fr))
+        shift_n, shift_d = num.bit_length() - 200, max(0, den.bit_length() - 200)
+        ctx = Context(prec=40, Emax=MAX_EMAX)
+        v = ctx.multiply(ctx.divide(num >> shift_n, den >> shift_d),
+                         ctx.power(2, shift_n - shift_d))
+        return str(Context(prec=17, Emax=MAX_EMAX).plus(v))

@@ -164,24 +164,9 @@ class StabilizerChain:
             self.levels[i].gens.append(g)
 
     def _pick_point(self, g: Perm) -> int:
-        # smallest point in the largest cycle; ties by smallest cycle minimum.
-        # Starts run upward, so each cycle is met first at its smallest point
-        # and the first longest cycle wins.
-        images = g.images
-        seen = [False] * len(images)
-        best, best_len = -1, 1
-        for start, x in enumerate(images):
-            if seen[start] or x == start:
-                continue
-            length = 1
-            while x != start:
-                seen[x] = True
-                x = images[x]
-                length += 1
-            if length > best_len:
-                best, best_len = start, length
-        assert best >= 0
-        return best
+        # smallest point in the largest cycle; cycles() lists each cycle from
+        # its least point, by that point, and max keeps the first longest one
+        return max(g.cycles(), key=len)[0]
 
     def _close(self, target: int | None = None) -> None:
         # The one sweep: walk up from the deepest level, sifting the Schreier

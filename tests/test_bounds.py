@@ -23,7 +23,15 @@ from permres.bounds import (
     thm13_compare,
 )
 import permres.bounds as bounds
-from permres.bounds import _SCAN_FLOOR, _m_threshold, _margin_sign, _mstar_cap
+from permres.bounds import (
+    _DPS_LADDER,
+    _SCAN_FLOOR,
+    _exp,
+    _ln,
+    _m_threshold,
+    _margin_sign,
+    _mstar_cap,
+)
 from permres.classical import classical_generators
 from permres.constructions import (
     matrix_orbit_action,
@@ -85,6 +93,35 @@ def test_formula_suite_reports():
     assert rep.verdict is None
     with pytest.raises(ValueError):
         formula_suite("no_such_bound", {})
+
+
+# -- rational enclosures ---------------------------------------------------
+
+# 75 decimals from the 80-digit mpmath oracle (tools/threshold_oracle.py)
+REFERENCE_DIGITS = {
+    "e": "2.718281828459045235360287471352662497757247093699959574966967627724076630354",
+    "ln 2": "0.693147180559945309417232121458176568075500134360255254120680009493393621970",
+    "ln 11/10": "0.095310179804324860043952123280765092220605365308644199185239808163001014236",
+    "ln 973": "6.880384082186005062294137662318723512079681389937015104133468654780834728272",
+}
+
+
+@pytest.mark.parametrize("dps", _DPS_LADDER)
+def test_enclosures_meet_reference_digits(dps):
+    enclosures = {
+        "e": _exp(1, dps),
+        "ln 2": _ln(Fraction(2), dps),
+        "ln 11/10": _ln(Fraction(11, 10), dps),
+        "ln 973": _ln(Fraction(973), dps),
+    }
+    unit = Fraction(1, 10 ** 75)
+    for name, (lo, hi) in enclosures.items():
+        ref = Fraction(REFERENCE_DIGITS[name])
+        # the true value lies within one unit of the reference's last decimal
+        assert lo <= ref + unit and ref - unit <= hi, (name, dps)
+        # at most four units in the last place of a dps-digit number in [1, 10)
+        assert 0 < hi - lo <= Fraction(4, 10 ** (dps - 1)), (name, dps)
+    assert _ln(Fraction(1), dps) == (0, 0)
 
 
 # -- threshold integers ----------------------------------------------------
@@ -277,6 +314,19 @@ def test_thm13_small_symmetric_application():
     rep = theorem13_check(PermGroup.symmetric(10), 0, 21, 1)
     assert rep.verdict == "holds"
     assert rep.parameters["c"] == 0
+
+
+def test_thm13_float_display_unchanged():
+    rep = thm13_compare(1451520, 36, 73, 1)
+    assert rep.verdict == "holds"
+    assert rep.bound_value == ("3.5648649827549115e+60", "3.5648649827549115e+60")
+
+
+def test_thm13_display_past_the_float_range():
+    # the bound has about 34,600 digits, past the int-to-str conversion limit
+    rep = thm13_compare(10 ** 50, 20000, 73, 1)
+    assert rep.verdict == "holds"
+    assert rep.bound_value == ("2.7379105158670717E+34599",) * 2
 
 
 # -- measured base sizes vs formula bounds ---------------------------------

@@ -217,3 +217,13 @@ def test_describe_loads_no_sympy():
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", script], check=True, env=env,
                    capture_output=True)
+
+
+def test_imports_load_no_mpmath():
+    script = ("import sys\n"
+              "import permres.bounds, permres.cli, permres.manifest\n"
+              "assert 'mpmath' not in sys.modules\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", script], check=True, env=env,
+                   capture_output=True)

@@ -2,9 +2,12 @@
 """Independent oracle for the m/N threshold integers, frozen into a golden file.
 
 Scans the defining inequality m^(3/2) <= (1+eps)^(m/e - 1) directly with
-80-digit floating point (no intervals, no shared code with the library) and
-asserts every margin is far from zero, so rounding cannot flip a verdict.
-Writes tests/golden/m_epsilon.json.
+80-digit mpmath floating point, with no intervals, and asserts every
+margin is far from zero, so rounding cannot flip a verdict. It shares no code
+and no numeric library with permres, which computes with the stdlib decimal
+module. Writes tests/golden/m_epsilon.json.
+
+Needs mpmath, from the dev extra (pip install -e '.[dev]').
 
 Usage: python tools/threshold_oracle.py
 """

@@ -22,8 +22,13 @@ produced by an independent computation kept alongside the tests.
 Budgets are cooperative: the clock is consulted between assertions, so a
 single long assertion is never interrupted mid-flight. A check that runs
 out of budget or trips an internal resource cap is reported as
-"skipped-resource", never as a failure. Reports are deterministic apart
-from wall-clock fields; fingerprint() strips those.
+"skipped-resource", never as a failure; any other exception fails only its
+own check. Reports are deterministic apart from wall-clock fields;
+fingerprint() strips those.
+
+A run builds each distinct recipe once. The build counts toward the budget
+of the first check that needs the recipe, and every later check shares the
+built group read-only, so the report is the same in any check order.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import hashlib
 import json
 import os
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import metadata, resources
@@ -146,6 +152,11 @@ def _matrix_action(recipe: dict) -> LabeledAction:
     raise ConstructionError(f"unknown space {space!r}")
 
 
+# recipe JSON text -> action built from it, kept only when the build
+# succeeds; set only while run_manifest runs
+_BUILT: ContextVar[dict | None] = ContextVar("_BUILT", default=None)
+
+
 def construct_recipe(recipe: dict) -> LabeledAction:
     """Build the labeled permutation action a recipe describes.
 
@@ -153,7 +164,23 @@ def construct_recipe(recipe: dict) -> LabeledAction:
     and "filter"). A coset recipe whose subgroup is also matrix-flavored
     over the same field embeds the subgroup's matrices through the parent
     action instead of building a second, unrelated action.
+
+    Inside run_manifest each distinct recipe is built once, nested ones
+    (coset parents, wreath factors, a matches target) included, and every
+    later call returns the same action. Elsewhere every call builds afresh.
     """
+    built = _BUILT.get()
+    if built is None:
+        return _build_recipe(recipe)
+    # run_manifest has encoded the whole document, so every recipe encodes
+    key = json.dumps(recipe, sort_keys=True)
+    act = built.get(key)
+    if act is None:
+        act = built[key] = _build_recipe(recipe)
+    return act
+
+
+def _build_recipe(recipe: dict) -> LabeledAction:
     if not isinstance(recipe, dict) or "kind" not in recipe:
         raise ConstructionError("recipe must be an object with a 'kind'")
     kind = recipe["kind"]
@@ -538,14 +565,21 @@ def default_budget_ms() -> int | None:
 
 
 def describe_error(e: Exception) -> str:
-    # an ill-typed or missing field surfaces as TypeError or KeyError, whose
-    # bare messages (a key such as 'd') need the exception name to read.
-    if isinstance(e, (TypeError, KeyError)):
-        return f"{type(e).__name__}: {e}"
-    return str(e)
+    # bad input and exhausted budgets carry a sentence; any other exception,
+    # such as KeyError's bare key ('d') or an AssertionError from a failed
+    # re-check, needs its name to read.
+    if isinstance(e, (ValueError, ResourceLimit)):
+        return str(e)
+    return f"{type(e).__name__}: {e}"
 
 
 def run_check(chk: dict, budget_ms: int | None = None) -> CheckResult:
+    """Build the check's recipe and evaluate its assertions in order.
+
+    A ResourceLimit (budget or cap) skips the rest of the check; any other
+    exception fails its assertion, or the whole check at construction, with
+    a one-line cause, and never reaches the caller.
+    """
     clock = _Clock(chk.get("budget_ms", budget_ms))
     cid = chk["id"]
     try:
@@ -553,7 +587,7 @@ def run_check(chk: dict, budget_ms: int | None = None) -> CheckResult:
     except ResourceLimit as e:
         return CheckResult(cid, "skipped-resource", clock.elapsed_ms(),
                            error=f"construction: {describe_error(e)}")
-    except (ConstructionError, ManifestError, ValueError, TypeError, KeyError) as e:
+    except Exception as e:
         return CheckResult(cid, "fail", clock.elapsed_ms(),
                            error=f"construction: {describe_error(e)}")
 
@@ -568,7 +602,7 @@ def run_check(chk: dict, budget_ms: int | None = None) -> CheckResult:
             results.append(AssertionResult(op, expected, None, None, describe_error(e)))
             skipped = True
             break  # later assertions would blow the same budget
-        except (ConstructionError, ManifestError, ValueError, TypeError, KeyError) as e:
+        except Exception as e:
             results.append(AssertionResult(op, expected, None, False, describe_error(e)))
             failed = True
             continue
@@ -620,6 +654,10 @@ def run_manifest(source: str | Path | dict,
     source may be a path or an already-parsed document. budget_ms is the
     per-check default; PERMRES_BUDGET_MS supplies it when not given here,
     and a check's own budget_ms field overrides both.
+
+    Each distinct recipe is built once per run, by the first check that
+    needs it and inside that check's budget; later checks share the built
+    group, its cached chain and factor list included, and only read it.
     """
     if isinstance(source, dict):
         doc = source
@@ -630,6 +668,10 @@ def run_manifest(source: str | Path | dict,
     checks = validate_manifest(doc)
     if budget_ms is None:
         budget_ms = default_budget_ms()
-    results = [run_check(c, budget_ms) for c in checks]
+    token = _BUILT.set({})
+    try:
+        results = [run_check(c, budget_ms) for c in checks]
+    finally:
+        _BUILT.reset(token)
     return RunReport(SCHEMA_VERSION, TOOL_VERSION, digest,
                      doc.get("name"), results)

@@ -249,12 +249,16 @@ def verify_distinguishing(G: PermGroup, coloring) -> bool:
 
 
 def _prime_order_elements(G: PermGroup, cap: int) -> list:
-    """(images, inverse images, largest moved point) of every element of
-    prime order, sorted by largest moved point.
+    """(images, inverse images, largest moved point) of one generator of
+    each subgroup of prime order, sorted by largest moved point.
 
     An element has prime order p exactly when each of its nontrivial
     cycles has length p, so one walk over the cycles decides it, and the
-    walk stops at the first cycle that breaks the pattern.
+    walk stops at the first cycle that breaks the pattern. Of g, g^2, ...,
+    g^(p-1) exactly one maps the least moved point x to the least other
+    point of x's cycle, and only that one is kept. All of them preserve
+    the same colorings and move the same points, so the list still decides
+    rigidity and the coloring search finds the same first coloring.
     """
     if G.order() > cap:
         raise ResourceLimit(
@@ -274,11 +278,17 @@ def _prime_order_elements(G: PermGroup, cap: int) -> list:
                 continue
             seen[start] = True
             length = 1
+            low = x
             while x != start:
                 seen[x] = True
+                if x < low:
+                    low = x
                 x = images[x]
                 length += 1
-            if p == 0 and length in primes:
+            if p == 0:
+                # start is the least moved point
+                if length not in primes or images[start] != low:
+                    break
                 p = length
             elif length != p:
                 break

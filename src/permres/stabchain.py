@@ -436,7 +436,8 @@ class PermGroup:
         stab = PermGroup(self.degree, chain.gens_fixing_prefix(len(pts)))
         # the tail shares _Level objects with the hinted chain, which nobody
         # else holds; nothing extends a group's cached chain, and that must
-        # stay so, or an extend would reach into both
+        # stay so, or an extend would reach into both. The rule holds across
+        # manifest checks too: checks on one recipe share one group.
         stab._chain = chain.tail(len(pts))
         return stab
 

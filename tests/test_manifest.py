@@ -1,6 +1,7 @@
 """Recipe construction, manifest validation, check execution, reports."""
 
 import json
+import random
 
 import pytest
 
@@ -268,6 +269,47 @@ def test_deep_search_passes_beside_other_checks():
     assert rep.exit_code == 0
 
 
+def test_crashing_assertion_fails_only_its_check(monkeypatch):
+    # an exception outside permres's own errors (here the AssertionError a
+    # failed witness re-check raises) fails its assertion with a one-line
+    # cause; later assertions and checks still run
+    def boom(act, p):
+        raise AssertionError("search returned a non-rigid coloring (0, 0)")
+
+    monkeypatch.setitem(OPS, "dist-number", boom)
+    rep = run_manifest({"schema": 1, "checks": [
+        {"id": "s4", "recipe": {"kind": "symmetric", "m": 4},
+         "assertions": [{"op": "order", "expect": 24, "tag": "direct"}]},
+        {"id": "crash", "recipe": {"kind": "dihedral", "m": 4},
+         "assertions": [{"op": "dist-number", "expect": 3, "tag": "derived"},
+                        {"op": "order", "expect": 8, "tag": "direct"}]},
+        {"id": "d5", "recipe": {"kind": "dihedral", "m": 5},
+         "assertions": [{"op": "order", "expect": 10, "tag": "direct"}]},
+    ]})
+    crash = rep.checks[1]
+    assert [c.status for c in rep.checks] == ["pass", "fail", "pass"]
+    assert crash.assertions[0].ok is False
+    assert crash.assertions[0].error == (
+        "AssertionError: search returned a non-rigid coloring (0, 0)")
+    assert crash.assertions[1].ok is True
+    assert rep.exit_code == 1
+
+
+def test_crashing_construction_fails_only_its_check(monkeypatch):
+    def boom(m, k, alt=False):
+        raise RuntimeError("no subsets today")
+
+    monkeypatch.setattr(manifest, "subsets_action", boom)
+    rep = run_manifest({"schema": 1, "checks": [
+        {"id": "subsets", "recipe": {"kind": "subsets", "m": 5, "k": 2},
+         "assertions": [{"op": "order", "expect": 120, "tag": "direct"}]},
+        {"id": "s4", "recipe": {"kind": "symmetric", "m": 4},
+         "assertions": [{"op": "order", "expect": 24, "tag": "direct"}]},
+    ]})
+    assert [c.status for c in rep.checks] == ["fail", "pass"]
+    assert rep.checks[0].error == "construction: RuntimeError: no subsets today"
+
+
 def test_ops_leave_absent_caps_to_the_library(monkeypatch):
     seen = []
     monkeypatch.setattr(manifest, "base_size_exact",
@@ -403,3 +445,85 @@ def test_ops_registry_is_total():
     for name in ("order", "degree", "transitive", "primitive", "solvable",
                  "orbit-sizes", "suborbit-sizes"):
         assert OPS[name](act, {}) is not None
+
+
+# -- one build per recipe and run ------------------------------------------
+
+SP42 = {"kind": "classical", "family": "Sp", "m": 4, "q": 2}
+SP42_ON_GO42 = {"kind": "coset", "group": SP42,
+                "subgroup": {"kind": "classical", "family": "GO+", "m": 4, "q": 2}}
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(manifest, name)
+    monkeypatch.setattr(manifest, name,
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    return calls
+
+
+def test_checks_on_one_recipe_share_one_build(monkeypatch):
+    builds = count_calls(monkeypatch, "matrix_orbit_action")
+    rep = run_manifest({"schema": 1, "checks": [
+        {"id": f"sp42-{i}", "recipe": dict(SP42),
+         "assertions": [{"op": "order", "expect": 720, "tag": "direct"}]}
+        for i in range(3)]})
+    assert rep.counts()["pass"] == 3
+    assert len(builds) == 1
+
+
+def test_coset_parent_and_matches_target_are_built_once(monkeypatch):
+    builds = count_calls(monkeypatch, "matrix_orbit_action")
+    cosets = count_calls(monkeypatch, "coset_action")
+    rep = run_manifest({"schema": 1, "checks": [
+        {"id": "coset", "recipe": SP42_ON_GO42,
+         "assertions": [{"op": "degree", "expect": 10, "tag": "direct"}]},
+        {"id": "route", "recipe": {"kind": "partitions", "m": 6, "k": 3},
+         "assertions": [{"op": "matches", "expect": True, "tag": "derived",
+                         "params": {"other": SP42_ON_GO42,
+                                    "compare": ["degree", "order",
+                                                "suborbit-sizes"]}}]},
+        {"id": "sp42", "recipe": SP42,
+         "assertions": [{"op": "degree", "expect": 15, "tag": "direct"}]},
+    ]})
+    assert rep.counts()["pass"] == 3
+    # the coset's parent is the vector action the last check names
+    assert (len(builds), len(cosets)) == (1, 1)
+
+
+def test_shared_failing_recipe_fails_each_check_alike(monkeypatch):
+    # a failed build is not kept: the second check tries again and fails
+    # with the same cause
+    tries = count_calls(monkeypatch, "_build_recipe")
+    rep = run_manifest({"schema": 1, "checks": [
+        {"id": f"c{i}", "recipe": {"kind": "cyclic", "m": -1},
+         "assertions": [{"op": "order", "expect": 1, "tag": "direct"}]}
+        for i in range(2)]})
+    first, second = rep.checks
+    assert first.status == second.status == "fail"
+    assert first.error == second.error == "construction: cyclic needs m >= 1"
+    assert len(tries) == 2
+
+
+def test_builds_are_fresh_outside_a_run():
+    run_manifest({"schema": 1, "checks": [
+        {"id": "s4", "recipe": {"kind": "symmetric", "m": 4},
+         "assertions": [{"op": "order", "expect": 24, "tag": "direct"}]}]})
+    recipe = {"kind": "symmetric", "m": 4}
+    assert construct_recipe(recipe) is not construct_recipe(recipe)
+
+
+def test_corpus_report_is_the_same_in_any_check_order():
+    doc, _ = load_manifest(bundled_corpus())
+    checks = validate_manifest(doc)
+    shuffled = list(checks)
+    random.Random(2012).shuffle(shuffled)
+
+    def by_id(order):
+        rep = run_manifest({**doc, "checks": order})
+        assert rep.counts()["pass"] == len(checks)
+        return sorted(rep.fingerprint()["checks"], key=lambda c: c["id"])
+
+    want = by_id(checks)
+    assert by_id(checks[::-1]) == want
+    assert by_id(shuffled) == want

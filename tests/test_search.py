@@ -13,6 +13,7 @@ from permres.constructions import (
     wreath_imprimitive,
 )
 from permres.fq import is_prime
+from permres.manifest import construct_recipe
 from permres.perm import Perm
 from permres.search import (
     BaseWitness,
@@ -319,15 +320,25 @@ def test_probe_verifies_each_distinct_coloring_once(monkeypatch, deg36):
     assert len(seen) == len(set(seen)) <= 8
 
 
-def first_rigid_coloring(n, r, elems):
-    # canonical colorings in lexicographic order, each tested against the
-    # whole element list: the order the rigid-coloring search walks
+def first_rigid_coloring(G, r):
+    # canonical colorings in lexicographic order, each tested against every
+    # non-identity element of G: the order the rigid-coloring search walks
+    n = G.degree
+    movers = [g.images for g in G.elements() if not g.is_identity()]
     for coloring in itertools.product(range(r), repeat=n):
         canonical = all(c <= max(coloring[:i], default=-1) + 1 for i, c in enumerate(coloring))
         if canonical and not any(all(coloring[images[x]] == coloring[x] for x in range(n))
-                                 for images, _, _ in elems):
+                                 for images in movers):
             return coloring
     return None
+
+
+def cyclic_subgroup(g):
+    powers, h = {g.images}, g * g
+    while not h.is_identity():
+        powers.add(h.images)
+        h = h * g
+    return frozenset(powers)
 
 
 @pytest.mark.parametrize("G", [
@@ -337,10 +348,17 @@ def first_rigid_coloring(n, r, elems):
     wreath_imprimitive(PermGroup.symmetric(3), PermGroup.symmetric(2)).group,
 ], ids=["S5", "D8", "C6", "S3wrS2"])
 def test_prime_order_rows_match_element_orders(G):
-    # the cycle walk that exits early, against full element orders
-    want = sorted(((g.images, g.inv().images, max(g.moved())) for g in G.elements()
-                   if not g.is_identity() and is_prime(g.order())), key=lambda e: e[2])
-    assert _prime_order_elements(G, 10 ** 6) == want
+    # against full element orders: exactly one row per subgroup of prime
+    # order, and that row generates it
+    subgroups = {cyclic_subgroup(g) for g in G.elements()
+                 if not g.is_identity() and is_prime(g.order())}
+    rows = _prime_order_elements(G, 10 ** 6)
+    generated = [cyclic_subgroup(Perm(images)) for images, _, _ in rows]
+    assert len(generated) == len(subgroups) and set(generated) == subgroups
+    for images, inv_images, last in rows:
+        g = Perm(images)
+        assert inv_images == g.inv().images and last == max(g.moved())
+    assert [last for _, _, last in rows] == sorted(last for _, _, last in rows)
 
 
 @pytest.mark.parametrize("G", [
@@ -354,7 +372,27 @@ def test_rigid_coloring_search_finds_first_rigid_coloring(G):
     n = G.degree
     elems = _prime_order_elements(G, 10 ** 6)
     for r in range(1, n + 1):
-        assert _rigid_coloring_dfs(n, r, elems) == first_rigid_coloring(n, r, elems), r
+        assert _rigid_coloring_dfs(n, r, elems) == first_rigid_coloring(G, r), r
+
+
+@pytest.mark.parametrize("recipe, number, coloring", [
+    ({"kind": "affine", "family": "Sp", "m": 4, "q": 2}, 3,
+     (0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 2, 2)),
+    ({"kind": "diagonal", "factor": {"kind": "alternating", "m": 5},
+      "swap": True, "outer": [0, 1, 2, 4, 3]}, 2,
+     tuple(1 if x in (47, 55, 57, 59) else 0 for x in range(60))),
+    ({"kind": "wreath", "inner": {"kind": "alternating", "m": 5},
+      "outer": {"kind": "symmetric", "m": 2}, "action": "product"}, 2,
+     tuple(1 if x in (14, 18, 21, 22, 24) else 0 for x in range(25))),
+    ({"kind": "wreath", "inner": {"kind": "symmetric", "m": 5},
+      "outer": {"kind": "symmetric", "m": 2}, "action": "imprimitive"}, 6,
+     (0, 1, 2, 3, 4, 0, 1, 2, 3, 5)),
+], ids=["affine16", "diag60", "a5wrs2", "s5wrs2"])
+def test_distinguishing_colorings_are_pinned(recipe, number, coloring):
+    # one row per subgroup of prime order finds the coloring the full
+    # list of prime-order elements found
+    res = distinguishing_number(construct_recipe(recipe).group)
+    assert (res.number, res.method, res.coloring) == (number, "exhausted", coloring)
 
 
 def test_witness_on_wreath_is_pinned():

@@ -165,15 +165,20 @@ def construct_recipe(recipe: dict) -> LabeledAction:
     over the same field embeds the subgroup's matrices through the parent
     action instead of building a second, unrelated action.
 
-    Inside run_manifest each distinct recipe is built once, nested ones
-    (coset parents, wreath factors, a matches target) included, and every
-    later call returns the same action. Elsewhere every call builds afresh.
+    Inside run_manifest each distinct recipe that JSON can encode is built
+    once, nested ones (coset parents, wreath factors, a matches target)
+    included, and every later call returns the same action. Elsewhere, and
+    for a recipe JSON cannot encode, every call builds afresh.
     """
     built = _BUILT.get()
     if built is None:
         return _build_recipe(recipe)
-    # run_manifest has encoded the whole document, so every recipe encodes
-    key = json.dumps(recipe, sort_keys=True)
+    try:
+        key = json.dumps(recipe, sort_keys=True)
+    except (TypeError, ValueError):
+        # a dict built in code may hold what JSON cannot encode (a set,
+        # keys of mixed types); such a recipe is built afresh, not kept
+        return _build_recipe(recipe)
     act = built.get(key)
     if act is None:
         act = built[key] = _build_recipe(recipe)
@@ -661,8 +666,12 @@ def run_manifest(source: str | Path | dict,
     """
     if isinstance(source, dict):
         doc = source
-        raw = json.dumps(doc, sort_keys=True).encode()
-        digest = hashlib.sha256(raw).hexdigest()
+        try:
+            text = json.dumps(doc, sort_keys=True)
+        except (TypeError, ValueError):
+            # not encodable as JSON; its bad recipes fail their own checks
+            text = repr(doc)
+        digest = hashlib.sha256(text.encode()).hexdigest()
     else:
         doc, digest = load_manifest(source)
     checks = validate_manifest(doc)

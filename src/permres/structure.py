@@ -3,9 +3,9 @@
 The factor descent peels a group apart by orbit kernels, block kernels,
 derived subgroups, and normal closures, in that order; every step strictly
 reduces (degree, order). Simple factors are identified by order against a
-generated table, with an element-order probe for the one documented
-order collision at 20160. Anything unresolved is reported as unknown,
-never guessed.
+generated table; the one documented order collision, at 20160, is
+settled by a scan of every element for one of order 15, which A8 has and
+L3(4) lacks. Anything unresolved is reported as unknown, never guessed.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .stabchain import (
     action_with_kernel,
     derived_subgroup,
     normal_closure,
+    normal_closure_is_group,
 )
 
 YES = "yes"
@@ -127,9 +128,9 @@ def alt_section_upper_bound(order: int) -> int:
 def identify_simple(order: int, spectrum_probe=None) -> str | None:
     """Name a simple group of the given order, or None when unresolved.
 
-    spectrum_probe(k) must return k element orders sampled from the group;
-    it is consulted only for the order-20160 pair, where an element of
-    order 15 separates the two candidates.
+    spectrum_probe(k) must say whether the group has an element of order
+    k; it is consulted only for the order-20160 pair, where an element of
+    order 15 separates the two candidates (A8 has one, L3(4) none).
     """
     if order < 2:
         return None
@@ -148,20 +149,14 @@ def identify_simple(order: int, spectrum_probe=None) -> str | None:
     if len(candidates) == 1:
         return candidates[0]
     if sorted(candidates) == ["A8", "L3(4)"] and spectrum_probe is not None:
-        sampled = list(spectrum_probe(500))
-        return "A8" if 15 in sampled else "L3(4)"
+        return "A8" if spectrum_probe(15) else "L3(4)"
     return None
 
 
-def spectrum_sampler(G: PermGroup, seed: int = 414):
-    """Deterministic element-order sampler for identification probes."""
-    chain = G.chain()
-
-    def probe(k: int) -> list[int]:
-        rng = random.Random(seed)
-        return [chain.random_element(rng).order() for _ in range(k)]
-
-    return probe
+def _has_element_of_order(G: PermGroup, k: int) -> bool:
+    """Whether some element of G has order k, by a scan of every element
+    that stops at the first one."""
+    return any(g.order() == k for g in G.chain().elements())
 
 
 # -- derived series --------------------------------------------------------
@@ -185,6 +180,9 @@ def is_solvable(G: PermGroup) -> bool:
 
 
 # -- composition factor descent --------------------------------------------
+
+# seed of the walks that certify full normal closures in _find_proper_normal
+_WALK_SEED = 1913
 
 
 def composition_factors(G: PermGroup, order_cap: int = 10 ** 12) -> list[FactorDescriptor]:
@@ -260,9 +258,15 @@ def _find_proper_normal(G: PermGroup, samples: int = 64, seed: int = 97) -> Perm
     """A proper nontrivial normal subgroup, or None if none was found.
 
     Probes every generator, pairwise generator products, and seeded random
-    elements. All closures full is strong evidence of simplicity but not a
-    proof for adversarial generating sets; a wrong survivor is caught later
-    when its order matches nothing and it reports as unknown.
+    elements. Before a probe's normal closure is built, a seeded random
+    walk (normal_closure_is_group) tries to certify that the closure is
+    full, that is, that its basic orbits multiply to |G|. The walk decides
+    nothing on its own: a certified probe is skipped, and every other probe
+    gets the deterministic closure, so each N returned is the one
+    normal_closure builds. All closures full is strong evidence of
+    simplicity but not a proof for adversarial generating sets; a wrong
+    survivor is caught later when its order matches nothing and it reports
+    as unknown.
     """
     order = G.order()
     probes: list[Perm] = list(G.gens)
@@ -273,11 +277,15 @@ def _find_proper_normal(G: PermGroup, samples: int = 64, seed: int = 97) -> Perm
     chain = G.chain()
     for _ in range(samples):
         probes.append(chain.random_element(rng))
+    # a generator of its own, so the walks leave the probe list unchanged
+    walk_rng = random.Random(_WALK_SEED)
     seen = set()
     for z in probes:
         if z.is_identity() or z.images in seen:
             continue
         seen.add(z.images)
+        if normal_closure_is_group(G, z, walk_rng):
+            continue
         N = normal_closure(G, [z])
         if 1 < N.order() < order:
             return N
@@ -354,7 +362,7 @@ def _tuple_orbit_labels(N: PermGroup, arity: int) -> list[int]:
 
 def _simple_descriptor(G: PermGroup) -> FactorDescriptor:
     order = G.order()
-    name = identify_simple(order, spectrum_probe=spectrum_sampler(G))
+    name = identify_simple(order, spectrum_probe=lambda k: _has_element_of_order(G, k))
     if name is None:
         return FactorDescriptor(kind="unknown", order=order, name=f"?{order}",
                                 alt_upper=alt_section_upper_bound(order),

@@ -513,6 +513,23 @@ def test_builds_are_fresh_outside_a_run():
     assert construct_recipe(recipe) is not construct_recipe(recipe)
 
 
+@pytest.mark.parametrize("recipe,cause", [
+    ({"kind": "symmetric", "m": {1}}, "TypeError"),  # a set
+    ({"kind": "symmetric", 5: "m"}, "recipe kind 'symmetric' needs m"),  # int and str keys
+], ids=["set-field", "mixed-keys"])
+def test_recipe_json_cannot_encode_fails_only_its_check(recipe, cause):
+    rep = run_manifest({"schema": 1, "checks": [
+        {"id": "bad", "recipe": recipe,
+         "assertions": [{"op": "order", "expect": 1, "tag": "direct"}]},
+        {"id": "s4", "recipe": {"kind": "symmetric", "m": 4},
+         "assertions": [{"op": "order", "expect": 24, "tag": "direct"}]}]})
+    bad, good = rep.checks
+    assert bad.status == "fail"
+    assert bad.error.startswith(f"construction: {cause}")
+    assert good.status == "pass"
+    assert len(rep.manifest_sha256) == 64
+
+
 def test_corpus_report_is_the_same_in_any_check_order():
     doc, _ = load_manifest(bundled_corpus())
     checks = validate_manifest(doc)

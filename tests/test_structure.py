@@ -6,8 +6,9 @@ import pytest
 import permres.structure as structure
 from permres.classical import classical_generators
 from permres.constructions import matrix_orbit_action
+from permres.manifest import construct_recipe
 from permres.perm import Perm, iter_alt_gens
-from permres.stabchain import PermGroup, ResourceLimit, StabilizerChain
+from permres.stabchain import PermGroup, ResourceLimit, StabilizerChain, derived_subgroup
 from permres.structure import (
     NO,
     UNKNOWN,
@@ -21,7 +22,6 @@ from permres.structure import (
     in_gamma,
     is_solvable,
     max_alternating_section,
-    spectrum_sampler,
 )
 
 
@@ -143,21 +143,76 @@ def test_factors_descend_once_per_group(monkeypatch):
         composition_factors(G, order_cap=G.order() - 1)
 
 
-def test_descent_pins_closure_extends(monkeypatch):
-    # the probe closures of the simple group stop once they reach its order
-    # (1,529 extends when every closure ran to the end)
+def deg36():
     grp = classical_generators("GO-odd", 7, 2)
-    G = matrix_orbit_action(grp, kind="subspace", k=6, flt="nondegenerate-plus").group
-    extends = [0]
+    return matrix_orbit_action(grp, kind="subspace", k=6, flt="nondegenerate-plus").group
+
+
+def test_descent_pins_closure_extends(monkeypatch):
+    # every probe of the simple group is certified full by the walk, which
+    # installs residues without extend, so no probe closure is built (444
+    # extends and 79 closures when each probe built its closure to |G|)
+    G = deg36()
+    extends, closures, walks = [0], [0], []
     inner = StabilizerChain.extend
+    closure, walk = structure.normal_closure, structure.normal_closure_is_group
 
     def counted(self, *args, **kwargs):
         extends[0] += 1
         return inner(self, *args, **kwargs)
 
+    def counted_closure(*args):
+        closures[0] += 1
+        return closure(*args)
+
+    def counted_walk(*args):
+        walks.append(walk(*args))
+        return walks[-1]
+
     monkeypatch.setattr(StabilizerChain, "extend", counted)
+    monkeypatch.setattr(structure, "normal_closure", counted_closure)
+    monkeypatch.setattr(structure, "normal_closure_is_group", counted_walk)
     assert names(composition_factors(G)) == ["S6(2)"]
-    assert extends[0] == 444
+    assert extends[0] == 10
+    assert closures[0] == 0
+    assert walks == [True] * 79
+
+
+# perfect primitive groups that are not simple: the probe hands a proper N
+# to _split_by_labels
+PERFECT_NOT_SIMPLE = {
+    "ASL(3,2)": lambda: construct_recipe({"kind": "affine", "family": "SL", "m": 3, "q": 2}).group,
+    "2^4:A6": lambda: derived_subgroup(
+        construct_recipe({"kind": "affine", "family": "Sp", "m": 4, "q": 2}).group),
+    "diag60'": lambda: derived_subgroup(construct_recipe(
+        {"kind": "diagonal", "factor": {"kind": "alternating", "m": 5},
+         "swap": True, "outer": [0, 1, 2, 4, 3]}).group),
+}
+
+
+def _probe_and_factors(G):
+    N = structure._find_proper_normal(G)
+    return N.order(), [g.images for g in N.gens], names(composition_factors(G))
+
+
+@pytest.mark.parametrize("name", sorted(PERFECT_NOT_SIMPLE))
+def test_walk_leaves_the_proper_normal_subgroup_as_it_was(monkeypatch, name):
+    walked = _probe_and_factors(PERFECT_NOT_SIMPLE[name]())
+    # with every walk failing, each probe builds its closure
+    monkeypatch.setattr(structure, "normal_closure_is_group", lambda G, z, rng: False)
+    assert walked == _probe_and_factors(PERFECT_NOT_SIMPLE[name]())
+
+
+@pytest.mark.parametrize("seed", [1, 2012, 777777])
+def test_factors_do_not_depend_on_the_walk_seed(monkeypatch, seed):
+    monkeypatch.setattr(structure, "_WALK_SEED", seed)
+    expected = {"ASL(3,2)": ["C2", "C2", "C2", "L2(7)"],
+                "2^4:A6": ["A6", "C2", "C2", "C2", "C2"],
+                "diag60'": ["A5", "A5"]}
+    for name, factors in expected.items():
+        assert names(composition_factors(PERFECT_NOT_SIMPLE[name]())) == factors
+    assert names(composition_factors(psl27())) == ["L2(7)"]
+    assert names(composition_factors(PermGroup.alternating(7))) == ["A7"]
 
 
 def test_factors_unidentified_is_unknown_not_mislabeled():
@@ -207,8 +262,8 @@ def test_identify_basic():
 
 def test_identify_collision_needs_probe():
     assert identify_simple(20160) is None
-    assert identify_simple(20160, lambda k: [15, 2, 3]) == "A8"
-    assert identify_simple(20160, lambda k: [7, 5, 4, 2]) == "L3(4)"
+    assert identify_simple(20160, lambda k: k == 15) == "A8"
+    assert identify_simple(20160, lambda k: False) == "L3(4)"
 
 
 def test_identify_unresolved_pair():
@@ -218,15 +273,19 @@ def test_identify_unresolved_pair():
 
 def test_identify_alt8_from_group():
     G = PermGroup.alternating(8)
-    probe = spectrum_sampler(G)
-    assert identify_simple(20160, probe) == "A8"
+    assert identify_simple(20160, lambda k: structure._has_element_of_order(G, k)) == "A8"
 
 
-def test_spectrum_sampler_deterministic():
-    G = PermGroup.symmetric(5)
-    p1 = spectrum_sampler(G, seed=3)(20)
-    p2 = spectrum_sampler(G, seed=3)(20)
-    assert p1 == p2
+@pytest.mark.parametrize("family,m,q,kind,k,name", [
+    ("GL", 4, 2, "vector", None, "A8"),  # GL(4,2) = A8 on 15 nonzero vectors
+    ("SL", 3, 4, "subspace", 1, "L3(4)"),  # SL(3,4) on 21 points of the plane
+])
+def test_order_20160_is_told_apart_by_an_element_of_order_15(family, m, q, kind, k, name):
+    G = matrix_orbit_action(classical_generators(family, m, q), kind=kind, k=k).group
+    assert G.order() == 20160
+    fs = composition_factors(G)
+    assert names(fs) == [name]
+    assert fs[0].order == 20160
 
 
 # -- alternating sections and membership ----------------------------------

@@ -211,10 +211,10 @@ def _m_threshold(base: Fraction, power: Fraction) -> int:
         while M > _SCAN_FLOOR and _margin_sign(M - 1, base, power) > 0:
             M -= 1
     # contract checks: holds at M and well beyond, fails just below unless clamped
-    assert _margin_sign(M, base, power) > 0
-    assert _margin_sign(M + 1000, base, power) > 0
-    if M > _SCAN_FLOOR:
-        assert _margin_sign(M - 1, base, power) < 0
+    if _margin_sign(M, base, power) <= 0 or _margin_sign(M + 1000, base, power) <= 0:
+        raise AssertionError(f"threshold margin fails at or beyond M = {M}")
+    if M > _SCAN_FLOOR and _margin_sign(M - 1, base, power) >= 0:
+        raise AssertionError(f"threshold margin holds below M = {M}")
     return M
 
 

@@ -259,7 +259,8 @@ def partitions_action(m: int, k: int, alt: bool = False,
     if degree > cap:
         raise ConstructionError("degree exceeds cap")
     labels = sorted(_partitions_into(tuple(range(m)), k))
-    assert len(labels) == degree
+    if len(labels) != degree:
+        raise AssertionError(f"listed {len(labels)} partitions, expected {degree}")
     gens = list(iter_alt_gens(m) if alt else iter_sym_gens(m))
 
     def act(lbl, g: Perm):

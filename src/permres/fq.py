@@ -49,9 +49,8 @@ def ceil_log(base: int, x: int) -> int:
     while p < x:
         p *= base
         t += 1
-    assert x <= base ** t
-    if t:
-        assert base ** (t - 1) < x
+    if x > base ** t or (t and base ** (t - 1) >= x):
+        raise AssertionError(f"ceil_log({base}, {x}) = {t} fails its bracket")
     return t
 
 

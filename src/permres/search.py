@@ -126,7 +126,8 @@ def greedy_base(G: PermGroup) -> BaseWitness:
             o = stab.order()
             if best is None or o < best[0]:
                 best = (o, orb[0], stab)
-        assert best is not None
+        if best is None:
+            raise AssertionError("a nontrivial group has a nontrivial orbit")
         points.append(best[1])
         grp = best[2]
     pts = tuple(points)
@@ -379,11 +380,13 @@ def distinguishing_number(G: PermGroup, elem_cap: int = 200_000) -> Distinguishi
         return DistinguishingResult(1, tuple([0] * n), "closed-form")
     if order == math.factorial(n):
         witness = tuple(range(n))
-        assert verify_distinguishing(G, witness)
+        if not verify_distinguishing(G, witness):
+            raise AssertionError(f"closed-form witness {witness} is not rigid")
         return DistinguishingResult(n, witness, "closed-form")
     if n >= 3 and order == math.factorial(n) // 2:
         witness = tuple(range(n - 1)) + (n - 2,)
-        assert verify_distinguishing(G, witness)
+        if not verify_distinguishing(G, witness):
+            raise AssertionError(f"closed-form witness {witness} is not rigid")
         return DistinguishingResult(n - 1, witness, "closed-form")
     elems = _prime_order_elements(G, elem_cap)
     for r in range(2, n + 1):
@@ -425,7 +428,8 @@ def distinguishing_witness(
             return coloring
         tried.add(coloring)
     base = greedy_base(G).points
-    assert base is not None
+    if base is None:
+        raise AssertionError("greedy_base returned no points")
     if len(base) < r:
         fresh = {p: i + 1 for i, p in enumerate(base)}
         coloring = tuple(fresh.get(x, 0) for x in range(n))
@@ -463,17 +467,23 @@ def count_regular_tuples(
     Each tree node branches over one representative per orbit and carries
     the product of orbit sizes as an exact integer weight; once the running
     stabilizer is trivial the remaining positions contribute degree ** rest
-    at a stroke. With a threshold the search stops as soon as the running
-    total certifies value >= threshold. first_point pins the first
-    coordinate instead of branching over it.
+    at a stroke. The last position is counted from orbit lengths alone: by
+    orbit-stabilizer a point's stabilizer in H is trivial exactly when its
+    orbit has length |H|, so a node one position short of t settles its
+    leaf children without building their stabilizers. Those leaves still
+    count as nodes, in the preorder the walk would have reached them. With
+    a threshold the search stops as soon as the running total certifies
+    value >= threshold. first_point pins the first coordinate instead of
+    branching over it.
     """
     if t < 1:
         raise ValueError("tuple length must be >= 1")
     n = L.degree
 
     def children(prefix: tuple[int, ...], H: PermGroup) -> list[list[int]]:
-        # a trivial stabilizer is a leaf: its completions are counted at once
-        if len(prefix) == t or H.order() == 1:
+        # a trivial stabilizer is a leaf: its completions are counted at once;
+        # the children of a node one short of t are settled in the loop below
+        if len(prefix) >= t - 1 or H.order() == 1:
             return []
         return H.orbits()
 
@@ -482,15 +492,29 @@ def count_regular_tuples(
     else:
         walk = L.point_stabilizer(first_point).orbit_tree(children, (first_point,))
     total = 0
-    for nodes, (prefix, H, weight) in enumerate(walk, 1):
-        if nodes > node_budget:
-            raise ResourceLimit(
-                "regular tuple count exceeded node budget",
-                partial=RegularCount(total, t, False, False),
-            )
-        if H.order() == 1:
-            total += weight * n ** (t - len(prefix))
-            if threshold is not None and total >= threshold:
-                return RegularCount(total, t, True, False)
+    nodes = 0
+    for prefix, H, weight in walk:
+        # what the node, then each leaf child it settles, adds in preorder:
+        # None for a nontrivial stabilizer
+        order = H.order()
+        if order == 1:
+            gains = [weight * n ** (t - len(prefix))]
+        elif len(prefix) == t - 1:
+            # by orbit-stabilizer a leaf child's stabilizer is trivial exactly
+            # when its orbit has length |H|; its weight is then weight * |H|
+            gains = [None] + [weight * order if len(orb) == order else None for orb in H.orbits()]
+        else:
+            gains = [None]
+        for gain in gains:
+            nodes += 1
+            if nodes > node_budget:
+                raise ResourceLimit(
+                    "regular tuple count exceeded node budget",
+                    partial=RegularCount(total, t, False, False),
+                )
+            if gain is not None:
+                total += gain
+                if threshold is not None and total >= threshold:
+                    return RegularCount(total, t, True, False)
     reached = threshold is not None and total >= threshold
     return RegularCount(total, t, reached, True)

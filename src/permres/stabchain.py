@@ -366,14 +366,17 @@ class PermGroup:
         of every pair (0, b) reaches every atom of the congruence lattice;
         non-atoms also show up (a seed pair can lie in no atom) and are
         filtered out by comparing the blocks through 0, since for a
-        transitive group refinement is containment of those blocks.
+        transitive group refinement is containment of those blocks. The
+        congruence of (0, b) is that of (0, b^h) for every h fixing 0, so
+        one b per orbit of the stabilizer of 0 seeds them all.
         """
         if not self.is_transitive():
             raise ValueError("block systems require a transitive group")
         n = self.degree
         systems = {}
-        for b in range(1, n):
-            part = self._finest_congruence(0, b)
+        # the first suborbit is {0}
+        for orb in self.point_stabilizer(0).orbits()[1:]:
+            part = self._finest_congruence(0, orb[0])
             blocks = {}
             for x in range(n):
                 blocks.setdefault(part[x], []).append(x)
@@ -471,7 +474,9 @@ class PermGroup:
         its orbit's smallest point, stabilizes that point, and multiplies
         the weight by the orbit length, so the weight is |root| / |H|. A
         child's stabilizer is built only when the walk reaches it: callers
-        count their own nodes and stop with break or return.
+        count their own nodes and stop with break or return. A caller may
+        also leave a node's orbits out of children and settle them itself
+        without building a stabilizer; it counts those nodes too.
 
         Each child costs one Schreier-Sims run: it is handed the tail of its
         parent's hinted chain (see pointwise_stabilizer), and its own

@@ -206,7 +206,8 @@ def composition_factors(G: PermGroup, order_cap: int = 10 ** 12) -> list[FactorD
         prod = 1
         for f in out:
             prod *= f.order
-        assert prod == order, "factor orders do not multiply to the group order"
+        if prod != order:
+            raise AssertionError("factor orders do not multiply to the group order")
         G._factors = sorted(out, key=FactorDescriptor.sort_key)
     return list(G._factors)
 

@@ -487,6 +487,80 @@ def test_count_rejects_bad_length():
         count_regular_tuples(PermGroup.symmetric(3), 0)
 
 
+def leafwise_regular_count(L, t, threshold=None, first_point=None, node_budget=1_000_000):
+    """The walk that builds every leaf's stabilizer and asks whether its
+    order is 1; returns the count and the number of nodes walked."""
+    n = L.degree
+
+    def children(prefix, H):
+        if len(prefix) == t or H.order() == 1:
+            return []
+        return H.orbits()
+
+    if first_point is None:
+        walk = L.orbit_tree(children)
+    else:
+        walk = L.point_stabilizer(first_point).orbit_tree(children, (first_point,))
+    total = nodes = 0
+    for nodes, (prefix, H, weight) in enumerate(walk, 1):
+        if nodes > node_budget:
+            raise ResourceLimit("budget", partial=RegularCount(total, t, False, False))
+        if H.order() == 1:
+            total += weight * n ** (t - len(prefix))
+            if threshold is not None and total >= threshold:
+                return RegularCount(total, t, True, False), nodes
+    return RegularCount(total, t, threshold is not None and total >= threshold, True), nodes
+
+
+def budget_outcome(count, G, t, **kwargs):
+    """("done", count) or ("partial", the count carried by ResourceLimit)."""
+    try:
+        return "done", count(G, t, **kwargs)
+    except ResourceLimit as exc:
+        return "partial", exc.partial
+
+
+COUNTED = {
+    "S4": lambda: PermGroup.symmetric(4),
+    "A5": lambda: PermGroup.alternating(5),
+    "D10": lambda: PermGroup(5, [Perm([1, 2, 3, 4, 0]), Perm([0, 4, 3, 2, 1])]),
+    "C6": lambda: PermGroup(6, [Perm([1, 2, 3, 4, 5, 0])]),
+    "affine16": lambda: affine_action(classical_generators("Sp", 4, 2)).group,
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTED))
+def test_count_matches_leafwise_walk(name):
+    # counting the last position from orbit lengths changes no count, no
+    # threshold stop and no budget partial: the settled leaves are counted
+    # as nodes in the preorder the leafwise walk reaches them
+    G = COUNTED[name]()
+
+    def leafwise(*args, **kwargs):
+        return leafwise_regular_count(*args, **kwargs)[0]
+
+    for t in range(1, 5):
+        for first_point in (None, 0, G.degree - 1):
+            exact, nodes = leafwise_regular_count(G, t, first_point=first_point)
+            thresholds = (None, 0, 1, max(1, exact.value // 3), exact.value, exact.value + 1)
+            for threshold in dict.fromkeys(thresholds):
+                kwargs = {"threshold": threshold, "first_point": first_point}
+                assert count_regular_tuples(G, t, **kwargs) == leafwise(G, t, **kwargs)
+                for budget in range(1, nodes + 1):
+                    kwargs["node_budget"] = budget
+                    assert (budget_outcome(count_regular_tuples, G, t, **kwargs)
+                            == budget_outcome(leafwise, G, t, **kwargs))
+
+
+def test_affine16_five_tuples_match_leafwise_walk(affine16):
+    # t = 5 reaches regular tuples on affine16, whose base size is 5
+    exact, _ = leafwise_regular_count(affine16, 5)
+    assert exact == RegularCount(322560, 5, False, True)
+    for threshold in (None, 1, 100000, 322560, 322561):
+        expected, _ = leafwise_regular_count(affine16, 5, threshold=threshold)
+        assert count_regular_tuples(affine16, 5, threshold=threshold) == expected
+
+
 # -- the orbit-tree walk ---------------------------------------------------
 
 
@@ -516,9 +590,11 @@ def test_walk_pins_witnesses_nodes_and_builds(deg36, stabilizer_builds):
     w = base_size_exact(deg36, node_budget=3)
     assert (w.status, w.nodes, w.lower_bound, w.upper_bound) == ("partial", 4, 5, 6)
 
+    # the last position is counted from orbit lengths, so no leaf builds
+    # its stabilizer (1291 builds when every leaf did)
     stabilizer_builds[0] = 0
     rc = count_regular_tuples(deg36, 6, threshold=1451520)
-    assert (rc.value, stabilizer_builds[0]) == (1451520, 1291)
+    assert (rc.value, stabilizer_builds[0]) == (1451520, 143)
 
     stabilizer_builds[0] = 0
     reps = deg36.orbit_tuple_reps(2)
@@ -547,6 +623,7 @@ def test_walk_pins_chain_builds(deg36, chain_builds):
     assert base_size_exact(deg36).size == 6
     assert chain_builds[0] == 21
 
+    # leaves of the count build no chain (1291 runs when every leaf did)
     chain_builds[0] = 0
     rc = count_regular_tuples(deg36, 6, threshold=1451520)
-    assert (rc.value, chain_builds[0]) == (1451520, 1291)
+    assert (rc.value, chain_builds[0]) == (1451520, 143)

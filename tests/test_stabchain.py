@@ -304,6 +304,44 @@ def test_blocks_require_transitive():
         G.minimal_block_systems()
 
 
+def block_systems_seeded_by_every_point(G):
+    """minimal_block_systems with the finest congruence of (0, b) seeded
+    for every b, not one b per suborbit."""
+    n = G.degree
+    systems = {}
+    for b in range(1, n):
+        part = G._finest_congruence(0, b)
+        blocks = {}
+        for x in range(n):
+            blocks.setdefault(part[x], []).append(x)
+        if 1 < len(blocks) < n:
+            systems[tuple(sorted((tuple(v) for v in blocks.values()), key=lambda blk: blk[0]))] = True
+    zero_blocks = {sys_: set(sys_[0]) for sys_ in systems}
+    minimal = [sys_ for sys_, blk in zero_blocks.items()
+               if not any(other < blk for other in zero_blocks.values())]
+    return sorted(minimal, key=lambda sys_: (len(sys_[0]), sys_))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PermGroup(*SAMPLES["dihedral4"]),
+    lambda: PermGroup(*SAMPLES["cyclic6"]),
+    lambda: PermGroup(*SAMPLES["klein"]),
+    lambda: PermGroup(*SAMPLES["sym5"]),
+    lambda: PermGroup(*SAMPLES["psl27"]),
+    lambda: PermGroup(12, [cyc([tuple(range(12))], 12)]),
+    lambda: wreath_imprimitive(PermGroup.symmetric(3), PermGroup.symmetric(3)).group,
+    lambda: wreath_imprimitive(PermGroup.symmetric(5), PermGroup.symmetric(2)).group,
+    lambda: wreath_imprimitive(PermGroup.symmetric(4), PermGroup.symmetric(3)).group,
+    lambda: wreath_imprimitive(PermGroup(2, [cyc([(0, 1)], 2)]),
+                               PermGroup(4, [cyc([(0, 1, 2, 3)], 4)])).group,
+], ids=["dihedral4", "cyclic6", "klein", "sym5", "psl27", "cyclic12",
+        "s3wrs3", "s5wrs2", "s4wrs3", "c2wrc4"])
+def test_blocks_seeded_by_suborbit_match_every_seed(make):
+    # (0, b) and (0, b^h) have the same finest congruence for h fixing 0
+    G = make()
+    assert G.minimal_block_systems() == block_systems_seeded_by_every_point(G)
+
+
 def test_block_action_and_kernel():
     G = PermGroup(SAMPLES["dihedral4"][0], SAMPLES["dihedral4"][1])
     blocks = [(0, 2), (1, 3)]

@@ -180,6 +180,7 @@ def _mstar_cap(base: Fraction, power: Fraction) -> int:
     raise ArithmeticError(f"ln of {base} unresolved at dps {_DPS_LADDER[-1]}")
 
 
+@lru_cache(maxsize=None)
 def _m_threshold(base: Fraction, power: Fraction) -> int:
     """Minimal M >= 14 such that the defining inequality holds for every
     m >= M, where 1 + eps = base**power > 1.
@@ -226,32 +227,23 @@ def m_epsilon(eps) -> int:
     return _m_threshold(1 + eps, Fraction(1))
 
 
-_N_MEMO: dict[tuple[int, Fraction, Fraction], int] = {}
-
-
-def _n_rec(c: int, base: Fraction, power: Fraction) -> int:
-    key = (c, base, power)
-    if key not in _N_MEMO:
-        if c == 0:
-            _N_MEMO[key] = _m_threshold(base, power)
-        else:
-            child = power * Fraction(3, 5)
-            _N_MEMO[key] = max(_n_rec(c - 1, base, child), _m_threshold(base, child), c)
-    return _N_MEMO[key]
-
-
 def n_c_delta(c: int, delta) -> int:
     """Recursive threshold: N(0, d) is the m threshold of d, and N(c, d)
     is max(N(c-1, e), M(e), c) with 1 + e = (1+d)**(3/5).
 
-    The shrunk parameter stays symbolic as (1+delta) to a rational power,
-    so every comparison below is still certified."""
+    Unrolled, N(c, delta) for c >= 1 is the max of c and of M at
+    (1+delta)**((3/5)**k) for k = 1..c, computed by a loop, so c is not
+    bounded by the interpreter's recursion limit. The shrunk parameter
+    stays symbolic as (1+delta) to a rational power, so every comparison
+    below is still certified."""
     delta = Fraction(delta)
     if c < 0:
         raise ValueError("c must be >= 0")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    return _n_rec(c, 1 + delta, Fraction(1))
+    if c == 0:
+        return _m_threshold(1 + delta, Fraction(1))
+    return max(c, *(_m_threshold(1 + delta, Fraction(3, 5) ** k) for k in range(1, c + 1)))
 
 
 # -- order bound checks ----------------------------------------------------

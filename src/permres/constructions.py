@@ -15,7 +15,7 @@ from typing import Callable
 
 from .classical import MatrixGroup
 from .fq import FqField, FqMatrix, SubspaceFq, subspace_type
-from .perm import Perm, iter_alt_gens, iter_sym_gens
+from .perm import Perm, _from_images, iter_alt_gens, iter_sym_gens
 from .stabchain import PermGroup
 
 DEGREE_CAP = 100_000
@@ -49,7 +49,7 @@ class LabeledAction:
         return Perm(images)
 
 
-def _close_orbit(seed, gen_objs, act, cap: int):
+def _close_orbit(seed, gen_objs, act):
     seen = {seed}
     frontier = [seed]
     while frontier:
@@ -58,8 +58,8 @@ def _close_orbit(seed, gen_objs, act, cap: int):
             for g in gen_objs:
                 img = act(lbl, g)
                 if img not in seen:
-                    if len(seen) >= cap:
-                        raise ConstructionError(f"orbit exceeds cap {cap}")
+                    if len(seen) >= DEGREE_CAP:
+                        raise ConstructionError(f"orbit exceeds cap {DEGREE_CAP}")
                     seen.add(img)
                     nxt.append(img)
         frontier = nxt
@@ -96,19 +96,15 @@ def _check_seed_filter(grp: MatrixGroup, seed, kind: str, flt: str) -> None:
     if form is None:
         raise ConstructionError("filters need an invariant form")
     if kind == "vector":
-        if flt == "nonsingular":
-            val = form.quad_value(seed) if form.quad is not None \
-                else form.bilinear(seed, seed)
-            if val == 0:
-                raise ConstructionError("seed vector is singular")
-            return
-        if flt == "totally-isotropic":
-            val = form.quad_value(seed) if form.quad is not None \
-                else form.bilinear(seed, seed)
-            if val != 0:
-                raise ConstructionError("seed vector is not isotropic")
-            return
-        raise ConstructionError(f"unknown vector filter {flt!r}")
+        if flt not in ("nonsingular", "totally-isotropic"):
+            raise ConstructionError(f"unknown vector filter {flt!r}")
+        val = form.quad_value(seed) if form.quad is not None \
+            else form.bilinear(seed, seed)
+        if flt == "nonsingular" and val == 0:
+            raise ConstructionError("seed vector is singular")
+        if flt == "totally-isotropic" and val != 0:
+            raise ConstructionError("seed vector is not isotropic")
+        return
     cls = subspace_type(form, seed.basis)
     if flt == "totally-isotropic":
         ok = cls.totally_singular if form.quad is not None else cls.totally_isotropic
@@ -123,8 +119,7 @@ def _check_seed_filter(grp: MatrixGroup, seed, kind: str, flt: str) -> None:
 
 
 def matrix_orbit_action(grp: MatrixGroup, seed=None, kind: str = "vector",
-                        flt: str = "all", k: int | None = None,
-                        cap: int = DEGREE_CAP) -> LabeledAction:
+                        flt: str = "all", k: int | None = None) -> LabeledAction:
     """Orbit of a vector or a subspace under the matrix generators.
 
     kind "vector": labels are row vectors, seed defaults to e_0.
@@ -152,16 +147,16 @@ def matrix_orbit_action(grp: MatrixGroup, seed=None, kind: str = "vector",
     else:
         raise ConstructionError(f"unknown kind {kind!r}")
     _check_seed_filter(grp, seed, kind, flt)
-    labels = _close_orbit(seed, grp.matrices, act, cap)
+    labels = _close_orbit(seed, grp.matrices, act)
     return _action_from_orbit(grp.matrices, labels, act, label=grp.label)
 
 
-def affine_action(grp: MatrixGroup, cap: int = DEGREE_CAP) -> LabeledAction:
+def affine_action(grp: MatrixGroup) -> LabeledAction:
     """Affine group V:H on the full vector space: linear parts plus a basis
     of translations. Degree q^m."""
     field, m = grp.field, grp.m
-    if field.q ** m > cap:
-        raise ConstructionError(f"degree {field.q}^{m} exceeds cap {cap}")
+    if field.q ** m > DEGREE_CAP:
+        raise ConstructionError(f"degree {field.q}^{m} exceeds cap {DEGREE_CAP}")
     labels = sorted(itertools.product(range(field.q), repeat=m))
     index = {lbl: i for i, lbl in enumerate(labels)}
     perms = []
@@ -194,23 +189,23 @@ def _canonical_coset_rep(hchain, g: Perm) -> Perm:
     return g
 
 
-def coset_action(G: PermGroup, H: PermGroup, cap: int = DEGREE_CAP) -> LabeledAction:
+def coset_action(G: PermGroup, H: PermGroup) -> LabeledAction:
     """Action of G on the right cosets of H, with canonical coset labels."""
     gchain = G.chain()
     for h in H.gens:
         if not gchain.contains(h):
             raise ConstructionError("H is not a subgroup of G")
     index_bound = gchain.order() // H.chain().order()
-    if index_bound > cap:
-        raise ConstructionError(f"index {index_bound} exceeds cap {cap}")
+    if index_bound > DEGREE_CAP:
+        raise ConstructionError(f"index {index_bound} exceeds cap {DEGREE_CAP}")
     hchain = H.chain()
 
     # a coset is labeled by the images of its canonical representative
     def act(lbl, g: Perm):
-        return _canonical_coset_rep(hchain, Perm(lbl, validate=False) * g).images
+        return _canonical_coset_rep(hchain, _from_images(lbl) * g).images
 
     seed = _canonical_coset_rep(hchain, Perm.identity(G.degree)).images
-    labels = _close_orbit(seed, G.gens, act, cap)
+    labels = _close_orbit(seed, G.gens, act)
     return _action_from_orbit(G.gens, labels, act,
                               label=f"[{G.label or 'G'}:{H.label or 'H'}]")
 
@@ -218,12 +213,11 @@ def coset_action(G: PermGroup, H: PermGroup, cap: int = DEGREE_CAP) -> LabeledAc
 # -- symmetric-group combinatorial actions ---------------------------------
 
 
-def subsets_action(m: int, k: int, alt: bool = False,
-                   cap: int = DEGREE_CAP) -> LabeledAction:
+def subsets_action(m: int, k: int, alt: bool = False) -> LabeledAction:
     """S_m or A_m on k-element subsets of {0..m-1}. Needs 1 <= k < m/2."""
     if not 1 <= k or not 2 * k < m:
         raise ConstructionError(f"subsets need 1 <= k < m/2, got k={k}, m={m}")
-    if math.comb(m, k) > cap:
+    if math.comb(m, k) > DEGREE_CAP:
         raise ConstructionError("degree exceeds cap")
     labels = sorted(itertools.combinations(range(m), k))
     gens = list(iter_alt_gens(m) if alt else iter_sym_gens(m))
@@ -249,14 +243,13 @@ def _partitions_into(parts_of, k: int):
             yield (block,) + tail
 
 
-def partitions_action(m: int, k: int, alt: bool = False,
-                      cap: int = DEGREE_CAP) -> LabeledAction:
+def partitions_action(m: int, k: int, alt: bool = False) -> LabeledAction:
     """S_m or A_m on partitions of {0..m-1} into m/k blocks of size k."""
-    if m % k or not 1 < k or not 2 * k <= m:
+    if not 1 < k or m % k or not 2 * k <= m:
         raise ConstructionError(f"partitions need k | m, 1 < k <= m/2, got k={k}, m={m}")
     n_parts = m // k
     degree = math.factorial(m) // (math.factorial(k) ** n_parts * math.factorial(n_parts))
-    if degree > cap:
+    if degree > DEGREE_CAP:
         raise ConstructionError("degree exceeds cap")
     labels = sorted(_partitions_into(tuple(range(m)), k))
     if len(labels) != degree:
@@ -274,11 +267,10 @@ def partitions_action(m: int, k: int, alt: bool = False,
 # -- wreath products -------------------------------------------------------
 
 
-def wreath_imprimitive(L: PermGroup, P: PermGroup,
-                       cap: int = DEGREE_CAP) -> LabeledAction:
+def wreath_imprimitive(L: PermGroup, P: PermGroup) -> LabeledAction:
     """L wr P acting on blocks: degree deg(L) * deg(P)."""
     d, k = L.degree, P.degree
-    if d * k > cap:
+    if d * k > DEGREE_CAP:
         raise ConstructionError("degree exceeds cap")
     labels = [(i, x) for i in range(k) for x in range(d)]
     index = {lbl: t for t, lbl in enumerate(labels)}
@@ -294,11 +286,10 @@ def wreath_imprimitive(L: PermGroup, P: PermGroup,
     return LabeledAction(group, labels, index)
 
 
-def wreath_product_action(L: PermGroup, P: PermGroup,
-                          cap: int = DEGREE_CAP) -> LabeledAction:
+def wreath_product_action(L: PermGroup, P: PermGroup) -> LabeledAction:
     """L wr P in the product action: degree deg(L)^deg(P), labels tuples."""
     d, k = L.degree, P.degree
-    if d ** k > cap:
+    if d ** k > DEGREE_CAP:
         raise ConstructionError("degree exceeds cap")
     labels = sorted(itertools.product(range(d), repeat=k))
     index = {lbl: t for t, lbl in enumerate(labels)}
@@ -326,8 +317,7 @@ def wreath_product_action(L: PermGroup, P: PermGroup,
 
 
 def diagonal_type_group(T: PermGroup, include_swap: bool = True,
-                        outer: Perm | None = None,
-                        cap: int = DEGREE_CAP) -> LabeledAction:
+                        outer: Perm | None = None) -> LabeledAction:
     """Group between T x T and its extensions, acting on the elements of T.
 
     Points are the elements of T, indexed by sorted sift signatures. The
@@ -335,10 +325,12 @@ def diagonal_type_group(T: PermGroup, include_swap: bool = True,
     and outer, when given, is a permutation normalizing T acting by
     conjugation.
     """
+    if outer is not None and outer.degree != T.degree:
+        raise ConstructionError(f"outer map has degree {outer.degree}, T has {T.degree}")
     chain = T.chain()
-    if chain.order() > cap:
+    if chain.order() > DEGREE_CAP:
         raise ConstructionError("|T| exceeds cap")
-    elements = chain.elements(limit=cap)
+    elements = chain.elements(limit=DEGREE_CAP)
     sig_of = {}
     for t in elements:
         sig_of[tuple(chain.base_images(t))] = t

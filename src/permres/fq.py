@@ -553,8 +553,12 @@ def _gram_rank(field: FqField, gram: Sequence[Sequence[int]]) -> int:
     return len(rows)
 
 
-def _enumerate_vectors(q: int, ell: int, cap: int = 1 << 16):
-    if q ** ell > cap:
+# the most vectors _enumerate_vectors lists
+_ENUMERATE_CAP = 1 << 16
+
+
+def _enumerate_vectors(q: int, ell: int):
+    if q ** ell > _ENUMERATE_CAP:
         raise ValueError("subspace too large to enumerate")
     return itertools.product(range(q), repeat=ell)
 

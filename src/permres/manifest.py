@@ -132,7 +132,16 @@ def _matrix_group(recipe: dict) -> MatrixGroup:
         return classical_generators(family, m, q)
     if kind == "matrix-generators":
         m, q, mats = _need(recipe, "m", "q", "matrices")
+        if m < 1:
+            raise ConstructionError("matrix-generators needs m >= 1")
         fld = FqField.of(q)
+        for rows in mats:
+            if not (isinstance(rows, list) and len(rows) == m and all(
+                    isinstance(row, list) and len(row) == m
+                    and all(isinstance(x, int) and 0 <= x < q for x in row)
+                    for row in rows)):
+                raise ConstructionError(
+                    f"each matrix must be {m}x{m} with entries in 0..{q - 1}")
         return MatrixGroup(family=recipe.get("label", "custom"), m=m, q=q,
                            field=fld,
                            matrices=[FqMatrix(fld, rows) for rows in mats],
@@ -190,16 +199,15 @@ def _build_recipe(recipe: dict) -> LabeledAction:
         raise ConstructionError("recipe must be an object with a 'kind'")
     kind = recipe["kind"]
 
-    if kind == "symmetric":
-        (m,) = _need(recipe, "m")
-        return _as_action(PermGroup.symmetric(m))
-    if kind == "alternating":
-        (m,) = _need(recipe, "m")
-        return _as_action(PermGroup.alternating(m))
-    if kind == "cyclic":
+    if kind in ("symmetric", "alternating", "cyclic"):
         (m,) = _need(recipe, "m")
         if m < 1:
-            raise ConstructionError("cyclic needs m >= 1")
+            raise ConstructionError(f"{kind} needs m >= 1")
+    if kind == "symmetric":
+        return _as_action(PermGroup.symmetric(m))
+    if kind == "alternating":
+        return _as_action(PermGroup.alternating(m))
+    if kind == "cyclic":
         g = Perm(list(range(1, m)) + [0])
         return _as_action(PermGroup(m, [g], label=f"C{m}"))
     if kind == "dihedral":
@@ -220,6 +228,8 @@ def _build_recipe(recipe: dict) -> LabeledAction:
         return affine_action(_matrix_group(dict(recipe, kind="classical")))
     if kind == "coset":
         parent_recipe, sub_recipe = _need(recipe, "group", "subgroup")
+        if not isinstance(sub_recipe, dict):
+            raise ConstructionError("coset subgroup must be an object")
         parent = construct_recipe(parent_recipe)
         if (sub_recipe.get("kind") in ("classical", "matrix-generators")
                 and parent_recipe.get("kind") in ("classical", "matrix-generators")):

@@ -26,15 +26,14 @@ class Perm:
 
     __slots__ = ("images",)
 
-    def __init__(self, images: Sequence[int], validate: bool = True):
+    def __init__(self, images: Sequence[int]):
         images = tuple(images)
-        if validate:
-            n = len(images)
-            seen = [False] * n
-            for v in images:
-                if not isinstance(v, int) or not 0 <= v < n or seen[v]:
-                    raise ValueError(f"not a permutation of 0..{n - 1}: {images!r}")
-                seen[v] = True
+        n = len(images)
+        seen = [False] * n
+        for v in images:
+            if not isinstance(v, int) or not 0 <= v < n or seen[v]:
+                raise ValueError(f"not a permutation of 0..{n - 1}: {images!r}")
+            seen[v] = True
         object.__setattr__(self, "images", images)
 
     @classmethod
@@ -49,7 +48,7 @@ class Perm:
             cyc = list(cyc)
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 images[a] = b
-        return cls(tuple(images), validate=True)
+        return cls(images)
 
     @property
     def degree(self) -> int:

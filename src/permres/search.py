@@ -163,11 +163,15 @@ class ScanReport:
     exhaustive: bool
 
 
-def _structure_summary(H: PermGroup, order_cap: int = 10 ** 7) -> str:
+# scan witnesses of larger order are summarized by their order alone
+_SUMMARY_ORDER_CAP = 10 ** 7
+
+
+def _structure_summary(H: PermGroup) -> str:
     order = H.order()
     if order == 1:
         return "trivial"
-    if order > order_cap:
+    if order > _SUMMARY_ORDER_CAP:
         return f"order {order}"
     try:
         names = [f.name for f in composition_factors(H)]
@@ -238,6 +242,8 @@ class DistinguishingResult:
 
 
 _DEGREE_CAP = 64
+# groups above this order are not enumerated for the exact coloring search
+_ELEM_CAP = 200_000
 _PROBE_SEED = 0xD157
 
 
@@ -363,7 +369,7 @@ def _verified_rigid_coloring(G: PermGroup, r: int, elems: list) -> tuple[int, ..
     return hit
 
 
-def distinguishing_number(G: PermGroup, elem_cap: int = 200_000) -> DistinguishingResult:
+def distinguishing_number(G: PermGroup, elem_cap: int = _ELEM_CAP) -> DistinguishingResult:
     """Least r admitting a coloring of the points with r colors whose only
     color-preserving group element is the identity, with a witness.
 
@@ -396,15 +402,13 @@ def distinguishing_number(G: PermGroup, elem_cap: int = 200_000) -> Distinguishi
     raise AssertionError("coloring all points distinctly is always rigid")
 
 
-def distinguishing_witness(
-    G: PermGroup, r: int, tries: int = 200, elem_cap: int = 200_000
-) -> tuple[int, ...] | None:
+def distinguishing_witness(G: PermGroup, r: int, tries: int = 200) -> tuple[int, ...] | None:
     """A verified r-coloring preserved only by the identity, or None.
 
-    Small groups get the deterministic exhaustive search. Larger ones fall
-    back to seeded random colorings, then to coloring a base with fresh
-    colors (rigid whenever the base fits in r - 1 colors). Every coloring
-    returned has passed verify_distinguishing.
+    Groups of order up to _ELEM_CAP get the deterministic exhaustive
+    search. Larger ones fall back to seeded random colorings, then to
+    coloring a base with fresh colors (rigid whenever the base fits in
+    r - 1 colors). Every coloring returned has passed verify_distinguishing.
     Establishes an upper bound only; None does not prove impossibility.
     """
     n = G.degree
@@ -415,7 +419,7 @@ def distinguishing_witness(
     if r == 1:
         return None  # every element preserves the one 1-coloring
     try:
-        elems = _prime_order_elements(G, elem_cap)
+        elems = _prime_order_elements(G, _ELEM_CAP)
     except ResourceLimit:
         elems = None
     if elems is not None:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .perm import Perm, iter_alt_gens, iter_sym_gens
+from .perm import Perm, _from_images, iter_alt_gens, iter_sym_gens
 
 
 class ResourceLimit(RuntimeError):
@@ -455,7 +455,7 @@ class PermGroup:
                 imgs = tuple(index[g.images[p]] for p in points)
             except KeyError:
                 raise ValueError("point set is not invariant") from None
-            gens.append(Perm(imgs, validate=False))
+            gens.append(_from_images(imgs))
         return PermGroup(len(points), gens, label=self.label)
 
     # -- orbit tree ------------------------------------------------------
@@ -616,11 +616,11 @@ def action_with_kernel(
     n = G.degree
     big_gens = []
     for g, limg in zip(G.gens, label_images):
-        big_gens.append(Perm(g.images + tuple(n + v for v in limg), validate=True))
+        big_gens.append(Perm(g.images + tuple(n + v for v in limg)))
     hint = list(range(n, n + nlabels))
     chain = StabilizerChain(n + nlabels, big_gens, base_hint=hint)
-    kernel_gens = [Perm(bg.images[:n], validate=False) for bg in chain.gens_fixing_prefix(nlabels)]
-    image_gens = [Perm(tuple(limg), validate=False) for limg in label_images]
+    kernel_gens = [_from_images(bg.images[:n]) for bg in chain.gens_fixing_prefix(nlabels)]
+    image_gens = [_from_images(tuple(limg)) for limg in label_images]
     image = PermGroup(nlabels, image_gens)
     kernel = PermGroup(n, kernel_gens)
     return image, kernel

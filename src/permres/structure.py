@@ -181,8 +181,13 @@ def is_solvable(G: PermGroup) -> bool:
 
 # -- composition factor descent --------------------------------------------
 
+# _find_proper_normal's random probes: how many, and their seed
+_PROBE_SAMPLES = 64
+_PROBE_SEED = 97
 # seed of the walks that certify full normal closures in _find_proper_normal
 _WALK_SEED = 1913
+# _split_by_labels gives up when the point tuples to label exceed this
+_CELL_CAP = 300_000
 
 
 def composition_factors(G: PermGroup, order_cap: int = 10 ** 12) -> list[FactorDescriptor]:
@@ -255,7 +260,7 @@ def _descend(G: PermGroup, out: list[FactorDescriptor]) -> None:
     _descend(kernel, out)
 
 
-def _find_proper_normal(G: PermGroup, samples: int = 64, seed: int = 97) -> PermGroup | None:
+def _find_proper_normal(G: PermGroup) -> PermGroup | None:
     """A proper nontrivial normal subgroup, or None if none was found.
 
     Probes every generator, pairwise generator products, and seeded random
@@ -274,9 +279,9 @@ def _find_proper_normal(G: PermGroup, samples: int = 64, seed: int = 97) -> Perm
     for i in range(len(G.gens)):
         for j in range(i + 1, len(G.gens)):
             probes.append(G.gens[i] * G.gens[j])
-    rng = random.Random(seed)
+    rng = random.Random(_PROBE_SEED)
     chain = G.chain()
-    for _ in range(samples):
+    for _ in range(_PROBE_SAMPLES):
         probes.append(chain.random_element(rng))
     # a generator of its own, so the walks leave the probe list unchanged
     walk_rng = random.Random(_WALK_SEED)
@@ -293,7 +298,7 @@ def _find_proper_normal(G: PermGroup, samples: int = 64, seed: int = 97) -> Perm
     return None
 
 
-def _split_by_labels(G: PermGroup, N: PermGroup, cell_cap: int = 300_000):
+def _split_by_labels(G: PermGroup, N: PermGroup):
     """Separate G along a normal subgroup via its orbits on point tuples.
 
     Labels each ordered pair (then triple) of points by its N-orbit; G
@@ -303,7 +308,7 @@ def _split_by_labels(G: PermGroup, N: PermGroup, cell_cap: int = 300_000):
     n = G.degree
     for arity in (2, 3):
         size = n ** arity
-        if size > cell_cap:
+        if size > _CELL_CAP:
             return None
         label = _tuple_orbit_labels(N, arity)
         nlabels = max(label) + 1

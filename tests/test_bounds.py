@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -213,19 +214,65 @@ def margin_evaluations(monkeypatch):
         return inner(*args)
 
     monkeypatch.setattr(bounds, "_margin_sign", counted)
+    # thresholds are cached per (base, power); count from a cold cache
+    bounds._m_threshold.cache_clear()
     return calls
 
 
-def test_threshold_scan_evaluation_counts(margin_evaluations, monkeypatch):
+def test_threshold_scan_evaluation_counts(margin_evaluations):
     # the linear scan made 227 and 2,879 evaluations; the counts include
-    # the three contract checks per threshold
+    # the three contract checks per threshold. n_c_delta(4) needs four
+    # thresholds; the recursion computed the deepest one twice (108)
     assert m_epsilon(Fraction(1, 10)) == 237
     assert margin_evaluations[0] == 20
 
     margin_evaluations[0] = 0
-    monkeypatch.setattr(bounds, "_N_MEMO", {})
+    bounds._m_threshold.cache_clear()
     assert n_c_delta(4, Fraction(1, 4)) == 973
-    assert margin_evaluations[0] == 108
+    assert margin_evaluations[0] == 84
+
+
+def _n_recursive(c, base, power):
+    """N(c) by its recursive definition, as n_c_delta computed it before
+    the recursion was unrolled; the reference for the loop."""
+    if c == 0:
+        return _m_threshold(base, power)
+    child = power * Fraction(3, 5)
+    return max(_n_recursive(c - 1, base, child), _m_threshold(base, child), c)
+
+
+def test_n_c_delta_matches_recursive_definition():
+    for delta in ("1", "1/2", "2", "1/4", "1/10", "5"):
+        for c in range(9):
+            want = _n_recursive(c, 1 + Fraction(delta), Fraction(1))
+            assert n_c_delta(c, delta) == want, (c, delta)
+
+
+def test_n_c_delta_needs_no_recursion_per_level():
+    # the recursive form needed one frame per level of c; allow 30 frames
+    # above this one, far fewer than c = 60 levels
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 30)
+    try:
+        n = n_c_delta(60, 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert n == max(60, _m_threshold(Fraction(2), Fraction(3, 5) ** 60))
+
+
+def test_thresholds_are_shared_across_levels():
+    # N(1), ..., N(4) need M at (3/5)**k for k = 1..4 only: four threshold
+    # searches for the whole grid, where the recursion's memo, keyed by c,
+    # made fourteen
+    bounds._m_threshold.cache_clear()
+    for c in range(1, 5):
+        n_c_delta(c, Fraction(1, 2))
+    assert bounds._m_threshold.cache_info().misses == 4
 
 
 # -- section-free order bound ----------------------------------------------

@@ -194,9 +194,21 @@ def test_bundled_corpus_is_reachable():
     assert bundled_corpus().exists()
 
 
-def test_ill_typed_recipe_exits_three(capsys):
-    code, out, err = run(capsys, "describe", "--recipe",
-                         '{"kind": "symmetric", "m": "5"}')
+@pytest.mark.parametrize("recipe", [
+    '{"kind": "symmetric", "m": "5"}',
+    '{"kind": "matrix-generators", "m": 2, "q": 2, "matrices": [[[5, 0], [0, 1]]]}',
+    '{"kind": "matrix-generators", "m": 2, "q": 3, "matrices": [[[1, 0, 0], [0, 1]]]}',
+    '{"kind": "diagonal", "factor": {"kind": "alternating", "m": 5}, "outer": [0, 1]}',
+    '{"kind": "coset", "group": {"kind": "symmetric", "m": 4}, "subgroup": [1]}',
+    '{"kind": "symmetric", "m": -3}',
+    '{"kind": "alternating", "m": 0}',
+    '{"kind": "matrix-generators", "m": 0, "q": 3, "matrices": [[]]}',
+    '{"kind": "partitions", "m": 6, "k": 0}',
+], ids=["string-m", "entry-out-of-field", "ragged-matrix", "outer-degree",
+        "subgroup-not-object", "negative-m", "zero-m", "zero-matrix-m",
+        "zero-block-size"])
+def test_ill_typed_recipe_exits_three(capsys, recipe):
+    code, out, err = run(capsys, "describe", "--recipe", recipe, "--json")
     assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 

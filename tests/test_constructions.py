@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from permres import constructions
 from permres.classical import classical_generators
 from permres.constructions import (
     ConstructionError,
@@ -63,10 +64,32 @@ def test_orbit_filter_rejects_bad_seed():
     assert act.degree == 1
 
 
-def test_orbit_cap_enforced():
+def test_vector_isotropic_filter_accepts_singular_seed():
+    grp = classical_generators("GO-odd", 7, 2)
+    # the default seed e_0 is singular; so is every vector in its orbit
+    act = matrix_orbit_action(grp, kind="vector", flt="totally-isotropic")
+    assert act.degree == 63
+    assert all(grp.form.quad_value(v) == 0 for v in act.labels)
+
+
+def test_vector_isotropic_filter_rejects_nonsingular_seed():
+    grp = classical_generators("GO-odd", 7, 2)
+    seed = tuple(1 if i == 6 else 0 for i in range(7))
+    with pytest.raises(ConstructionError, match="not isotropic"):
+        matrix_orbit_action(grp, seed=seed, kind="vector", flt="totally-isotropic")
+
+
+def test_vector_filter_rejects_unknown_name():
+    grp = classical_generators("GO-odd", 7, 2)
+    with pytest.raises(ConstructionError, match="unknown vector filter"):
+        matrix_orbit_action(grp, kind="vector", flt="nondegenerate-plus")
+
+
+def test_orbit_cap_enforced(monkeypatch):
     grp = classical_generators("SL", 4, 3)
+    monkeypatch.setattr(constructions, "DEGREE_CAP", 50)
     with pytest.raises(ConstructionError):
-        matrix_orbit_action(grp, kind="vector", cap=50)
+        matrix_orbit_action(grp, kind="vector")
 
 
 def test_labels_distinct_and_consistent():
@@ -313,7 +336,8 @@ def test_diagonal_outer_must_normalize():
         diagonal_type_group(T, outer=Perm([1, 0, 2, 3, 4]))
 
 
-def test_diagonal_cap():
+def test_diagonal_cap(monkeypatch):
     T = PermGroup.symmetric(5)
+    monkeypatch.setattr(constructions, "DEGREE_CAP", 100)
     with pytest.raises(ConstructionError):
-        diagonal_type_group(T, cap=100)
+        diagonal_type_group(T)

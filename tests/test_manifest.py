@@ -253,6 +253,33 @@ def test_ill_typed_checks_fail_alone():
     assert s5.assertions[0].measured == 120
 
 
+def test_ill_typed_recipes_fail_only_their_own_checks():
+    # each recipe is rejected up front with a ConstructionError, not an
+    # IndexError or AttributeError from deep inside, nor built as a
+    # degenerate group; the well-typed check after them still passes
+    bad = [
+        {"kind": "matrix-generators", "m": 2, "q": 2, "matrices": [[[5, 0], [0, 1]]]},
+        {"kind": "matrix-generators", "m": 2, "q": 3, "matrices": [[[1, 0, 0], [0, 1]]]},
+        {"kind": "diagonal", "factor": {"kind": "alternating", "m": 5}, "outer": [0, 1]},
+        {"kind": "coset", "group": {"kind": "symmetric", "m": 4}, "subgroup": [1]},
+        {"kind": "symmetric", "m": -3},
+        {"kind": "alternating", "m": 0},
+        {"kind": "matrix-generators", "m": 0, "q": 3, "matrices": [[]]},
+        {"kind": "partitions", "m": 6, "k": 0},
+    ]
+    checks = [{"id": f"bad-{i}", "recipe": recipe,
+               "assertions": [{"op": "order", "expect": 1, "tag": "direct"}]}
+              for i, recipe in enumerate(bad)]
+    checks.append({"id": "s4", "recipe": {"kind": "symmetric", "m": 4},
+                   "assertions": [{"op": "order", "expect": 24, "tag": "direct"}]})
+    rep = run_manifest({"schema": 1, "checks": checks})
+    assert [c.status for c in rep.checks] == ["fail"] * len(bad) + ["pass"]
+    for c in rep.checks[:-1]:
+        assert c.error.startswith("construction: ") and "\n" not in c.error
+        assert "Error" not in c.error, c.error
+    assert rep.exit_code == 1
+
+
 def test_deep_search_passes_beside_other_checks():
     # the rigid-coloring search colors 1200 points before its first rigid
     # coloring; both coloring searches walk explicit stacks, so the depth is

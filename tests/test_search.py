@@ -316,7 +316,8 @@ def test_probe_verifies_each_distinct_coloring_once(monkeypatch, deg36):
     assert distinguishing_witness(deg36, 1) is None
     assert seen == []
     # 200 random 2-colorings of 3 points hold at most 8 distinct ones
-    assert distinguishing_witness(PermGroup.symmetric(3), 2, elem_cap=1) is None
+    monkeypatch.setattr(search, "_ELEM_CAP", 1)
+    assert distinguishing_witness(PermGroup.symmetric(3), 2) is None
     assert len(seen) == len(set(seen)) <= 8
 
 

@@ -231,19 +231,21 @@ def n_c_delta(c: int, delta) -> int:
     """Recursive threshold: N(0, d) is the m threshold of d, and N(c, d)
     is max(N(c-1, e), M(e), c) with 1 + e = (1+d)**(3/5).
 
-    Unrolled, N(c, delta) for c >= 1 is the max of c and of M at
-    (1+delta)**((3/5)**k) for k = 1..c, computed by a loop, so c is not
-    bounded by the interpreter's recursion limit. The shrunk parameter
-    stays symbolic as (1+delta) to a rational power, so every comparison
-    below is still certified."""
+    Unrolled, N(c, delta) is the max of c and of M(e_k) for k = 1..c, where
+    1 + e_k = (1+delta)**((3/5)**k). M cannot increase as eps grows: for
+    m >= 14 > e the exponent m/e - 1 is positive, so the right side of
+    m**(3/2) <= (1+eps)**(m/e - 1) grows with eps, the set of m where the
+    inequality holds only grows, and so does every tail [M, oo) inside it.
+    The e_k fall as k grows, so M(e_k) is largest at k = c, and
+    N(c, delta) = max(c, M(e_c)): one threshold search, whatever c is. The
+    shrunk parameter stays symbolic as (1+delta) to a rational power, so
+    every comparison below is still certified."""
     delta = Fraction(delta)
     if c < 0:
         raise ValueError("c must be >= 0")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if c == 0:
-        return _m_threshold(1 + delta, Fraction(1))
-    return max(c, *(_m_threshold(1 + delta, Fraction(3, 5) ** k) for k in range(1, c + 1)))
+    return max(c, _m_threshold(1 + delta, Fraction(3, 5) ** c))
 
 
 # -- order bound checks ----------------------------------------------------

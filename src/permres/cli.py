@@ -2,8 +2,8 @@
 
 Verbs take a recipe (inline JSON or @file) and print either an aligned
 text table or, with --json, a machine-readable document. Exit codes:
-0 success, 1 assertion failure, 2 resource budget hit, 3 bad input
-(usage errors included).
+0 success, 1 assertion failure, 2 resource budget or numeric precision
+limit hit, 3 bad input (usage errors included).
 """
 
 from __future__ import annotations
@@ -297,6 +297,11 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ResourceLimit as e:
         print(f"resource limit: {e}", file=sys.stderr)
+        return 2
+    except ArithmeticError as e:
+        # a certified threshold whose enclosure needs more digits than the
+        # precision ladder holds: a limit of the tool, not of the input
+        print(f"error: {describe_error(e)}", file=sys.stderr)
         return 2
     except (ManifestError, ConstructionError, ValueError, KeyError, TypeError) as e:
         print(f"error: {describe_error(e)}", file=sys.stderr)

@@ -152,10 +152,21 @@ def _matrix_group(recipe: dict) -> MatrixGroup:
 def _matrix_action(recipe: dict) -> LabeledAction:
     grp = _matrix_group(recipe)
     space = recipe.get("space", "vector")
+    seed = recipe.get("seed")
+    if seed is not None:
+        # a vector seed is one row, a subspace seed a list of rows
+        rows = [seed] if space == "vector" else seed
+        if not (isinstance(rows, (list, tuple)) and all(
+                isinstance(row, (list, tuple)) and len(row) == grp.m
+                and all(isinstance(x, int) and 0 <= x < grp.q for x in row)
+                for row in rows)):
+            shape = "a vector" if space == "vector" else "a list of vectors"
+            raise ConstructionError(
+                f"seed must be {shape} of {grp.m} entries in 0..{grp.q - 1}")
     if space == "vector":
-        return matrix_orbit_action(grp, seed=recipe.get("seed"), kind="vector")
+        return matrix_orbit_action(grp, seed=seed, kind="vector")
     if space == "subspace":
-        return matrix_orbit_action(grp, seed=recipe.get("seed"),
+        return matrix_orbit_action(grp, seed=seed,
                                    kind="subspace", k=recipe.get("k"),
                                    flt=recipe.get("filter", "all"))
     raise ConstructionError(f"unknown space {space!r}")

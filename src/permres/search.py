@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .fq import ceil_log, is_prime
 from .stabchain import PermGroup, ResourceLimit, _preserving_elements
@@ -255,17 +257,18 @@ def verify_distinguishing(G: PermGroup, coloring) -> bool:
     return not _preserving_elements(G, coloring, first=True)
 
 
-def _prime_order_elements(G: PermGroup, cap: int) -> list:
-    """(images, inverse images, largest moved point) of one generator of
-    each subgroup of prime order, sorted by largest moved point.
+def _prime_order_elements(G: PermGroup, cap: int) -> list[tuple[tuple[int, ...], int]]:
+    """(images, largest moved point) of one generator of each subgroup of
+    prime order, sorted by largest moved point; the chain's image tuples
+    are read directly, and no Perm is built.
 
-    An element has prime order p exactly when each of its nontrivial
-    cycles has length p, so one walk over the cycles decides it, and the
-    walk stops at the first cycle that breaks the pattern. Of g, g^2, ...,
-    g^(p-1) exactly one maps the least moved point x to the least other
-    point of x's cycle, and only that one is kept. All of them preserve
-    the same colorings and move the same points, so the list still decides
-    rigidity and the coloring search finds the same first coloring.
+    The cycle through the least moved point x gives the only candidate
+    prime p, its length, and g has order p exactly when g^p, p - 1
+    itemgetter compositions, is the identity. Of g, g^2, ..., g^(p-1)
+    exactly one maps x to the least other point of x's cycle, and only that
+    one is kept: all of them preserve the same colorings and move the same
+    points, so the list still decides rigidity and the coloring search
+    finds the same first coloring.
     """
     if G.order() > cap:
         raise ResourceLimit(
@@ -273,97 +276,108 @@ def _prime_order_elements(G: PermGroup, cap: int) -> list:
             " use distinguishing_witness for an upper bound"
         )
     n = G.degree
+    identity = tuple(range(n))
     primes = {p for p in range(2, n + 1) if is_prime(p)}
     rows = []
-    for g in G.elements():
-        images = g.images
-        seen = [False] * n
-        p = 0
-        for start in range(n):
-            x = images[start]
-            if seen[start] or x == start:
-                continue
-            seen[start] = True
-            length = 1
-            low = x
-            while x != start:
-                seen[x] = True
-                if x < low:
-                    low = x
-                x = images[x]
-                length += 1
-            if p == 0:
-                # start is the least moved point
-                if length not in primes or images[start] != low:
-                    break
-                p = length
-            elif length != p:
-                break
-        else:
-            if p:
-                last = max(i for i, x in enumerate(images) if x != i)
-                rows.append((images, g.inv().images, last))
-    # ordered by largest moved point, so a dead branch ends the filter early
-    rows.sort(key=lambda e: e[2])
+    for images in G.chain().image_tuples():
+        if images == identity:
+            continue
+        start = 0
+        while images[start] == start:
+            start += 1
+        # walk x's cycle from x's image on, and stop at the first point
+        # below that image: only x itself closes the cycle of a kept row
+        first = images[start]
+        y, p = images[first], 2
+        while y > first:
+            y, p = images[y], p + 1
+        if y != start or p not in primes:
+            continue
+        power, h = itemgetter(*images), images
+        for _ in range(p - 1):
+            h = power(h)
+        if h != identity:
+            continue
+        last = n - 1
+        while images[last] == last:
+            last -= 1
+        rows.append((images, last))
+    # ordered by largest moved point, so a dead branch is one mask test
+    rows.sort(key=itemgetter(1))
     return rows
 
 
-def _rigid_coloring_dfs(n: int, r: int, alive: list) -> tuple[int, ...] | None:
+def _coloring_tables(n: int, rows: list) -> tuple[list[list[int]], list[int]]:
+    """Bitmasks over the rows _prime_order_elements returns, bit k for
+    rows[k]: pairs[i][j], for j < i, holds the rows mapping i to j or j to
+    i (a row with g(x) = y != x sets its bit in pairs[max(x, y)][min(x, y)]),
+    and done[i] the rows whose largest moved point is at most i."""
+    pairs: list[list[int]] = [[0] * i for i in range(n)]
+    for k, (images, _) in enumerate(rows):
+        bit = 1 << k
+        for x, y in enumerate(images):
+            if y > x:
+                pairs[y][x] |= bit
+            elif y < x:
+                pairs[x][y] |= bit
+    lasts = [last for _, last in rows]
+    return pairs, [(1 << bisect_right(lasts, i)) - 1 for i in range(n)]
+
+
+def _rigid_coloring_dfs(r: int, tables: tuple) -> tuple[int, ...] | None:
     """First r-coloring (canonical form: color k appears only after 0..k-1)
     preserved by no listed element, or None if none exists.
 
-    alive holds the elements of prime order as _prime_order_elements lists
-    them; a nontrivial preserving subgroup always contains one, so
-    filtering against this list is exact. An element survives a partial
-    coloring while no already-colored point witnesses a color mismatch; an
-    empty survivor list makes every completion rigid.
+    tables are the _coloring_tables of the elements of prime order; a
+    nontrivial preserving subgroup always contains one, so filtering
+    against them is exact. The elements that survive a partial coloring
+    are one mask: coloring point i with col kills the rows in pairs[i][j]
+    for every colored j of another color, and an empty mask makes every
+    completion rigid. Each frame ORs its point's pair masks by color once,
+    for all the colors it tries.
 
     Points are colored in increasing order, so once point i is colored a
-    survivor whose largest moved point is at most i has every moved point
-    colored and preserves every completion: the branch holds no rigid
-    coloring and the next color is tried at once. The cut removes only
-    branches without a solution, so the first coloring found is the one the
-    uncut search finds. The walk keeps one stack frame per colored point
-    rather than one interpreter frame, so the degree is not bounded by the
-    recursion limit.
+    survivor in done[i] has every moved point colored and preserves every
+    completion: the branch holds no rigid coloring and the next color is
+    tried at once. The cut removes only branches without a solution, so
+    the first coloring found is the one the uncut search finds. The walk
+    keeps one stack frame per colored point rather than one interpreter
+    frame, so the degree is not bounded by the recursion limit.
     """
+    pairs, done = tables
+    n = len(done)
     coloring = [0] * n
-    if not alive:
-        return tuple(coloring)
     # frame i: survivors before point i is colored, colors used by points
-    # 0..i-1, next color to try at point i
-    stack = [[alive, 0, 0]]
+    # 0..i-1, next color to try at point i, point i's pair masks by color
+    stack = [[done[-1], 0, 0, []]]
     while stack:
         i = len(stack) - 1
         frame = stack[i]
-        alive, used, col = frame
+        alive, used, col, by_color = frame
         if col > used or col == r:
             stack.pop()
             continue
         frame[2] = col + 1
         coloring[i] = col
-        nxt = []
-        for g, ginv, last in alive:
-            y = g[i]
-            if y <= i and coloring[y] != col:
-                continue
-            x = ginv[i]
-            if x < i and coloring[x] != col:
-                continue
-            if last <= i:
-                break  # dead branch: this survivor preserves every completion
-            nxt.append((g, ginv, last))
-        else:
-            if not nxt:
-                coloring[i + 1:] = [0] * (n - i - 1)
-                return tuple(coloring)
-            # every survivor moves a point past i, so i + 1 < n
-            stack.append([nxt, max(used, col + 1), 0])
+        for c, mask in enumerate(by_color):
+            if c != col:
+                alive &= ~mask
+        if alive & done[i]:
+            continue  # dead branch: this survivor preserves every completion
+        if not alive:
+            coloring[i + 1:] = [0] * (n - i - 1)
+            return tuple(coloring)
+        # every survivor moves a point past i, so i + 1 < n
+        used = max(used, col + 1)
+        by_color = [0] * used
+        for j, mask in enumerate(pairs[i + 1]):
+            by_color[coloring[j]] |= mask
+        stack.append([alive, used, 0, by_color])
     return None
 
 
-def _verified_rigid_coloring(G: PermGroup, r: int, elems: list) -> tuple[int, ...] | None:
-    hit = _rigid_coloring_dfs(G.degree, r, elems)
+def _verified_rigid_coloring(G: PermGroup, r: int, tables: tuple) -> tuple[int, ...] | None:
+    hit = _rigid_coloring_dfs(r, tables)
     if hit is not None and not verify_distinguishing(G, hit):
         raise AssertionError(f"search returned a non-rigid coloring {hit}")
     return hit
@@ -394,9 +408,9 @@ def distinguishing_number(G: PermGroup, elem_cap: int = _ELEM_CAP) -> Distinguis
         if not verify_distinguishing(G, witness):
             raise AssertionError(f"closed-form witness {witness} is not rigid")
         return DistinguishingResult(n - 1, witness, "closed-form")
-    elems = _prime_order_elements(G, elem_cap)
+    tables = _coloring_tables(n, _prime_order_elements(G, elem_cap))
     for r in range(2, n + 1):
-        hit = _verified_rigid_coloring(G, r, elems)
+        hit = _verified_rigid_coloring(G, r, tables)
         if hit is not None:
             return DistinguishingResult(r, hit, "exhausted")
     raise AssertionError("coloring all points distinctly is always rigid")
@@ -419,11 +433,11 @@ def distinguishing_witness(G: PermGroup, r: int, tries: int = 200) -> tuple[int,
     if r == 1:
         return None  # every element preserves the one 1-coloring
     try:
-        elems = _prime_order_elements(G, _ELEM_CAP)
+        tables = _coloring_tables(n, _prime_order_elements(G, _ELEM_CAP))
     except ResourceLimit:
-        elems = None
-    if elems is not None:
-        return _verified_rigid_coloring(G, r, elems)
+        tables = None
+    if tables is not None:
+        return _verified_rigid_coloring(G, r, tables)
     rng = random.Random(_PROBE_SEED)
     tried = set()
     for _ in range(tries):

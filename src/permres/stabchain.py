@@ -26,6 +26,7 @@ layout, which seeded probes and pinned work counters read.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .perm import Perm, _from_images, iter_alt_gens, iter_sym_gens
@@ -238,21 +239,35 @@ class StabilizerChain:
     def base_images(self, g: Perm) -> tuple[int, ...]:
         return tuple(g.images[lvl.point] for lvl in self.levels)
 
+    def image_tuples(self) -> Iterator[tuple[int, ...]]:
+        """Image tuples of all elements, lazily: u_(k-1) * ... * u_0 with one
+        transversal element u_i per level, the deepest level's choice
+        varying slowest and every level's in orbit order. Each level's
+        prefix product is composed once and shared by all its extensions,
+        and each product is one itemgetter call."""
+        rows = [[lvl.transversal[b].images for b in lvl.orbit] for lvl in self.levels]
+        if len(rows) <= 1:
+            yield from rows[0] if rows else (self.identity.images,)
+            return
+        # one iterator per level, over that level's prefix products
+        stack = [iter(rows[-1])]
+        while stack:
+            prefix = next(stack[-1], None)
+            if prefix is None:
+                stack.pop()
+                continue
+            i = len(rows) - len(stack)
+            step = map(itemgetter(*prefix), rows[i - 1])
+            if i == 1:
+                yield from step
+            else:
+                stack.append(step)
+
     def elements(self, limit: int | None = None) -> Iterator[Perm]:
-        """All elements, deterministic order. Guarded by limit if given."""
+        """All elements, in image_tuples order. Guarded by limit if given."""
         if limit is not None and self.order() > limit:
             raise ResourceLimit(f"element enumeration of order {self.order()} exceeds limit {limit}")
-
-        def rec(i: int) -> Iterator[Perm]:
-            if i == len(self.levels):
-                yield self.identity
-                return
-            lvl = self.levels[i]
-            for h in rec(i + 1):
-                for beta in lvl.orbit:
-                    yield h * lvl.transversal[beta]
-
-        return rec(0)
+        return map(_from_images, self.image_tuples())
 
     def random_element(self, rng) -> Perm:
         """Uniform element via one transversal representative per level."""

@@ -221,15 +221,16 @@ def margin_evaluations(monkeypatch):
 
 def test_threshold_scan_evaluation_counts(margin_evaluations):
     # the linear scan made 227 and 2,879 evaluations; the counts include
-    # the three contract checks per threshold. n_c_delta(4) needs four
-    # thresholds; the recursion computed the deepest one twice (108)
+    # the three contract checks per threshold. n_c_delta(4) needs only the
+    # deepest threshold, M at (3/5)**4; the loop over all four made 84
+    # evaluations and the recursion, which computed the deepest twice, 108
     assert m_epsilon(Fraction(1, 10)) == 237
     assert margin_evaluations[0] == 20
 
     margin_evaluations[0] = 0
     bounds._m_threshold.cache_clear()
     assert n_c_delta(4, Fraction(1, 4)) == 973
-    assert margin_evaluations[0] == 84
+    assert margin_evaluations[0] == 24
 
 
 def _n_recursive(c, base, power):

@@ -166,6 +166,14 @@ def test_verify_resource_skip_exit_two(capsys, tmp_path):
     assert code == 2 and "resource-skipped" in out
 
 
+def test_unresolved_threshold_exits_two(capsys):
+    # the enclosure of M(1e-200) needs more digits than the precision ladder
+    code, out, err = run(capsys, "bounds", "--check", "threshold-m",
+                         "--params", '{"eps": "1e-200"}')
+    assert code == 2 and out == ""
+    assert err.startswith("error: ArithmeticError: ") and err.count("\n") == 1
+
+
 def test_bad_inputs_exit_three(capsys, tmp_path):
     code, _, err = run(capsys, "order", "--recipe", "{broken")
     assert code == 3 and "JSON" in err

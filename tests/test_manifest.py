@@ -131,6 +131,20 @@ def test_recipe_errors():
         construct_recipe("not a dict")
 
 
+@pytest.mark.parametrize("recipe", [
+    {"kind": "classical", "family": "Sp", "m": 4, "q": 3, "seed": [1, 2]},
+    {"kind": "classical", "family": "Sp", "m": 4, "q": 3, "seed": [1, 0, 0, 3]},
+    {"kind": "classical", "family": "Sp", "m": 4, "q": 2, "space": "subspace",
+     "seed": [[1, 0, 0, 0], [0, 1, 0]]},
+    {"kind": "matrix-generators", "m": 2, "q": 2, "matrices": [[[0, 1], [1, 0]]],
+     "seed": [1, 0, 1]},
+], ids=["short", "entry-out-of-field", "short-subspace-row", "matrix-generators-long"])
+def test_seed_of_wrong_shape_names_seed(recipe):
+    # rejected before the orbit closes, not later as a bad permutation
+    with pytest.raises(ConstructionError, match="seed must be"):
+        construct_recipe(recipe)
+
+
 # -- serialization ---------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Searches: minimal bases, stabilizer scans, colorings, tuple counts."""
 
 import itertools
+import random
 
 import pytest
 
@@ -18,6 +19,7 @@ from permres.perm import Perm
 from permres.search import (
     BaseWitness,
     RegularCount,
+    _coloring_tables,
     _prime_order_elements,
     _rigid_coloring_dfs,
     base_lower_bound,
@@ -262,10 +264,10 @@ def test_distinguishing_cyclic_two():
 
 def test_closed_forms_match_exhaustive_search():
     for G in (PermGroup.symmetric(4), PermGroup.alternating(4), PermGroup.alternating(5)):
-        elems = _prime_order_elements(G, 10 ** 6)
+        tables = _coloring_tables(G.degree, _prime_order_elements(G, 10 ** 6))
         n = G.degree
         by_search = next(
-            r for r in range(1, n + 1) if _rigid_coloring_dfs(n, r, elems) is not None
+            r for r in range(1, n + 1) if _rigid_coloring_dfs(r, tables) is not None
         )
         assert distinguishing_number(G).number == by_search
 
@@ -354,12 +356,11 @@ def test_prime_order_rows_match_element_orders(G):
     subgroups = {cyclic_subgroup(g) for g in G.elements()
                  if not g.is_identity() and is_prime(g.order())}
     rows = _prime_order_elements(G, 10 ** 6)
-    generated = [cyclic_subgroup(Perm(images)) for images, _, _ in rows]
+    generated = [cyclic_subgroup(Perm(images)) for images, _ in rows]
     assert len(generated) == len(subgroups) and set(generated) == subgroups
-    for images, inv_images, last in rows:
-        g = Perm(images)
-        assert inv_images == g.inv().images and last == max(g.moved())
-    assert [last for _, _, last in rows] == sorted(last for _, _, last in rows)
+    for images, last in rows:
+        assert last == max(Perm(images).moved())
+    assert [last for _, last in rows] == sorted(last for _, last in rows)
 
 
 @pytest.mark.parametrize("G", [
@@ -371,9 +372,9 @@ def test_prime_order_rows_match_element_orders(G):
 ], ids=["S4", "D8", "C5", "A4", "S3wrS2"])
 def test_rigid_coloring_search_finds_first_rigid_coloring(G):
     n = G.degree
-    elems = _prime_order_elements(G, 10 ** 6)
+    tables = _coloring_tables(n, _prime_order_elements(G, 10 ** 6))
     for r in range(1, n + 1):
-        assert _rigid_coloring_dfs(n, r, elems) == first_rigid_coloring(G, r), r
+        assert _rigid_coloring_dfs(r, tables) == first_rigid_coloring(G, r), r
 
 
 @pytest.mark.parametrize("recipe, number, coloring", [
@@ -400,6 +401,119 @@ def test_witness_on_wreath_is_pinned():
     # S4 wr S3 with 5 colors: the dead-branch cut keeps the first coloring
     G = wreath_imprimitive(PermGroup.symmetric(4), PermGroup.symmetric(3)).group
     assert distinguishing_witness(G, 5) == (0, 1, 2, 3, 0, 1, 2, 4, 0, 1, 3, 4)
+
+
+def list_filter_dfs(n, r, rows):
+    # the list-filter search the bitmask kernel replaced, kept as an oracle:
+    # rows are (images, inverse images, largest moved point), and each node
+    # filters the surviving rows one by one
+    coloring = [0] * n
+    if not rows:
+        return tuple(coloring)
+    stack = [[rows, 0, 0]]
+    while stack:
+        i = len(stack) - 1
+        frame = stack[i]
+        alive, used, col = frame
+        if col > used or col == r:
+            stack.pop()
+            continue
+        frame[2] = col + 1
+        coloring[i] = col
+        nxt = []
+        for g, ginv, last in alive:
+            y = g[i]
+            if y <= i and coloring[y] != col:
+                continue
+            x = ginv[i]
+            if x < i and coloring[x] != col:
+                continue
+            if last <= i:
+                break
+            nxt.append((g, ginv, last))
+        else:
+            if not nxt:
+                coloring[i + 1:] = [0] * (n - i - 1)
+                return tuple(coloring)
+            stack.append([nxt, max(used, col + 1), 0])
+    return None
+
+
+def relabeled(G, seed):
+    # G conjugated by a seeded random point permutation sigma
+    sigma = list(range(G.degree))
+    random.Random(seed).shuffle(sigma)
+    gens = []
+    for g in G.gens:
+        images = [0] * G.degree
+        for x, y in enumerate(g.images):
+            images[sigma[x]] = sigma[y]
+        gens.append(Perm(images))
+    return PermGroup(G.degree, gens)
+
+
+ORACLE_RECIPES = {
+    "affine16": {"kind": "affine", "family": "Sp", "m": 4, "q": 2},
+    "diag60": {"kind": "diagonal", "factor": {"kind": "alternating", "m": 5},
+               "swap": True, "outer": [0, 1, 2, 4, 3]},
+    "a5wrs2": {"kind": "wreath", "inner": {"kind": "alternating", "m": 5},
+               "outer": {"kind": "symmetric", "m": 2}, "action": "product"},
+    "s5wrs2": {"kind": "wreath", "inner": {"kind": "symmetric", "m": 5},
+               "outer": {"kind": "symmetric", "m": 2}, "action": "imprimitive"},
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", list(ORACLE_RECIPES))
+def test_kernel_matches_list_filter_oracle(name, seed):
+    G = relabeled(construct_recipe(ORACLE_RECIPES[name]).group, seed)
+    n = G.degree
+    rows = _prime_order_elements(G, 10 ** 6)
+    tables = _coloring_tables(n, rows)
+    oracle_rows = [(images, Perm(images).inv().images, last) for images, last in rows]
+    number = distinguishing_number(G).number
+    got = [_rigid_coloring_dfs(r, tables) for r in range(1, number + 1)]
+    assert got == [list_filter_dfs(n, r, oracle_rows) for r in range(1, number + 1)]
+    assert got[:-1] == [None] * (number - 1)
+    assert verify_distinguishing(G, got[-1])
+    if name == "affine16":
+        assert number == 3  # so r = 2 above compared a None
+
+
+@pytest.mark.parametrize("G", [
+    PermGroup.symmetric(5),
+    wreath_imprimitive(PermGroup.symmetric(3), PermGroup.symmetric(2)).group,
+], ids=["S5", "S3wrS2"])
+def test_coloring_tables_mark_pairs_and_last_points(G):
+    n = G.degree
+    rows = _prime_order_elements(G, 10 ** 6)
+    pairs, done = _coloring_tables(n, rows)
+    for k, (images, last) in enumerate(rows):
+        for i in range(n):
+            assert [pairs[i][j] >> k & 1 for j in range(i)] == [
+                int(images[i] == j or images[j] == i) for j in range(i)]
+            assert done[i] >> k & 1 == int(last <= i)
+
+
+def test_prime_order_filter_composes_no_perm(monkeypatch, affine16):
+    # the filter reads image tuples from the chain and powers them with
+    # itemgetter; the enumeration keeps the order of the product
+    # u_(k-1) * ... * u_0 over the chain's levels, the deepest slowest
+    chain = affine16.chain()
+    expected = []
+    for betas in itertools.product(*[lvl.orbit for lvl in reversed(chain.levels)]):
+        g = chain.identity
+        for lvl, beta in zip(reversed(chain.levels), betas):
+            g = g * lvl.transversal[beta]
+        expected.append(g.images)
+    tuples = list(chain.image_tuples())
+    assert len(set(tuples)) == len(tuples) == affine16.order()
+    assert tuples == expected == [g.images for g in affine16.elements()]
+    calls = []
+    real = Perm.__mul__
+    monkeypatch.setattr(Perm, "__mul__", lambda a, b: calls.append(1) or real(a, b))
+    assert len(_prime_order_elements(affine16, 10 ** 6)) == 1351
+    assert calls == []
 
 
 def test_verify_rejects_preserved_coloring():

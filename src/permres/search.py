@@ -285,8 +285,8 @@ def _prime_order_elements(G: PermGroup, cap: int) -> list[tuple[tuple[int, ...],
         start = 0
         while images[start] == start:
             start += 1
-        # walk x's cycle from x's image on, and stop at the first point
-        # below that image: only x itself closes the cycle of a kept row
+        # walk start's cycle from its image on and stop at the first point
+        # below that image: a kept row's cycle closes there, at start
         first = images[start]
         y, p = images[first], 2
         while y > first:
@@ -302,7 +302,7 @@ def _prime_order_elements(G: PermGroup, cap: int) -> list[tuple[tuple[int, ...],
         while images[last] == last:
             last -= 1
         rows.append((images, last))
-    # ordered by largest moved point, so a dead branch is one mask test
+    # ordered by largest moved point, so each done mask is a low-bit run
     rows.sort(key=itemgetter(1))
     return rows
 

@@ -13,6 +13,9 @@ nondecreasing from a certified point cap on, so the search starts at
 max(14, cap), gallops up to the first success and bisects back to the last
 failure; when the margin already holds there, it walks down to the first
 failure, which assumes nothing about the margin below cap.
+
+lemma22_check and theorem13_check import the structure and search layers
+when they are called, so the formulas and thresholds load no group code.
 """
 
 from __future__ import annotations
@@ -21,11 +24,12 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, Context, Inexact
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .fq import ceil_log
-from .search import stabilizer_scan
-from .stabchain import PermGroup
-from .structure import NO, UNKNOWN, YES, in_gamma
+
+if TYPE_CHECKING:
+    from .stabchain import PermGroup
 
 __all__ = [
     "BoundReport",
@@ -262,6 +266,8 @@ def lemma22_check(G: PermGroup, d: int) -> BoundReport:
         raise ValueError("d must be >= 2")
     if d < 5:
         raise ValueError("no membership certificate available below d = 5")
+    from .structure import NO, UNKNOWN, in_gamma
+
     verdict = in_gamma(G, d)
     if verdict == NO:
         raise ValueError(f"group has an alternating section of degree >= {d}")
@@ -321,6 +327,9 @@ def theorem13_check(
     need = n_c_delta(c, delta)
     if d < need:
         raise ValueError(f"d = {d} is below the recursion threshold {need}")
+    from .search import stabilizer_scan
+    from .structure import YES, in_gamma
+
     if c == 0:
         if in_gamma(G, d, order_cap=order_cap) != YES:
             raise ValueError("section certificate unresolved or failing")

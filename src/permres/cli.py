@@ -4,6 +4,12 @@ Verbs take a recipe (inline JSON or @file) and print either an aligned
 text table or, with --json, a machine-readable document. Exit codes:
 0 success, 1 assertion failure, 2 resource budget or numeric precision
 limit hit, 3 bad input (usage errors included).
+
+Most calls are one verb in a fresh process, whose start-up is most of its
+time. So this module imports nothing from permres at module level, and
+each verb imports only the layers it uses: `--version` loads no group
+code, `bounds --check threshold-m` only the bounds layer, and only
+`verify` loads the manifest runner.
 """
 
 from __future__ import annotations
@@ -11,39 +17,30 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from .bounds import formula_suite, lemma22_check, m_epsilon, n_c_delta, theorem13_check
-from .constructions import ConstructionError
-from .manifest import (
-    ManifestError,
-    TOOL_VERSION,
-    bundled_corpus,
-    construct_recipe,
-    describe_error,
-    pick,
-    run_manifest,
-    serialize_group,
-)
-from .search import base_size_exact, count_regular_tuples, distinguishing_number, stabilizer_scan
-from .stabchain import ResourceLimit
-from .structure import composition_factors, gamma_profile
+
+def _bad_input(message: str) -> Exception:
+    """A ManifestError; its module loads only on this error path."""
+    from .recipes import ManifestError
+
+    return ManifestError(message)
 
 
 def _read_recipe(text: str) -> dict:
     if text.startswith("@"):
         try:
-            text = open(text[1:], encoding="utf-8").read()
+            with open(text[1:], encoding="utf-8") as fh:
+                text = fh.read()
         except OSError as e:
-            raise ManifestError(f"cannot read recipe file: {e}") from None
+            raise _bad_input(f"cannot read recipe file: {e}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
-        raise ManifestError(
+        raise _bad_input(
             f"recipe is not valid JSON (line {e.lineno} column {e.colno}: "
             f"{e.msg})") from None
     if not isinstance(doc, dict):
-        raise ManifestError("recipe must be a JSON object")
+        raise _bad_input("recipe must be a JSON object")
     return doc
 
 
@@ -59,6 +56,8 @@ def _emit(doc: dict, as_json: bool) -> None:
 
 
 def _cmd_construct(args) -> int:
+    from .recipes import construct_recipe, serialize_group
+
     act = construct_recipe(_read_recipe(args.recipe))
     doc = serialize_group(act.group)
     doc["point-labels"] = [str(lbl) for lbl in act.labels]
@@ -75,6 +74,9 @@ def _cmd_construct(args) -> int:
 def _cmd_describe(args) -> int:
     # gamma_profile reads the factor list that composition_factors cached
     # on G, so the descent runs once per invocation
+    from .recipes import construct_recipe, pick
+    from .structure import composition_factors, gamma_profile
+
     act = construct_recipe(_read_recipe(args.recipe))
     G = act.group
     caps = pick(vars(args), "order_cap")
@@ -96,12 +98,17 @@ def _cmd_describe(args) -> int:
 
 
 def _cmd_order(args) -> int:
+    from .recipes import construct_recipe
+
     act = construct_recipe(_read_recipe(args.recipe))
     _emit({"order": act.group.order()}, args.json)
     return 0
 
 
 def _cmd_base_size(args) -> int:
+    from .recipes import construct_recipe, pick
+    from .search import base_size_exact
+
     act = construct_recipe(_read_recipe(args.recipe))
     w = base_size_exact(act.group, **pick(vars(args), "max_b", "node_budget"))
     doc = {"status": w.status, "size": w.size,
@@ -113,6 +120,9 @@ def _cmd_base_size(args) -> int:
 
 
 def _cmd_dist_number(args) -> int:
+    from .recipes import construct_recipe, pick
+    from .search import distinguishing_number
+
     act = construct_recipe(_read_recipe(args.recipe))
     res = distinguishing_number(act.group, **pick(vars(args), "elem_cap"))
     _emit({"distinguishing-number": res.number, "method": res.method},
@@ -121,6 +131,9 @@ def _cmd_dist_number(args) -> int:
 
 
 def _cmd_stab_scan(args) -> int:
+    from .recipes import construct_recipe, pick
+    from .search import stabilizer_scan
+
     act = construct_recipe(_read_recipe(args.recipe))
     rep = stabilizer_scan(act.group, args.c, args.predicate,
                           **pick(vars(args), "node_budget"))
@@ -140,6 +153,9 @@ def _cmd_stab_scan(args) -> int:
 
 
 def _cmd_reg_count(args) -> int:
+    from .recipes import construct_recipe, pick
+    from .search import count_regular_tuples
+
     act = construct_recipe(_read_recipe(args.recipe))
     res = count_regular_tuples(act.group, args.t, threshold=args.threshold,
                                first_point=args.first_point,
@@ -150,9 +166,13 @@ def _cmd_reg_count(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from fractions import Fraction
+
+    from .bounds import formula_suite, lemma22_check, m_epsilon, n_c_delta, theorem13_check
+
     params = json.loads(args.params) if args.params else {}
     if not isinstance(params, dict):
-        raise ManifestError("--params must be a JSON object")
+        raise _bad_input("--params must be a JSON object")
     name = args.check
     if name == "threshold-m":
         doc = {"M": m_epsilon(Fraction(params["eps"]))}
@@ -164,7 +184,9 @@ def _cmd_bounds(args) -> int:
         doc = {"bound": rep.bound_value, "verdict": rep.verdict}
     elif name in ("lemma22", "thm13"):
         if not args.recipe:
-            raise ManifestError(f"--check {name} needs --recipe")
+            raise _bad_input(f"--check {name} needs --recipe")
+        from .recipes import construct_recipe, pick
+
         act = construct_recipe(_read_recipe(args.recipe))
         if name == "lemma22":
             rep = lemma22_check(act.group, params["d"])
@@ -175,12 +197,14 @@ def _cmd_bounds(args) -> int:
         doc = {"bound": rep.bound_value, "measured": rep.measured_value,
                "verdict": rep.verdict}
     else:
-        raise ManifestError(f"unknown bounds check {name!r}")
+        raise _bad_input(f"unknown bounds check {name!r}")
     _emit(doc, args.json)
     return 1 if doc.get("verdict") == "fails" else 0
 
 
 def _cmd_verify(args) -> int:
+    from .manifest import bundled_corpus, run_manifest
+
     source = args.manifest
     if source == "corpus":
         source = bundled_corpus()
@@ -216,11 +240,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parser() -> argparse.ArgumentParser:
+    from . import __version__
+
     top = _Parser(
         prog="permres",
         description="permutation group measurements and check manifests")
     top.add_argument("--version", action="version",
-                     version=f"permres {TOOL_VERSION}")
+                     version=f"permres {__version__}")
     sub = top.add_subparsers(dest="verb", required=True)
 
     def common(p, recipe_required=True):
@@ -295,17 +321,24 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ResourceLimit as e:
-        print(f"resource limit: {e}", file=sys.stderr)
-        return 2
-    except ArithmeticError as e:
-        # a certified threshold whose enclosure needs more digits than the
-        # precision ladder holds: a limit of the tool, not of the input
-        print(f"error: {describe_error(e)}", file=sys.stderr)
-        return 2
-    except (ManifestError, ConstructionError, ValueError, KeyError, TypeError) as e:
-        print(f"error: {describe_error(e)}", file=sys.stderr)
-        return 3
+    except Exception as e:
+        # the error types load once a verb has failed, not before; the
+        # input errors of recipes and manifests are all ValueErrors
+        from .recipes import describe_error
+        from .stabchain import ResourceLimit
+
+        if isinstance(e, ResourceLimit):
+            print(f"resource limit: {e}", file=sys.stderr)
+            return 2
+        if isinstance(e, ArithmeticError):
+            # a certified threshold whose enclosure needs more digits than
+            # the precision ladder holds: a limit of the tool, not of the input
+            print(f"error: {describe_error(e)}", file=sys.stderr)
+            return 2
+        if isinstance(e, (ValueError, KeyError, TypeError)):
+            print(f"error: {describe_error(e)}", file=sys.stderr)
+            return 3
+        raise
 
 
 if __name__ == "__main__":

@@ -11,12 +11,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .classical import MatrixGroup
 from .fq import FqField, FqMatrix, SubspaceFq, subspace_type
 from .perm import Perm, _from_images, iter_alt_gens, iter_sym_gens
 from .stabchain import PermGroup
+
+if TYPE_CHECKING:
+    from .classical import MatrixGroup
 
 DEGREE_CAP = 100_000
 

@@ -1,0 +1,255 @@
+"""Recipes: JSON descriptions of permutation groups, and the builder that
+turns one into a labeled action.
+
+A recipe is an object with a "kind" ("symmetric", "classical", "coset",
+"wreath", ...) and the fields that kind needs; construct_recipe builds it.
+The module also holds what every recipe consumer shares: the serialized
+form of a group, the input error ManifestError, pick and describe_error.
+
+The builder imports neither the searches, the structure layer nor the
+manifest runner, and loads the classical-group code only for a recipe
+that defines matrices, so a CLI verb that only builds a group stays cheap
+to start.
+"""
+
+from __future__ import annotations
+
+import json
+from contextvars import ContextVar
+from typing import TYPE_CHECKING
+
+from .constructions import (
+    ConstructionError,
+    LabeledAction,
+    affine_action,
+    coset_action,
+    diagonal_type_group,
+    matrix_orbit_action,
+    partitions_action,
+    subsets_action,
+    wreath_imprimitive,
+    wreath_product_action,
+)
+from .perm import Perm
+from .stabchain import PermGroup, ResourceLimit
+
+if TYPE_CHECKING:
+    from .classical import MatrixGroup
+
+
+class ManifestError(ValueError):
+    """Manifest cannot be parsed or fails structural validation."""
+
+
+# -- group serialization ---------------------------------------------------
+
+
+def serialize_group(G: PermGroup) -> dict:
+    return {
+        "degree": G.degree,
+        "generators": [list(g.images) for g in G.gens],
+        "label": G.label,
+    }
+
+
+def group_from_serialized(doc: dict) -> PermGroup:
+    try:
+        degree = int(doc["degree"])
+        gens = [Perm(list(map(int, images))) for images in doc["generators"]]
+    except (KeyError, TypeError, ValueError) as e:
+        raise ManifestError(f"bad serialized group: {e}") from None
+    for g in gens:
+        if len(g.images) != degree:
+            raise ManifestError("generator length does not match degree")
+    return PermGroup(degree, gens, label=doc.get("label"))
+
+
+# -- recipes ---------------------------------------------------------------
+
+
+def _as_action(G: PermGroup) -> LabeledAction:
+    pts = list(range(G.degree))
+    return LabeledAction(G, pts, {i: i for i in pts})
+
+
+def _need(recipe: dict, *keys: str) -> list:
+    missing = [k for k in keys if k not in recipe]
+    if missing:
+        raise ConstructionError(
+            f"recipe kind {recipe.get('kind')!r} needs {', '.join(missing)}")
+    return [recipe[k] for k in keys]
+
+
+def _matrix_group(recipe: dict) -> MatrixGroup:
+    from .classical import FAMILIES, MatrixGroup, classical_generators
+    from .fq import FqField, FqMatrix
+
+    kind = recipe["kind"]
+    if kind == "classical":
+        family, m, q = _need(recipe, "family", "m", "q")
+        if family not in FAMILIES:
+            raise ConstructionError(f"unknown family {family!r}")
+        return classical_generators(family, m, q)
+    if kind == "matrix-generators":
+        m, q, mats = _need(recipe, "m", "q", "matrices")
+        if m < 1:
+            raise ConstructionError("matrix-generators needs m >= 1")
+        fld = FqField.of(q)
+        for rows in mats:
+            if not (isinstance(rows, list) and len(rows) == m and all(
+                    isinstance(row, list) and len(row) == m
+                    and all(isinstance(x, int) and 0 <= x < q for x in row)
+                    for row in rows)):
+                raise ConstructionError(
+                    f"each matrix must be {m}x{m} with entries in 0..{q - 1}")
+        return MatrixGroup(family=recipe.get("label", "custom"), m=m, q=q,
+                           field=fld,
+                           matrices=[FqMatrix(fld, rows) for rows in mats],
+                           form=None, abstract_order=0)
+    raise ConstructionError(f"recipe kind {kind!r} does not define matrices")
+
+
+def _matrix_action(recipe: dict) -> LabeledAction:
+    grp = _matrix_group(recipe)
+    space = recipe.get("space", "vector")
+    seed = recipe.get("seed")
+    if seed is not None:
+        # a vector seed is one row, a subspace seed a list of rows
+        rows = [seed] if space == "vector" else seed
+        if not (isinstance(rows, (list, tuple)) and all(
+                isinstance(row, (list, tuple)) and len(row) == grp.m
+                and all(isinstance(x, int) and 0 <= x < grp.q for x in row)
+                for row in rows)):
+            shape = "a vector" if space == "vector" else "a list of vectors"
+            raise ConstructionError(
+                f"seed must be {shape} of {grp.m} entries in 0..{grp.q - 1}")
+    if space == "vector":
+        return matrix_orbit_action(grp, seed=seed, kind="vector")
+    if space == "subspace":
+        return matrix_orbit_action(grp, seed=seed,
+                                   kind="subspace", k=recipe.get("k"),
+                                   flt=recipe.get("filter", "all"))
+    raise ConstructionError(f"unknown space {space!r}")
+
+
+# recipe JSON text -> action built from it, kept only when the build
+# succeeds; set only while manifest.run_manifest runs
+_BUILT: ContextVar[dict | None] = ContextVar("_BUILT", default=None)
+
+
+def construct_recipe(recipe: dict) -> LabeledAction:
+    """Build the labeled permutation action a recipe describes.
+
+    Matrix-flavored kinds accept "space": "vector" or "subspace" (with "k"
+    and "filter"). A coset recipe whose subgroup is also matrix-flavored
+    over the same field embeds the subgroup's matrices through the parent
+    action instead of building a second, unrelated action.
+
+    Inside run_manifest each distinct recipe that JSON can encode is built
+    once, nested ones (coset parents, wreath factors, a matches target)
+    included, and every later call returns the same action. Elsewhere, and
+    for a recipe JSON cannot encode, every call builds afresh.
+    """
+    built = _BUILT.get()
+    if built is None:
+        return _build_recipe(recipe)
+    try:
+        key = json.dumps(recipe, sort_keys=True)
+    except (TypeError, ValueError):
+        # a dict built in code may hold what JSON cannot encode (a set,
+        # keys of mixed types); such a recipe is built afresh, not kept
+        return _build_recipe(recipe)
+    act = built.get(key)
+    if act is None:
+        act = built[key] = _build_recipe(recipe)
+    return act
+
+
+def _build_recipe(recipe: dict) -> LabeledAction:
+    if not isinstance(recipe, dict) or "kind" not in recipe:
+        raise ConstructionError("recipe must be an object with a 'kind'")
+    kind = recipe["kind"]
+
+    if kind in ("symmetric", "alternating", "cyclic"):
+        (m,) = _need(recipe, "m")
+        if m < 1:
+            raise ConstructionError(f"{kind} needs m >= 1")
+    if kind == "symmetric":
+        return _as_action(PermGroup.symmetric(m))
+    if kind == "alternating":
+        return _as_action(PermGroup.alternating(m))
+    if kind == "cyclic":
+        g = Perm(list(range(1, m)) + [0])
+        return _as_action(PermGroup(m, [g], label=f"C{m}"))
+    if kind == "dihedral":
+        (m,) = _need(recipe, "m")
+        if m < 3:
+            raise ConstructionError("dihedral needs m >= 3")
+        rot = Perm(list(range(1, m)) + [0])
+        ref = Perm([(m - i) % m for i in range(m)])
+        return _as_action(PermGroup(m, [rot, ref], label=f"D{m}"))
+    if kind == "perm-generators":
+        degree, gens = _need(recipe, "degree", "generators")
+        G = group_from_serialized({"degree": degree, "generators": gens,
+                                   "label": recipe.get("label")})
+        return _as_action(G)
+    if kind in ("classical", "matrix-generators"):
+        return _matrix_action(recipe)
+    if kind == "affine":
+        return affine_action(_matrix_group(dict(recipe, kind="classical")))
+    if kind == "coset":
+        parent_recipe, sub_recipe = _need(recipe, "group", "subgroup")
+        if not isinstance(sub_recipe, dict):
+            raise ConstructionError("coset subgroup must be an object")
+        parent = construct_recipe(parent_recipe)
+        if (sub_recipe.get("kind") in ("classical", "matrix-generators")
+                and parent_recipe.get("kind") in ("classical", "matrix-generators")):
+            sub_mats = _matrix_group(sub_recipe)
+            H = PermGroup(parent.degree,
+                          [parent.perm_of(M) for M in sub_mats.matrices],
+                          label=sub_mats.label)
+        else:
+            H = construct_recipe(sub_recipe).group
+            if H.degree != parent.degree:
+                raise ConstructionError("subgroup degree does not match")
+        return coset_action(parent.group, H)
+    if kind == "subsets":
+        m, k = _need(recipe, "m", "k")
+        return subsets_action(m, k, alt=recipe.get("alt", False))
+    if kind == "partitions":
+        m, k = _need(recipe, "m", "k")
+        return partitions_action(m, k, alt=recipe.get("alt", False))
+    if kind == "wreath":
+        inner, outer, act = _need(recipe, "inner", "outer", "action")
+        L = construct_recipe(inner).group
+        P = construct_recipe(outer).group
+        if act == "imprimitive":
+            return wreath_imprimitive(L, P)
+        if act == "product":
+            return wreath_product_action(L, P)
+        raise ConstructionError(f"unknown wreath action {act!r}")
+    if kind == "diagonal":
+        (factor,) = _need(recipe, "factor")
+        T = construct_recipe(factor).group
+        outer = recipe.get("outer")
+        return diagonal_type_group(
+            T, include_swap=recipe.get("swap", True),
+            outer=Perm(list(outer)) if outer is not None else None)
+    raise ConstructionError(f"unknown recipe kind {kind!r}")
+
+
+# -- shared by the manifest runner and the CLI ------------------------------
+
+
+def pick(params: dict, *keys: str) -> dict:
+    """The entries of params under the given keys, for those present."""
+    return {k: params[k] for k in keys if k in params}
+
+
+def describe_error(e: Exception) -> str:
+    # bad input and exhausted budgets carry a sentence; any other exception,
+    # such as KeyError's bare key ('d') or an AssertionError from a failed
+    # re-check, needs its name to read.
+    if isinstance(e, (ValueError, ResourceLimit)):
+        return str(e)
+    return f"{type(e).__name__}: {e}"

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from permres import cli
+from permres import cli, search
 from permres.cli import main
 from permres.manifest import bundled_corpus, group_from_serialized
 
@@ -69,8 +69,8 @@ def test_base_size_verb(capsys):
 def test_budget_flags_pass_only_when_given(capsys, monkeypatch):
     # unset budget flags leave the library signature's default in force
     seen = []
-    real = cli.base_size_exact
-    monkeypatch.setattr(cli, "base_size_exact",
+    real = search.base_size_exact
+    monkeypatch.setattr(search, "base_size_exact",
                         lambda G, **kw: seen.append(kw) or real(G, **kw))
     run(capsys, "base-size", "--recipe", S5)
     run(capsys, "base-size", "--recipe", S5, "--max-b", "6")
@@ -247,3 +247,90 @@ def test_imports_load_no_mpmath():
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", script], check=True, env=env,
                    capture_output=True)
+
+
+# -- cold start: what each verb loads ----------------------------------------
+
+_LOADED = ("import json, sys\n"
+           "before = set(sys.modules)\n"
+           "from permres.cli import main\n"
+           "argv = json.loads(sys.argv[1])\n"
+           "if argv is not None:\n"
+           "    try:\n"
+           "        main(argv)\n"
+           "    except SystemExit:\n"
+           "        pass\n"
+           "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+
+_GROUP_LAYERS = {"perm", "stabchain", "structure", "search", "constructions",
+                 "classical", "manifest"}
+
+# verb -> (argv for main, or None for the import alone; permres modules it
+# must not load besides permres.manifest, which only verify may load)
+_VERB_IMPORTS = {
+    "import-only": (None, "all"),
+    "version": (["--version"], "all"),
+    "bounds-threshold-m": (["bounds", "--check", "threshold-m",
+                            "--params", '{"eps": "1"}'], _GROUP_LAYERS),
+    "construct": (["construct", "--recipe", '{"kind": "subsets", "m": 5, "k": 2}'],
+                  {"structure", "search", "bounds", "classical"}),
+    "describe": (["describe", "--recipe", S5], {"search", "bounds", "classical"}),
+    "order": (["order", "--recipe", S5], set()),
+    "base-size": (["base-size", "--recipe", S5], set()),
+    "stab-scan": (["stab-scan", "--recipe", S5, "--c", "2"], set()),
+    "dist-number": (["dist-number", "--recipe", S5], set()),
+    "reg-count": (["reg-count", "--recipe", S5, "--t", "4"], set()),
+    "bounds-lemma22": (["bounds", "--check", "lemma22", "--recipe", S5,
+                        "--params", '{"d": 6}'], set()),
+    "verify": (["verify", "--manifest", "MANIFEST"], set()),
+}
+
+
+@pytest.mark.parametrize("verb", _VERB_IMPORTS)
+def test_each_verb_loads_only_what_it_uses(verb, tmp_path):
+    argv, banned = _VERB_IMPORTS[verb]
+    if verb == "verify":
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"schema": 1, "checks": [
+            {"id": "c6", "recipe": {"kind": "cyclic", "m": 6},
+             "assertions": [{"op": "order", "expect": 6, "tag": "direct"}]}]}))
+        argv = [str(manifest) if a == "MANIFEST" else a for a in argv]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _LOADED, json.dumps(argv)],
+                          check=True, env=env, capture_output=True, text=True)
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    layers = {m.split(".", 1)[1] for m in loaded if m.startswith("permres.")}
+    assert "importlib.metadata" not in loaded
+    assert ("manifest" in layers) == (verb == "verify")
+    if banned == "all":
+        assert layers == {"cli"}
+    else:
+        assert not layers & banned, sorted(layers & banned)
+
+
+def test_version_matches_pyproject(capsys):
+    tomllib = pytest.importorskip("tomllib")
+    import permres
+
+    root = Path(cli.__file__).resolve().parents[2]
+    with open(root / "pyproject.toml", "rb") as fh:
+        version = tomllib.load(fh)["project"]["version"]
+    assert permres.__version__ == version
+    with pytest.raises(SystemExit) as info:
+        main(["--version"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out == f"permres {version}\n"
+
+
+def test_recipe_file_is_closed(tmp_path):
+    p = tmp_path / "r.json"
+    p.write_text('{"kind": "subsets", "m": 5, "k": 2}')
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-W", "error::ResourceWarning", "-m",
+                           "permres.cli", "construct", "--recipe", f"@{p}"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["degree"] == 10

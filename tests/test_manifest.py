@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from permres import manifest
+from permres import manifest, recipes
 from permres.constructions import ConstructionError
 from permres.manifest import (
     ManifestError,
@@ -340,7 +340,7 @@ def test_crashing_construction_fails_only_its_check(monkeypatch):
     def boom(m, k, alt=False):
         raise RuntimeError("no subsets today")
 
-    monkeypatch.setattr(manifest, "subsets_action", boom)
+    monkeypatch.setattr(recipes, "subsets_action", boom)
     rep = run_manifest({"schema": 1, "checks": [
         {"id": "subsets", "recipe": {"kind": "subsets", "m": 5, "k": 2},
          "assertions": [{"op": "order", "expect": 120, "tag": "direct"}]},
@@ -497,8 +497,8 @@ SP42_ON_GO42 = {"kind": "coset", "group": SP42,
 
 def count_calls(monkeypatch, name):
     calls = []
-    real = getattr(manifest, name)
-    monkeypatch.setattr(manifest, name,
+    real = getattr(recipes, name)
+    monkeypatch.setattr(recipes, name,
                         lambda *a, **kw: calls.append(a) or real(*a, **kw))
     return calls
 

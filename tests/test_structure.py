@@ -276,6 +276,18 @@ def test_identify_alt8_from_group():
     assert identify_simple(20160, lambda k: structure._has_element_of_order(G, k)) == "A8"
 
 
+@pytest.mark.parametrize("recipe", [
+    {"kind": "symmetric", "m": 6},
+    {"kind": "affine", "family": "GL", "m": 3, "q": 2},
+    {"kind": "classical", "family": "SL", "m": 3, "q": 2},  # L3(2) on 7 points
+], ids=["S6", "AGL(3,2)", "L3(2)"])
+def test_order_scan_agrees_with_perm_order(recipe):
+    G = construct_recipe(recipe).group
+    spectrum = {g.order() for g in G.chain().elements()}
+    for k in range(1, math.lcm(*spectrum) + 1):
+        assert structure._has_element_of_order(G, k) == (k in spectrum), k
+
+
 @pytest.mark.parametrize("family,m,q,kind,k,name", [
     ("GL", 4, 2, "vector", None, "A8"),  # GL(4,2) = A8 on 15 nonzero vectors
     ("SL", 3, 4, "subspace", 1, "L3(4)"),  # SL(3,4) on 21 points of the plane

@@ -315,12 +315,12 @@ def thm13_compare(order: int, n: int, d: int, delta) -> BoundReport:
     return BoundReport("thm13", params, bound_value, order, verdict)
 
 
-def theorem13_check(
-    G: PermGroup, c: int, d: int, delta, order_cap: int = 10 ** 12
-) -> BoundReport:
+def theorem13_check(G: PermGroup, c: int, d: int, delta) -> BoundReport:
     """thm13_compare after verifying the hypothesis: every c-point
     stabilizer class (the whole group for c = 0) avoids alternating
-    sections of degree >= d, and d clears the recursion threshold."""
+    sections of degree >= d, and d clears the recursion threshold. An
+    unresolved hypothesis raises ValueError, as a failing one does: an
+    unknown section, or a scan that its node budget cut short."""
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -331,7 +331,7 @@ def theorem13_check(
     from .structure import YES, in_gamma
 
     if c == 0:
-        if in_gamma(G, d, order_cap=order_cap) != YES:
+        if in_gamma(G, d) != YES:
             raise ValueError("section certificate unresolved or failing")
     else:
         rep = stabilizer_scan(G, c, f"gamma:{d}")

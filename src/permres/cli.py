@@ -19,28 +19,21 @@ import json
 import sys
 
 
-def _bad_input(message: str) -> Exception:
-    """A ManifestError; its module loads only on this error path."""
-    from .recipes import ManifestError
-
-    return ManifestError(message)
-
-
 def _read_recipe(text: str) -> dict:
     if text.startswith("@"):
         try:
             with open(text[1:], encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as e:
-            raise _bad_input(f"cannot read recipe file: {e}") from None
+            raise ValueError(f"cannot read recipe file: {e}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
-        raise _bad_input(
+        raise ValueError(
             f"recipe is not valid JSON (line {e.lineno} column {e.colno}: "
             f"{e.msg})") from None
     if not isinstance(doc, dict):
-        raise _bad_input("recipe must be a JSON object")
+        raise ValueError("recipe must be a JSON object")
     return doc
 
 
@@ -172,7 +165,7 @@ def _cmd_bounds(args) -> int:
 
     params = json.loads(args.params) if args.params else {}
     if not isinstance(params, dict):
-        raise _bad_input("--params must be a JSON object")
+        raise ValueError("--params must be a JSON object")
     name = args.check
     if name == "threshold-m":
         doc = {"M": m_epsilon(Fraction(params["eps"]))}
@@ -184,20 +177,19 @@ def _cmd_bounds(args) -> int:
         doc = {"bound": rep.bound_value, "verdict": rep.verdict}
     elif name in ("lemma22", "thm13"):
         if not args.recipe:
-            raise _bad_input(f"--check {name} needs --recipe")
-        from .recipes import construct_recipe, pick
+            raise ValueError(f"--check {name} needs --recipe")
+        from .recipes import construct_recipe
 
         act = construct_recipe(_read_recipe(args.recipe))
         if name == "lemma22":
             rep = lemma22_check(act.group, params["d"])
         else:
             rep = theorem13_check(act.group, params.get("c", 0), params["d"],
-                                  Fraction(params.get("delta", 1)),
-                                  **pick(params, "order_cap"))
+                                  Fraction(params.get("delta", 1)))
         doc = {"bound": rep.bound_value, "measured": rep.measured_value,
                "verdict": rep.verdict}
     else:
-        raise _bad_input(f"unknown bounds check {name!r}")
+        raise ValueError(f"unknown bounds check {name!r}")
     _emit(doc, args.json)
     return 1 if doc.get("verdict") == "fails" else 0
 
@@ -323,7 +315,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except Exception as e:
         # the error types load once a verb has failed, not before; the
-        # input errors of recipes and manifests are all ValueErrors
+        # input errors of the verbs, recipes and manifests are all ValueErrors
         from .recipes import describe_error
         from .stabchain import ResourceLimit
 

@@ -166,8 +166,7 @@ def _op_lemma22(act: LabeledAction, p: dict):
 
 
 def _op_thm13(act: LabeledAction, p: dict):
-    rep = theorem13_check(act.group, p["c"], p["d"], Fraction(p["delta"]),
-                          **pick(p, "order_cap"))
+    rep = theorem13_check(act.group, p["c"], p["d"], Fraction(p["delta"]))
     return rep.verdict
 
 

@@ -4,8 +4,10 @@ pointwise stabilizer.
 
 Every search here is deterministic: orbits are walked in increasing point
 order and representatives are smallest-in-orbit, so repeated runs give
-identical witnesses. Budgets raise ResourceLimit carrying whatever partial
-result exists rather than returning a silently truncated answer.
+identical witnesses. A budget never truncates an answer silently: a search
+cut short raises ResourceLimit carrying whatever partial result exists, or
+returns one marked as such (a partial base witness, a scan that is not
+exhaustive).
 """
 
 from __future__ import annotations
@@ -151,9 +153,11 @@ class ScanWitness:
 class ScanReport:
     """Outcome of testing a predicate on every c-point stabilizer class.
 
-    verdict is all-pass, fail, or inconclusive (some class resolved to
-    unknown and none failed outright). worst_witness is the scanned class
-    with the largest stabilizer; first_failure is set on a fail verdict.
+    verdict is all-pass, fail, or inconclusive (no class failed, and some
+    class resolved to unknown or the walk was cut short by its budget, so
+    exhaustive is False). classes counts the classes scanned; worst_witness
+    is the scanned class with the largest stabilizer; first_failure is set
+    on a fail verdict.
     """
 
     c: int
@@ -199,26 +203,39 @@ def stabilizer_scan(
 
     predicate: "solvable", or "gamma:d" for the no-alternating-section-of-
     degree->=d test (three-valued, so the verdict can be inconclusive).
+
+    One orbit_tree walk branches over the orbits of the running stabilizer
+    that avoid the prefix, so its depth-c nodes are the classes, and each
+    class is tested when the walk reaches it. After node_budget nodes the
+    walk stops with exhaustive=False. A failing class is a certificate, so
+    the verdict is fail whenever one was reached; otherwise it is
+    inconclusive if a class was unknown or the walk was cut short.
     """
     if c < 1:
         raise ValueError("scan needs c >= 1")
     test = _parse_predicate(predicate)
-    exhaustive = True
-    try:
-        reps = G.orbit_tuple_reps(c, node_budget=node_budget)
-    except ResourceLimit as exc:
-        reps = list(exc.partial or [])
-        exhaustive = False
+
+    def children(prefix: tuple[int, ...], H: PermGroup) -> list[list[int]]:
+        if len(prefix) == c:
+            return []
+        # H fixes each prefix point, so those are its singleton orbits
+        return [orb for orb in H.orbits() if orb[0] not in prefix]
 
     worst: ScanWitness | None = None
-    worst_order = -1
     failure: ScanWitness | None = None
+    classes = 0
     saw_unknown = False
-    for pts, stab, _weight in reps:
+    exhaustive = True
+    for nodes, (pts, stab, _weight) in enumerate(G.orbit_tree(children), 1):
+        if nodes > node_budget:
+            exhaustive = False
+            break
+        if len(pts) < c:
+            continue
+        classes += 1
         order = stab.order()
         verdict = test(stab)
-        if order > worst_order:
-            worst_order = order
+        if worst is None or order > worst.order:
             worst = ScanWitness(pts, order, _structure_summary(stab))
         if verdict == NO and failure is None:
             failure = ScanWitness(pts, order, _structure_summary(stab))
@@ -226,11 +243,11 @@ def stabilizer_scan(
             saw_unknown = True
     if failure is not None:
         overall = "fail"
-    elif saw_unknown:
+    elif saw_unknown or not exhaustive:
         overall = "inconclusive"
     else:
         overall = "all-pass"
-    return ScanReport(c, predicate, overall, worst, failure, len(reps), exhaustive)
+    return ScanReport(c, predicate, overall, worst, failure, classes, exhaustive)
 
 
 # -- distinguishing colorings ----------------------------------------------

@@ -503,28 +503,6 @@ class PermGroup:
             yield from self.point_stabilizer(point).orbit_tree(
                 children, prefix + (point,), weight * len(orb))
 
-    def orbit_tuple_reps(self, c: int, node_budget: int = 200_000) -> list[tuple[tuple[int, ...], "PermGroup", int]]:
-        """Representatives of orbits on c-tuples of distinct points.
-
-        Returns (tuple, pointwise stabilizer, orbit size) per representative.
-        Branches over orbit representatives of the running stabilizer; the
-        orbit sizes of all representatives sum to n(n-1)...(n-c+1).
-        """
-
-        def children(prefix: tuple[int, ...], H: PermGroup) -> list[list[int]]:
-            if len(prefix) == c:
-                return []
-            # H fixes each prefix point, so those are its singleton orbits
-            return [orb for orb in H.orbits() if orb[0] not in prefix]
-
-        out: list[tuple[tuple[int, ...], PermGroup, int]] = []
-        for nodes, (prefix, H, weight) in enumerate(self.orbit_tree(children), 1):
-            if nodes > node_budget:
-                raise ResourceLimit("orbit tuple tree exceeded node budget", partial=out)
-            if len(prefix) == c:
-                out.append((prefix, H, weight))
-        return out
-
 
 # -- backtrack search for color-preserving subgroups ----------------------
 

@@ -6,6 +6,11 @@ reduces (degree, order). Simple factors are identified by order against a
 generated table; the one documented order collision, at 20160, is
 settled by a scan of every element for one of order 15, which A8 has and
 L3(4) lacks. Anything unresolved is reported as unknown, never guessed.
+
+Each factor carries one bracket [alt_lower, alt_upper] on its largest
+alternating section, and the restricted classes Gamma_d are read from the
+brackets alone: a factor is in Gamma_d when d > alt_upper, outside it when
+d <= alt_lower, and unknown in between.
 """
 
 from __future__ import annotations
@@ -39,19 +44,18 @@ UNKNOWN = "unknown"
 class FactorDescriptor:
     """One composition factor.
 
-    kind is one of cyclic, alternating, identified, unknown. The
-    max_alt_section convention: 4 means "no A_m section for any m >= 5";
-    None means unresolved. alt_lower/alt_upper bracket the true value
-    (lower is witnessed, upper is certified impossible above).
+    kind is one of cyclic, alternating, identified, unknown.
+    [alt_lower, alt_upper] brackets the largest m with an A_m section, 4
+    meaning "none for any m >= 5": lower is witnessed, and no m above upper
+    is possible. The bracket is closed (lower == upper) exactly when that
+    value is known; an unknown factor gets [4, alt_section_upper_bound].
     """
 
     kind: str
     order: int
     name: str
-    param: int | None = None
-    max_alt_section: int | None = None
-    alt_lower: int = 4
-    alt_upper: int | None = None
+    alt_lower: int
+    alt_upper: int
     note: str = ""
 
     def sort_key(self):
@@ -59,14 +63,18 @@ class FactorDescriptor:
 
 
 def _cyclic(p: int) -> FactorDescriptor:
-    return FactorDescriptor(kind="cyclic", order=p, name=f"C{p}", param=p,
-                            max_alt_section=4, alt_lower=4, alt_upper=4)
+    return FactorDescriptor(kind="cyclic", order=p, name=f"C{p}", alt_lower=4, alt_upper=4)
 
 
 def _alternating(m: int) -> FactorDescriptor:
     order = math.factorial(m) // 2
-    return FactorDescriptor(kind="alternating", order=order, name=f"A{m}", param=m,
-                            max_alt_section=m, alt_lower=m, alt_upper=m)
+    return FactorDescriptor(kind="alternating", order=order, name=f"A{m}",
+                            alt_lower=m, alt_upper=m)
+
+
+def _unknown(order: int, note: str) -> FactorDescriptor:
+    return FactorDescriptor(kind="unknown", order=order, name=f"?{order}", alt_lower=4,
+                            alt_upper=alt_section_upper_bound(order), note=note)
 
 
 # -- the simple-group order table -----------------------------------------
@@ -269,8 +277,7 @@ def _descend(G: PermGroup, out: list[FactorDescriptor]) -> None:
         return
     split = _split_by_labels(G, N)
     if split is None:
-        out.append(FactorDescriptor(kind="unknown", order=order, name=f"?{order}",
-                                    note="proper normal subgroup found but not separable"))
+        out.append(_unknown(order, "proper normal subgroup found but not separable"))
         return
     image, kernel = split
     _descend(image, out)
@@ -387,43 +394,31 @@ def _simple_descriptor(G: PermGroup) -> FactorDescriptor:
     order = G.order()
     name = identify_simple(order, spectrum_probe=lambda k: _has_element_of_order(G, k))
     if name is None:
-        return FactorDescriptor(kind="unknown", order=order, name=f"?{order}",
-                                alt_upper=alt_section_upper_bound(order),
-                                note="no unique order match")
+        return _unknown(order, "no unique order match")
     if name.startswith("A") and name[1:].isdigit():
         return _alternating(int(name[1:]))
     if name.startswith("C") and name[1:].isdigit():
         return _cyclic(int(name[1:]))
     row = next(r for r in table_rows(order) if r["name"] == name)
     return FactorDescriptor(kind="identified", order=order, name=name,
-                            max_alt_section=row.get("max_alt_section"),
-                            alt_lower=row.get("alt_lower", 4),
-                            alt_upper=row.get("alt_upper"))
+                            alt_lower=row["alt_lower"], alt_upper=row["alt_upper"])
 
 
 # -- alternating sections and the restricted classes -----------------------
 
 
 def max_alternating_section(f: FactorDescriptor) -> int | None:
-    """Largest m >= 5 with an A_m section, 4 if none, None if unresolved."""
-    if f.kind == "cyclic":
-        return 4
-    if f.kind == "alternating":
-        return f.param
-    if f.kind == "identified":
-        return f.max_alt_section
+    """Largest m >= 5 with an A_m section, 4 if none, None if unresolved:
+    the closed bracket's value, never one for an unknown factor."""
+    if f.kind != "unknown" and f.alt_lower == f.alt_upper:
+        return f.alt_lower
     return None
 
 
 def _factor_in_gamma(f: FactorDescriptor, d: int) -> str:
-    exact = max_alternating_section(f)
-    if exact is not None:
-        return YES if d > exact else NO
-    lower = f.alt_lower
-    upper = f.alt_upper if f.alt_upper is not None else alt_section_upper_bound(f.order)
-    if d <= lower:
+    if d <= f.alt_lower:
         return NO
-    if d > upper:
+    if d > f.alt_upper:
         return YES
     return UNKNOWN
 
@@ -446,12 +441,15 @@ def in_gamma(G: PermGroup, d: int, order_cap: int = 10 ** 12) -> str:
 
 
 def gamma_profile(G: PermGroup, d_max: int = 40, order_cap: int = 10 ** 12) -> dict:
-    """Smallest d with a certified yes, plus how tight the certificate is."""
+    """Smallest d with a certified yes, plus how tight the certificate is.
+
+    Every factor answers yes exactly when d exceeds its alt_upper, so the
+    smallest such d >= 5 is one past the largest upper bound; None when it
+    is above d_max.
+    """
     factors = composition_factors(G, order_cap)
-    certified = None
-    for d in range(5, d_max + 1):
-        if all(_factor_in_gamma(f, d) == YES for f in factors):
-            certified = d
-            break
+    certified = max(5, max((f.alt_upper for f in factors), default=4) + 1)
+    if certified > d_max:
+        certified = None
     exact = all(max_alternating_section(f) is not None for f in factors)
     return {"min_certified_d": certified, "tight": exact}

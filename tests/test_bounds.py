@@ -40,6 +40,7 @@ from permres.constructions import (
     wreath_product_action,
 )
 from permres.perm import Perm
+from permres import search
 from permres.search import base_size_exact, distinguishing_number
 from permres.stabchain import PermGroup
 
@@ -350,6 +351,19 @@ def test_thm13_rejects_failing_scan():
     assert n_c_delta(2, 100) == 14
     with pytest.raises(ValueError):
         theorem13_check(PermGroup.symmetric(16), 2, 14, 100)
+
+
+def test_thm13_rejects_scan_cut_short(monkeypatch):
+    # C7 on 7 points: its 30 classes of triples all pass, but a scan that
+    # its budget stops after two nodes has seen none of them
+    G = PermGroup(7, [Perm([1, 2, 3, 4, 5, 6, 0])])
+    assert n_c_delta(3, 2) == 78
+    assert theorem13_check(G, 3, 78, 2).verdict == "holds"
+    inner = search.stabilizer_scan
+    monkeypatch.setattr(search, "stabilizer_scan",
+                        lambda G, c, predicate: inner(G, c, predicate, node_budget=2))
+    with pytest.raises(ValueError, match="inconclusive"):
+        theorem13_check(G, 3, 78, 2)
 
 
 def test_thm13_rejects_failing_certificate():

@@ -93,6 +93,16 @@ def test_stab_scan_exit_codes(capsys):
     assert code == 1 and json.loads(out)["verdict"] == "fail"
 
 
+def test_stab_scan_cut_short_exits_two(capsys):
+    # a scan that its budget cut short is never all-pass
+    code, out, _ = run(capsys, "stab-scan", "--recipe",
+                       '{"kind": "symmetric", "m": 7}', "--c", "3",
+                       "--node-budget", "3", "--json")
+    assert code == 2
+    assert json.loads(out) == {"verdict": "inconclusive", "classes": 0,
+                               "exhaustive": False}
+
+
 def test_reg_count_verb(capsys):
     code, out, _ = run(capsys, "reg-count", "--recipe",
                        '{"kind": "symmetric", "m": 3}', "--t", "2", "--json")

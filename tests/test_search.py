@@ -228,11 +228,12 @@ def test_scan_rejects_bad_arguments():
 
 
 def test_scan_worst_is_max_over_reps():
-    # intransitive: fixed point gives the full group back as a stabilizer
+    # intransitive: the two classes have stabilizers C2 and C3
     G = PermGroup(5, [Perm([1, 2, 0, 3, 4]), Perm([0, 1, 2, 4, 3])])  # C3 x C2
     rep = stabilizer_scan(G, 1, "solvable")
-    orders = [s.order() for _, s, _ in G.orbit_tuple_reps(1)]
-    assert rep.worst_witness.order == max(orders)
+    elems = list(G.elements())
+    orders = [sum(g.images[x] == x for g in elems) for x in range(G.degree)]
+    assert rep.worst_witness.order == max(orders) == 3
 
 
 # -- distinguishing colorings ----------------------------------------------
@@ -711,10 +712,12 @@ def test_walk_pins_witnesses_nodes_and_builds(deg36, stabilizer_builds):
     rc = count_regular_tuples(deg36, 6, threshold=1451520)
     assert (rc.value, stabilizer_builds[0]) == (1451520, 143)
 
+    # the scan's walk builds the two stabilizers down to its one class; the
+    # rest are the solvability test's and the witness summary's
     stabilizer_builds[0] = 0
-    reps = deg36.orbit_tuple_reps(2)
-    assert [(pts, weight) for pts, _, weight in reps] == [((0, 1), 1260)]
-    assert stabilizer_builds[0] == 2
+    rep = stabilizer_scan(deg36, 2, "solvable")
+    assert (rep.classes, rep.worst_witness.points) == (1, (0, 1))
+    assert stabilizer_builds[0] == 24
 
 
 @pytest.fixture

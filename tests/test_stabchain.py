@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import time
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from permres.classical import classical_generators
 from permres.constructions import matrix_orbit_action, wreath_imprimitive
 from permres.perm import Perm, iter_alt_gens, iter_sym_gens
+from permres.search import stabilizer_scan
 from permres.stabchain import (
     PermGroup,
     ResourceLimit,
@@ -568,13 +570,15 @@ def test_walk_never_certifies_a_proper_closure():
 
 
 # -- orbit representatives on tuples --------------------------------------
+#
+# stabilizer_scan walks one representative per orbit on distinct c-tuples
+# down the orbit tree; these tests check its classes against brute force.
 
 
 def test_orbit_tuple_reps_transitive_pairs():
-    G = PermGroup.symmetric(3)
-    reps = G.orbit_tuple_reps(2)
-    assert len(reps) == 1
-    assert sum(w for _, _, w in reps) == 6
+    # S3 is sharply 2-transitive: one class of pairs, trivial stabilizer
+    rep = stabilizer_scan(PermGroup.symmetric(3), 2, "solvable")
+    assert (rep.classes, rep.worst_witness.order, rep.exhaustive) == (1, 1, True)
 
 
 @pytest.mark.parametrize("name,c", [("sym5", 2), ("dihedral4", 2), ("psl27", 2), ("alt6", 3), ("two_orbit", 2)])
@@ -582,29 +586,26 @@ def test_orbit_tuple_reps_cover(name, c):
     degree, gens = SAMPLES[name]
     G = PermGroup(degree, gens)
     elems = closure(degree, gens)
-    reps = G.orbit_tuple_reps(c)
-    total = 1
-    for j in range(c):
-        total *= degree - j
-    assert sum(w for _, _, w in reps) == total
-    # every representative's reported weight is its true orbit size,
-    # and its reported stabilizer is the true pointwise stabilizer
-    for tup, stab, w in reps:
-        orbit = {tuple(e[x] for x in tup) for e in elems}
-        assert len(orbit) == w
-        want = len({e for e in elems if all(e[x] == x for x in tup)})
-        assert stab.order() == want
-    # distinct representatives lie in distinct orbits
-    for i, (t1, _, _) in enumerate(reps):
-        for t2, _, _ in reps[i + 1:]:
-            orbit = {tuple(e[x] for x in t1) for e in elems}
-            assert t2 not in orbit
+    tuples = set(itertools.permutations(range(degree), c))
+    orbits = 0
+    while tuples:
+        t = tuples.pop()
+        tuples -= {tuple(e[x] for x in t) for e in elems}
+        orbits += 1
+
+    def stab_order(t):
+        return sum(all(e[x] == x for x in t) for e in elems)
+
+    rep = stabilizer_scan(G, c, "solvable")
+    assert (rep.classes, rep.exhaustive) == (orbits, True)
+    worst = max(stab_order(t) for t in itertools.permutations(range(degree), c))
+    assert rep.worst_witness.order == stab_order(rep.worst_witness.points) == worst
 
 
 def test_orbit_tuple_reps_budget():
-    G = PermGroup.trivial(8)
-    with pytest.raises(ResourceLimit):
-        G.orbit_tuple_reps(3, node_budget=10)
+    # 336 triples of a trivial group, so 10 nodes cannot reach them all
+    rep = stabilizer_scan(PermGroup.trivial(8), 3, "solvable", node_budget=10)
+    assert (rep.exhaustive, rep.verdict) == (False, "inconclusive")
 
 
 def test_orbit_tree_preorder_weights():

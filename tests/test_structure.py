@@ -221,21 +221,24 @@ def test_factors_unidentified_is_unknown_not_mislabeled():
     f = fs[0]
     assert f.kind == "unknown"
     assert f.order == 7920
-    assert f.alt_upper == 6  # arithmetic bracket still informative
+    # arithmetic bracket still informative, but never read as exact
+    assert (f.alt_lower, f.alt_upper) == (4, 6)
+    assert max_alternating_section(f) is None
 
 
 def test_factor_descriptor_invariants():
     corpus = [PermGroup.symmetric(5), PermGroup.symmetric(4), a5_wr_c2(), psl27(), m11()]
     for G in corpus:
         for f in composition_factors(G):
+            assert 4 <= f.alt_lower <= f.alt_upper
             if f.kind == "cyclic":
-                assert f.max_alt_section == 4
+                assert (f.alt_lower, f.alt_upper) == (4, 4)
                 assert f.order >= 2
                 assert all(f.order % d for d in range(2, int(f.order ** 0.5) + 1))
             if f.kind == "alternating":
-                assert f.order == math.factorial(f.param) // 2
-                assert f.max_alt_section == f.param >= 5
-            if f.max_alt_section is not None and f.max_alt_section >= 5:
+                assert f.alt_lower == f.alt_upper >= 5
+                assert f.order == math.factorial(f.alt_lower) // 2
+            if f.alt_lower >= 5:
                 assert f.order >= 60
 
 
@@ -312,9 +315,11 @@ def test_alt_upper_bound_values():
 
 
 def test_max_alternating_section_basic():
-    assert max_alternating_section(FactorDescriptor("cyclic", 2, "C2", 2)) == 4
+    assert max_alternating_section(FactorDescriptor("cyclic", 2, "C2", 4, 4)) == 4
     alt7 = composition_factors(PermGroup.alternating(7))[0]
     assert max_alternating_section(alt7) == 7
+    # a closed bracket on an unknown factor is still not an identification
+    assert max_alternating_section(FactorDescriptor("unknown", 168, "?168", 4, 4)) is None
 
 
 def test_in_gamma_rejects_small_d():

@@ -7,7 +7,10 @@ of the package relies on.
 
 import json
 import math
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -34,17 +37,35 @@ def test_table_metadata(table):
 
 def test_bracket_arithmetic_all_rows(table):
     for r in table["groups"]:
+        # one bracket is the only alternating-section field
+        assert set(r) == {"order", "name", "family", "m", "q",
+                          "alt_lower", "alt_upper", "disambiguator"}
         lower, upper = r["alt_lower"], r["alt_upper"]
         assert 4 <= lower <= upper
         # the stored upper bound never exceeds the recomputed arithmetic one
         assert upper <= alt_section_upper_bound(r["order"])
-        if r["max_alt_section"] is not None:
-            assert lower == upper == r["max_alt_section"]
-        else:
-            assert lower < upper
         if lower > 4:
             # a witnessed A_m section forces m!/2 to divide the order
             assert r["order"] % (math.factorial(lower) // 2) == 0
+
+
+def test_generator_reproduces_rows(table, tmp_path):
+    # the generator's arithmetic pass (no --witness) emits the same rows in
+    # the same order, with brackets that contain the committed ones; only
+    # the rows that --witness tightens differ
+    tool = Path(__file__).resolve().parents[1] / "tools" / "gen_simple_table.py"
+    out = tmp_path / "simple_groups.json"
+    subprocess.run([sys.executable, str(tool), "--out", str(out)],
+                   check=True, capture_output=True)
+    fresh = json.loads(out.read_text())["groups"]
+    keys = ("order", "name", "family", "m", "q", "disambiguator")
+    assert [[r[k] for k in keys] for r in fresh] == [[r[k] for k in keys] for r in table["groups"]]
+    tightened = []
+    for new, old in zip(fresh, table["groups"]):
+        assert new["alt_lower"] <= old["alt_lower"] <= old["alt_upper"] <= new["alt_upper"]
+        if (new["alt_lower"], new["alt_upper"]) != (old["alt_lower"], old["alt_upper"]):
+            tightened.append(old["name"])
+    assert sorted(tightened) == ["L3(4)", "L4(3)", "S6(2)", "U4(2)"]
 
 
 def test_order_collisions_all_marked(table):
@@ -61,14 +82,15 @@ def test_order_collisions_all_marked(table):
 
 def test_witnessed_exact_values(table):
     byname = {r["name"]: r for r in table["groups"]}
-    assert byname["S6(2)"]["max_alt_section"] == 8
-    assert byname["U4(2)"]["max_alt_section"] == 6
-    assert byname["L4(3)"]["max_alt_section"] == 6
-    assert byname["L2(7)"]["max_alt_section"] == 4
+    def bracket(name):
+        return byname[name]["alt_lower"], byname[name]["alt_upper"]
+
+    assert bracket("S6(2)") == (8, 8)
+    assert bracket("U4(2)") == (6, 6)
+    assert bracket("L4(3)") == (6, 6)
+    assert bracket("L2(7)") == (4, 4)
     # open bracket kept honest: no fabricated exact value
-    l34 = byname["L3(4)"]
-    assert l34["max_alt_section"] is None
-    assert (l34["alt_lower"], l34["alt_upper"]) == (6, 7)
+    assert bracket("L3(4)") == (6, 7)
 
 
 def test_identify_pins_table_rows(table):
@@ -76,8 +98,8 @@ def test_identify_pins_table_rows(table):
     assert identify_simple(1451520) == "S6(2)"
     assert identify_simple(25920) == "U4(2)"
     assert identify_simple(168) == "L2(7)"
-    assert byname["S6(2)"]["max_alt_section"] == 8
-    assert byname["U4(2)"]["max_alt_section"] == 6
+    assert (byname["S6(2)"]["alt_lower"], byname["S6(2)"]["alt_upper"]) == (8, 8)
+    assert (byname["U4(2)"]["alt_lower"], byname["U4(2)"]["alt_upper"]) == (6, 6)
 
 
 def test_identified_sp62_pipeline():

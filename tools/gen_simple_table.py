@@ -84,8 +84,7 @@ def enumerate_classical(limit: int) -> list[dict]:
     def add(name: str, family: str, m: int, q: int, order: int, disamb=None):
         rows.append({
             "order": order, "name": name, "family": family, "m": m, "q": q,
-            "max_alt_section": None, "alt_lower": 4,
-            "alt_upper": alt_section_upper_bound(order),
+            "alt_lower": 4, "alt_upper": alt_section_upper_bound(order),
             "disambiguator": disamb,
         })
 
@@ -233,7 +232,6 @@ def run_witnesses(rows: list[dict], log: list[str]) -> None:
     row = by_name["S6(2)"]
     assert row["alt_upper"] == 8
     row["alt_lower"] = 8
-    row["max_alt_section"] = 8
     log.append("S6(2): A8 witness = derived subgroup of the plus-type orthogonal "
                "subgroup, order 20160 with an order-15 element; upper bound 8 "
                "by index arithmetic -> exact 8")
@@ -251,7 +249,7 @@ def run_witnesses(rows: list[dict], log: list[str]) -> None:
 
     # L3(4): A6 witness by seeded search for an order-360 simple subgroup;
     # A8 excluded by the spectrum above, A7 neither witnessed nor excluded,
-    # so the bracket stays open at [6, 7] and the exact value stays null.
+    # so the bracket stays open at [6, 7].
     row = by_name["L3(4)"]
     row["alt_lower"] = _find_alt6_witness(l34, log, "L3(4)")
     assert row["alt_upper"] == 8
@@ -268,7 +266,6 @@ def run_witnesses(rows: list[dict], log: list[str]) -> None:
     row = by_name["U4(2)"]
     assert row["alt_upper"] == 6
     row["alt_lower"] = _find_alt6_witness(u42, log, "U4(2)")
-    row["max_alt_section"] = 6
     log.append("U4(2): exact 6")
 
     # L4(3): projective action of the special linear group on 4 points
@@ -279,22 +276,11 @@ def run_witnesses(rows: list[dict], log: list[str]) -> None:
     row = by_name["L4(3)"]
     assert row["alt_upper"] == 6
     row["alt_lower"] = _find_alt6_witness(l43, log, "L4(3)")
-    row["max_alt_section"] = 6
     log.append("L4(3): exact 6")
 
     # L2(7) needs no witness: 60 does not divide 168, exact 4 by arithmetic
-    row = by_name["L2(7)"]
-    assert row["alt_upper"] == 4
-    row["alt_lower"] = 4
-    row["max_alt_section"] = 4
+    assert by_name["L2(7)"]["alt_upper"] == 4
     log.append("L2(7): exact 4 by divisibility alone")
-
-    # close out every row whose arithmetic upper bound is already 4
-    for r in rows:
-        if r["alt_upper"] == 4 and r["max_alt_section"] is None:
-            r["max_alt_section"] = 4
-            r["alt_lower"] = 4
-    log.append("rows with arithmetic upper bound 4 marked exact")
 
 
 def _find_alt6_witness(G, log: list[str], name: str) -> int:

@@ -67,14 +67,13 @@ def _cmd_construct(args) -> int:
 def _cmd_describe(args) -> int:
     # gamma_profile reads the factor list that composition_factors cached
     # on G, so the descent runs once per invocation
-    from .recipes import construct_recipe, pick
+    from .recipes import construct_recipe
     from .structure import composition_factors, gamma_profile
 
     act = construct_recipe(_read_recipe(args.recipe))
     G = act.group
-    caps = pick(vars(args), "order_cap")
-    factors = composition_factors(G, **caps)
-    prof = gamma_profile(G, **caps)
+    factors = composition_factors(G)
+    prof = gamma_profile(G)
     doc = {
         "label": G.label,
         "degree": G.degree,
@@ -103,7 +102,7 @@ def _cmd_base_size(args) -> int:
     from .search import base_size_exact
 
     act = construct_recipe(_read_recipe(args.recipe))
-    w = base_size_exact(act.group, **pick(vars(args), "max_b", "node_budget"))
+    w = base_size_exact(act.group, **pick(vars(args), "node_budget"))
     doc = {"status": w.status, "size": w.size,
            "proof": w.proof_of_minimality,
            "points": list(w.points) if w.points is not None else None,
@@ -158,6 +157,16 @@ def _cmd_reg_count(args) -> int:
     return 0
 
 
+# the --params keys each bounds check reads; any other key is a typo
+_BOUNDS_KEYS = {
+    "lemma22": {"d"},
+    "thm13": {"c", "d", "delta"},
+    "formula": {"name", "params", "measured"},
+    "threshold-m": {"eps"},
+    "threshold-n": {"c", "delta"},
+}
+
+
 def _cmd_bounds(args) -> int:
     from fractions import Fraction
 
@@ -167,6 +176,13 @@ def _cmd_bounds(args) -> int:
     if not isinstance(params, dict):
         raise ValueError("--params must be a JSON object")
     name = args.check
+    if name not in _BOUNDS_KEYS:
+        raise ValueError(f"unknown bounds check {name!r}")
+    unread = sorted(set(params) - _BOUNDS_KEYS[name])
+    if unread:
+        raise ValueError(f"--check {name} reads only --params keys "
+                         f"{', '.join(sorted(_BOUNDS_KEYS[name]))}, "
+                         f"not {', '.join(unread)}")
     if name == "threshold-m":
         doc = {"M": m_epsilon(Fraction(params["eps"]))}
     elif name == "threshold-n":
@@ -175,7 +191,7 @@ def _cmd_bounds(args) -> int:
         rep = formula_suite(params["name"], params.get("params", {}),
                             measured=params.get("measured"))
         doc = {"bound": rep.bound_value, "verdict": rep.verdict}
-    elif name in ("lemma22", "thm13"):
+    else:
         if not args.recipe:
             raise ValueError(f"--check {name} needs --recipe")
         from .recipes import construct_recipe
@@ -188,8 +204,6 @@ def _cmd_bounds(args) -> int:
                                   Fraction(params.get("delta", 1)))
         doc = {"bound": rep.bound_value, "measured": rep.measured_value,
                "verdict": rep.verdict}
-    else:
-        raise ValueError(f"unknown bounds check {name!r}")
     _emit(doc, args.json)
     return 1 if doc.get("verdict") == "fails" else 0
 
@@ -257,7 +271,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("describe", help="order, orbits, factors, profile")
     common(p)
-    p.add_argument("--order-cap", type=int, default=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_describe)
 
     p = sub.add_parser("order", help="group order")
@@ -266,7 +279,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("base-size", help="exact minimal base size")
     common(p)
-    p.add_argument("--max-b", type=int, default=argparse.SUPPRESS)
     p.add_argument("--node-budget", type=int, default=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_base_size)
 
@@ -294,7 +306,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="closed-form bounds and thresholds")
     common(p, recipe_required=False)
     p.add_argument("--check", required=True,
-                   help="lemma22 | thm13 | formula | threshold-m | threshold-n")
+                   help=" | ".join(_BOUNDS_KEYS))
     p.add_argument("--params", help="JSON object of parameters")
     p.set_defaults(fn=_cmd_bounds)
 
@@ -302,7 +314,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True,
                    help="path to a manifest, or 'corpus' for the bundled one")
     p.add_argument("--budget-ms", type=int,
-                   help="per-check budget; default from PERMRES_BUDGET_MS")
+                   help="per-check budget in ms, unless a check sets its "
+                        "own budget_ms; default: none")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_verify)
 

@@ -332,9 +332,8 @@ def diagonal_type_group(T: PermGroup, include_swap: bool = True,
     chain = T.chain()
     if chain.order() > DEGREE_CAP:
         raise ConstructionError("|T| exceeds cap")
-    elements = chain.elements(limit=DEGREE_CAP)
     sig_of = {}
-    for t in elements:
+    for t in chain.elements():
         sig_of[tuple(chain.base_images(t))] = t
     labels = sorted(sig_of)
     index = {lbl: i for i, lbl in enumerate(labels)}
@@ -356,6 +355,4 @@ def diagonal_type_group(T: PermGroup, include_swap: bool = True,
                 raise ConstructionError("outer map is not an automorphism of T")
         perms.append(Perm([point(oinv * sig_of[lbl] * outer) for lbl in labels]))
     group = PermGroup(len(labels), perms, label=f"diag({T.label or 'T'})")
-    action = LabeledAction(group, labels, index)
-    action.element_of_label = sig_of
-    return action
+    return LabeledAction(group, labels, index)

@@ -19,11 +19,13 @@ otherwise inert: "reported" for values taken from an external source,
 "direct" for values immediate from the definition, "derived" for values
 produced by an independent computation kept alongside the tests.
 
-Budgets are cooperative: the clock is consulted between assertions, so a
-single long assertion is never interrupted mid-flight. A check that runs
-out of budget or trips an internal resource cap is reported as
-"skipped-resource", never as a failure; any other exception fails only its
-own check. Reports are deterministic apart from wall-clock fields;
+A check's time budget is its own budget_ms field, else the budget_ms
+given to run_manifest (the CLI's --budget-ms), else none. Budgets are
+cooperative: the clock is consulted between assertions, so a single long
+assertion is never interrupted mid-flight. A check that runs out of
+budget or trips an internal resource cap is reported as
+"skipped-resource", never as a failure; any other exception fails only
+its own check. Reports are deterministic apart from wall-clock fields;
 fingerprint() strips those.
 
 A run builds each distinct recipe once. The build counts toward the budget
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -77,8 +78,10 @@ VALID_TAGS = ("reported", "direct", "derived")
 # -- assertion operations --------------------------------------------------
 # Every runner takes the constructed action and the assertion's parameter
 # object and returns a JSON-comparable measured value. Expected values that
-# are objects match as subsets: only the listed keys are compared. Budgets
-# and caps a check leaves out take the library function's own default.
+# are objects match as subsets: only the listed keys are compared. Besides
+# an op's own inputs, the only keys read are the search budgets node_budget
+# and elem_cap; a budget left out takes the library function's own default,
+# and any other key is ignored.
 
 
 def _op_order(act: LabeledAction, p: dict):
@@ -111,21 +114,21 @@ def _op_suborbit_sizes(act: LabeledAction, p: dict):
 
 
 def _op_comp_factors(act: LabeledAction, p: dict):
-    factors = composition_factors(act.group, **pick(p, "order_cap"))
+    factors = composition_factors(act.group)
     return [f.name for f in factors]
 
 
 def _op_gamma_min_d(act: LabeledAction, p: dict):
-    prof = gamma_profile(act.group, **pick(p, "d_max", "order_cap"))
+    prof = gamma_profile(act.group)
     return prof["min_certified_d"]
 
 
 def _op_in_gamma(act: LabeledAction, p: dict):
-    return in_gamma(act.group, p["d"], **pick(p, "order_cap"))
+    return in_gamma(act.group, p["d"])
 
 
 def _op_base_size(act: LabeledAction, p: dict):
-    w = base_size_exact(act.group, **pick(p, "max_b", "node_budget"))
+    w = base_size_exact(act.group, **pick(p, "node_budget"))
     if w.status != "exact":
         raise ResourceLimit(f"base search stopped with status {w.status}")
     return {"size": w.size, "proof": w.proof_of_minimality}
@@ -141,7 +144,7 @@ def _op_dist_number(act: LabeledAction, p: dict):
 
 
 def _op_dist_upper(act: LabeledAction, p: dict):
-    return distinguishing_witness(act.group, p["r"], **pick(p, "tries")) is not None
+    return distinguishing_witness(act.group, p["r"]) is not None
 
 
 def _op_stab_scan(act: LabeledAction, p: dict):
@@ -368,18 +371,6 @@ class _Clock:
             raise ResourceLimit(f"check budget {self.budget_ms}ms exhausted")
 
 
-def default_budget_ms() -> int | None:
-    raw = os.environ.get("PERMRES_BUDGET_MS")
-    if not raw:
-        return None
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ManifestError(f"PERMRES_BUDGET_MS must be an integer, "
-                            f"got {raw!r}") from None
-    return val if val > 0 else None
-
-
 def run_check(chk: dict, budget_ms: int | None = None) -> CheckResult:
     """Build the check's recipe and evaluate its assertions in order.
 
@@ -459,8 +450,8 @@ def run_manifest(source: str | Path | dict,
     """Run every check and return the merged report, in manifest order.
 
     source may be a path or an already-parsed document. budget_ms is the
-    per-check default; PERMRES_BUDGET_MS supplies it when not given here,
-    and a check's own budget_ms field overrides both.
+    per-check default (None: no budget), and a check's own budget_ms field
+    overrides it.
 
     Each distinct recipe is built once per run, by the first check that
     needs it and inside that check's budget; later checks share the built
@@ -477,8 +468,6 @@ def run_manifest(source: str | Path | dict,
     else:
         doc, digest = load_manifest(source)
     checks = validate_manifest(doc)
-    if budget_ms is None:
-        budget_ms = default_budget_ms()
     token = _BUILT.set({})
     try:
         results = [run_check(c, budget_ms) for c in checks]

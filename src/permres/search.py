@@ -46,10 +46,11 @@ __all__ = [
 class BaseWitness:
     """A base for a group together with how much it proves.
 
-    status is one of exact, upper-bound, exceeds-max-b, partial. The
+    status is exact, upper-bound (greedy_base), or partial (the search
+    ran out of node_budget; lower_bound and upper_bound bracket b). The
     proof_of_minimality marker is "order-bound" when the witness length
     equals the information-theoretic lower bound, "exhausted" when every
-    shorter depth was searched to completion, and None for upper bounds.
+    shorter depth was searched to completion, and None otherwise.
     """
 
     points: tuple[int, ...] | None
@@ -77,23 +78,23 @@ def _verify_base(G: PermGroup, points: tuple[int, ...]) -> None:
         raise AssertionError(f"claimed base {points} has nontrivial stabilizer")
 
 
-def base_size_exact(
-    G: PermGroup, max_b: int = 16, node_budget: int = 2_000_000
-) -> BaseWitness:
+def base_size_exact(G: PermGroup, node_budget: int = 2_000_000) -> BaseWitness:
     """Exact minimal base size via iterative deepening.
 
     Branches only over orbit representatives of the current partial
     stabilizer (smallest point per orbit, increasing order); a branch is cut
     when the stabilizer order exceeds (largest orbit size) ** (remaining
     depth), since each further point divides the order by at most its orbit
-    length. Budget exhaustion returns a partial witness bracketing the
-    answer instead of raising.
+    length, so the cut never removes a branch that completes to a base.
+    Depths run up to degree - 1, which bounds b for a nontrivial group.
+    Budget exhaustion returns a partial witness bracketing the answer
+    instead of raising.
     """
     if G.order() == 1:
         return BaseWitness((), 0, "exact", "order-bound", 0, 0, 0)
     lb = base_lower_bound(G)
     nodes = 0
-    for target in range(lb, max_b + 1):
+    for target in range(lb, G.degree):
 
         def children(prefix: tuple[int, ...], H: PermGroup) -> list[list[int]]:
             rem = target - len(prefix)
@@ -113,7 +114,7 @@ def base_size_exact(
                 _verify_base(G, prefix)
                 proof = "order-bound" if len(prefix) == lb else "exhausted"
                 return BaseWitness(prefix, len(prefix), "exact", proof, lb, len(prefix), nodes)
-    return BaseWitness(None, None, "exceeds-max-b", None, max_b + 1, None, nodes)
+    raise AssertionError("a nontrivial group has a base of at most degree - 1 points")
 
 
 def greedy_base(G: PermGroup) -> BaseWitness:
@@ -179,11 +180,7 @@ def _structure_summary(H: PermGroup) -> str:
         return "trivial"
     if order > _SUMMARY_ORDER_CAP:
         return f"order {order}"
-    try:
-        names = [f.name for f in composition_factors(H)]
-    except ResourceLimit:
-        return f"order {order}"
-    return " * ".join(names)
+    return " * ".join(f.name for f in composition_factors(H))
 
 
 def _parse_predicate(predicate: str):
@@ -263,6 +260,9 @@ class DistinguishingResult:
 _DEGREE_CAP = 64
 # groups above this order are not enumerated for the exact coloring search
 _ELEM_CAP = 200_000
+# distinguishing_witness above _ELEM_CAP: how many seeded random colorings
+# it verifies, and their seed
+_WITNESS_TRIES = 200
 _PROBE_SEED = 0xD157
 
 
@@ -433,13 +433,13 @@ def distinguishing_number(G: PermGroup, elem_cap: int = _ELEM_CAP) -> Distinguis
     raise AssertionError("coloring all points distinctly is always rigid")
 
 
-def distinguishing_witness(G: PermGroup, r: int, tries: int = 200) -> tuple[int, ...] | None:
+def distinguishing_witness(G: PermGroup, r: int) -> tuple[int, ...] | None:
     """A verified r-coloring preserved only by the identity, or None.
 
     Groups of order up to _ELEM_CAP get the deterministic exhaustive
-    search. Larger ones fall back to seeded random colorings, then to
-    coloring a base with fresh colors (rigid whenever the base fits in
-    r - 1 colors). Every coloring returned has passed verify_distinguishing.
+    search. Larger ones fall back to _WITNESS_TRIES seeded random colorings,
+    then to coloring a base with fresh colors (rigid whenever the base fits
+    in r - 1 colors). Every coloring returned has passed verify_distinguishing.
     Establishes an upper bound only; None does not prove impossibility.
     """
     n = G.degree
@@ -457,7 +457,7 @@ def distinguishing_witness(G: PermGroup, r: int, tries: int = 200) -> tuple[int,
         return _verified_rigid_coloring(G, r, tables)
     rng = random.Random(_PROBE_SEED)
     tried = set()
-    for _ in range(tries):
+    for _ in range(_WITNESS_TRIES):
         coloring = tuple(rng.randrange(r) for _ in range(n))
         if coloring not in tried and verify_distinguishing(G, coloring):
             return coloring

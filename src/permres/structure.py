@@ -27,7 +27,6 @@ from .fq import factorize, is_prime
 from .perm import Perm
 from .stabchain import (
     PermGroup,
-    ResourceLimit,
     action_on_blocks,
     action_with_kernel,
     derived_subgroup,
@@ -215,7 +214,7 @@ _WALK_SEED = 1913
 _CELL_CAP = 300_000
 
 
-def composition_factors(G: PermGroup, order_cap: int = 10 ** 12) -> list[FactorDescriptor]:
+def composition_factors(G: PermGroup) -> list[FactorDescriptor]:
     """Composition factor multiset, sorted by (order, kind, name).
 
     Descent order: kernel of the action on one orbit, kernel of the action
@@ -224,19 +223,16 @@ def composition_factors(G: PermGroup, order_cap: int = 10 ** 12) -> list[FactorD
     table entry come back as kind unknown.
 
     The descent runs once per group: the sorted list is cached on G and
-    each call returns a fresh copy of it. order_cap is checked on every
-    call, cached or not.
+    each call returns a fresh copy of it. Its cost follows the degree, not
+    the order, so no order cap guards it.
     """
-    order = G.order()
-    if order > order_cap:
-        raise ResourceLimit(f"group order {order} exceeds factor cap {order_cap}")
     if G._factors is None:
         out: list[FactorDescriptor] = []
         _descend(G, out)
         prod = 1
         for f in out:
             prod *= f.order
-        if prod != order:
+        if prod != G.order():
             raise AssertionError("factor orders do not multiply to the group order")
         G._factors = sorted(out, key=FactorDescriptor.sort_key)
     return list(G._factors)
@@ -423,7 +419,7 @@ def _factor_in_gamma(f: FactorDescriptor, d: int) -> str:
     return UNKNOWN
 
 
-def in_gamma(G: PermGroup, d: int, order_cap: int = 10 ** 12) -> str:
+def in_gamma(G: PermGroup, d: int) -> str:
     """Three-valued test: does every composition factor avoid A_d sections?
 
     Factor closure under subgroups, quotients, and extensions reduces the
@@ -432,7 +428,7 @@ def in_gamma(G: PermGroup, d: int, order_cap: int = 10 ** 12) -> str:
     """
     if d < 5:
         raise ValueError("the restricted classes are defined for d >= 5 only")
-    verdicts = [_factor_in_gamma(f, d) for f in composition_factors(G, order_cap)]
+    verdicts = [_factor_in_gamma(f, d) for f in composition_factors(G)]
     if any(v == NO for v in verdicts):
         return NO
     if all(v == YES for v in verdicts):
@@ -440,16 +436,14 @@ def in_gamma(G: PermGroup, d: int, order_cap: int = 10 ** 12) -> str:
     return UNKNOWN
 
 
-def gamma_profile(G: PermGroup, d_max: int = 40, order_cap: int = 10 ** 12) -> dict:
+def gamma_profile(G: PermGroup) -> dict:
     """Smallest d with a certified yes, plus how tight the certificate is.
 
     Every factor answers yes exactly when d exceeds its alt_upper, so the
-    smallest such d >= 5 is one past the largest upper bound; None when it
-    is above d_max.
+    smallest such d >= 5 is one past the largest upper bound, however
+    large that is.
     """
-    factors = composition_factors(G, order_cap)
+    factors = composition_factors(G)
     certified = max(5, max((f.alt_upper for f in factors), default=4) + 1)
-    if certified > d_max:
-        certified = None
     exact = all(max_alternating_section(f) is not None for f in factors)
     return {"min_certified_d": certified, "tight": exact}

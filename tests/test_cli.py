@@ -39,6 +39,16 @@ def test_describe_recomputes_profile(capsys):
     assert doc["min-certified-d"] == 7
 
 
+def test_describe_s16_has_no_order_cap(capsys):
+    # |S16| is about 2.1e13, above any cap on the order
+    code, out, _ = run(capsys, "describe", "--recipe",
+                       '{"kind": "symmetric", "m": 16}', "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["composition-factors"] == ["C2", "A16"]
+    assert doc["min-certified-d"] == 17 and doc["profile-tight"] is True
+
+
 def test_construct_roundtrips_through_file(capsys, tmp_path):
     dest = tmp_path / "group.json"
     code, out, _ = run(capsys, "construct", "--recipe",
@@ -73,8 +83,17 @@ def test_budget_flags_pass_only_when_given(capsys, monkeypatch):
     monkeypatch.setattr(search, "base_size_exact",
                         lambda G, **kw: seen.append(kw) or real(G, **kw))
     run(capsys, "base-size", "--recipe", S5)
-    run(capsys, "base-size", "--recipe", S5, "--max-b", "6")
-    assert seen == [{}, {"max_b": 6}]
+    run(capsys, "base-size", "--recipe", S5, "--node-budget", "50")
+    assert seen == [{}, {"node_budget": 50}]
+
+
+def test_base_size_s18_is_exact(capsys):
+    # b(S18) = 17 needs depths up to degree - 1 and no other cap
+    code, out, _ = run(capsys, "base-size", "--recipe",
+                       '{"kind": "symmetric", "m": 18}', "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["status"], doc["size"], doc["proof"]) == ("exact", 17, "exhausted")
 
 
 def test_dist_number_verb(capsys):
@@ -124,6 +143,14 @@ def test_bounds_verbs(capsys):
     code, out, _ = run(capsys, "bounds", "--check", "lemma22",
                        "--recipe", S5, "--params", '{"d": 6}', "--json")
     assert code == 0 and json.loads(out)["verdict"] == "holds"
+
+
+def test_bounds_rejects_a_params_key_it_does_not_read(capsys):
+    # a misspelled delta must not leave delta at its default of 1
+    code, out, err = run(capsys, "bounds", "--check", "thm13", "--recipe", S5,
+                         "--params", '{"d": 30, "delat": 0.001}')
+    assert code == 3 and out == ""
+    assert "delat" in err and err.count("\n") == 1
 
 
 def test_bounds_failing_comparison_exits_one(capsys):
@@ -201,7 +228,10 @@ def test_bad_inputs_exit_three(capsys, tmp_path):
 def test_usage_errors_exit_three(capsys):
     for argv in (["order"],
                  ["verify", "--manifest", "corpus", "--bogus"],
-                 ["verify", "--manifest", "corpus", "--threads", "2"]):
+                 ["verify", "--manifest", "corpus", "--threads", "2"],
+                 # options the CLI does not have
+                 ["describe", "--recipe", S5, "--order-cap", "100"],
+                 ["base-size", "--recipe", S5, "--max-b", "6"]):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 3

@@ -302,13 +302,6 @@ def test_wreath_order_formula():
 # -- diagonal type ---------------------------------------------------------
 
 
-def _identity_point(act):
-    for lbl, elt in act.element_of_label.items():
-        if elt.is_identity():
-            return act.index[lbl]
-    raise AssertionError("identity label missing")
-
-
 def test_diagonal_a5_orders():
     T = PermGroup.alternating(5)
     both = diagonal_type_group(T, include_swap=False)
@@ -326,7 +319,8 @@ def test_diagonal_a5_orders():
 def test_diagonal_identity_stabilizer():
     T = PermGroup.alternating(5)
     act = diagonal_type_group(T, include_swap=False)
-    stab = act.group.point_stabilizer(_identity_point(act))
+    # points are labeled by base images, so the identity's label is the base
+    stab = act.group.point_stabilizer(act.index[T.chain().base])
     assert stab.chain().order() == 60
 
 

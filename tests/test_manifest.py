@@ -361,10 +361,10 @@ def test_ops_leave_absent_caps_to_the_library(monkeypatch):
 
 
 def test_run_check_resource_skip_from_operation():
-    # max_b too small forces the base search to give up, not fail
+    # a node budget too small forces the base search to give up, not fail
     res = run_check({"id": "r", "recipe": {"kind": "symmetric", "m": 6},
                      "assertions": [
-                         {"op": "base-size", "params": {"max_b": 2},
+                         {"op": "base-size", "params": {"node_budget": 1},
                           "expect": {"size": 5}, "tag": "derived"},
                          {"op": "order", "expect": 720, "tag": "direct"}]})
     assert res.status == "skipped-resource"
@@ -382,22 +382,15 @@ def test_run_check_budget_exhaustion():
     assert res.status == "skipped-resource"
 
 
-def test_env_budget_default(monkeypatch):
-    monkeypatch.setenv("PERMRES_BUDGET_MS", "1")
+def test_run_manifest_budget_default():
     rep = run_manifest({"schema": 1, "checks": [
         {"id": "slow", "recipe": {"kind": "classical", "family": "GO-odd",
                                   "m": 7, "q": 2, "space": "subspace", "k": 6,
                                   "filter": "nondegenerate-plus"},
          "assertions": [{"op": "order", "expect": 1451520,
-                         "tag": "direct"}]}]})
+                         "tag": "direct"}]}]}, budget_ms=1)
     assert rep.checks[0].status == "skipped-resource"
     assert rep.exit_code == 2
-
-
-def test_env_budget_rejects_garbage(monkeypatch):
-    monkeypatch.setenv("PERMRES_BUDGET_MS", "soon")
-    with pytest.raises(ManifestError, match="PERMRES_BUDGET_MS"):
-        run_manifest(_one_check())
 
 
 def test_run_manifest_empty_is_pass():

@@ -114,11 +114,10 @@ def test_order_bound_marker_when_tight():
     assert w.proof_of_minimality == "order-bound"
 
 
-def test_exceeds_max_b():
-    w = base_size_exact(PermGroup.symmetric(6), max_b=3)
-    assert w.status == "exceeds-max-b"
-    assert w.size is None
-    assert w.lower_bound == 4  # all depths through 3 exhausted
+def test_base_size_exact_needs_no_depth_cap():
+    # b(S18) = 17 = degree - 1: the deepening runs as deep as b can be
+    w = base_size_exact(PermGroup.symmetric(18))
+    assert (w.status, w.size, w.proof_of_minimality) == ("exact", 17, "exhausted")
 
 
 def test_budget_gives_partial_with_bracket(deg36):
@@ -305,7 +304,8 @@ def test_probe_stops_at_first_preserving_element(monkeypatch, deg36):
     real = search._preserving_elements
     monkeypatch.setattr(search, "_preserving_elements",
                         lambda G, coloring, first: real(G, coloring, 200, first))
-    assert distinguishing_witness(PermGroup.symmetric(9), 2, tries=20) is None
+    monkeypatch.setattr(search, "_WITNESS_TRIES", 20)
+    assert distinguishing_witness(PermGroup.symmetric(9), 2) is None
     assert not verify_distinguishing(deg36, [0] * 36)
 
 

@@ -8,7 +8,7 @@ from permres.classical import classical_generators
 from permres.constructions import matrix_orbit_action
 from permres.manifest import construct_recipe
 from permres.perm import Perm, iter_alt_gens
-from permres.stabchain import PermGroup, ResourceLimit, StabilizerChain, derived_subgroup
+from permres.stabchain import PermGroup, StabilizerChain, derived_subgroup
 from permres.structure import (
     NO,
     UNKNOWN,
@@ -86,6 +86,12 @@ def test_factors_sym5():
     assert names(fs) == ["A5", "C2"]
 
 
+def test_factors_need_no_order_cap():
+    # |S16| is about 2.1e13; the descent's cost follows the degree
+    fs = composition_factors(PermGroup.symmetric(16))
+    assert [f.name for f in fs] == ["C2", "A16"]
+
+
 def test_factors_alt_wreath():
     fs = composition_factors(a5_wr_c2())
     assert names(fs) == ["A5", "A5", "C2"]
@@ -139,8 +145,6 @@ def test_factors_descend_once_per_group(monkeypatch):
     assert gamma_profile(G)["min_certified_d"] == 6
     assert in_gamma(G, 6) == YES
     assert len(entered) == calls
-    with pytest.raises(ResourceLimit):
-        composition_factors(G, order_cap=G.order() - 1)
 
 
 def deg36():
@@ -369,6 +373,14 @@ def test_gamma_profile():
     assert prof == {"min_certified_d": 5, "tight": True}
     prof6 = gamma_profile(PermGroup.alternating(6))
     assert prof6["min_certified_d"] == 7
+
+
+def test_gamma_profile_has_no_ceiling(monkeypatch):
+    # one past the largest alt_upper, however large
+    monkeypatch.setattr(structure, "composition_factors",
+                        lambda G: [structure._alternating(45)])
+    prof = gamma_profile(PermGroup.symmetric(3))
+    assert prof == {"min_certified_d": 46, "tight": True}
 
 
 def test_descent_handles_regular_product_with_mixed_generators():

@@ -236,6 +236,14 @@ def _cmd_verify(args) -> int:
     return report.exit_code
 
 
+def _positive_int(text: str) -> int:
+    """Budget flags: 0 or less is bad input, not a budget that has run out."""
+    value = int(text) if text.strip().isdigit() else 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors are bad input: exit 3, not argparse's 2, which this
     CLI reserves for a resource budget hit."""
@@ -279,12 +287,12 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("base-size", help="exact minimal base size")
     common(p)
-    p.add_argument("--node-budget", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--node-budget", type=_positive_int, default=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_base_size)
 
     p = sub.add_parser("dist-number", help="exact distinguishing number")
     common(p)
-    p.add_argument("--elem-cap", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--elem-cap", type=_positive_int, default=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_dist_number)
 
     p = sub.add_parser("stab-scan", help="predicate over c-point stabilizers")
@@ -292,7 +300,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--predicate", default="solvable",
                    help="solvable or gamma:<d>")
-    p.add_argument("--node-budget", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--node-budget", type=_positive_int, default=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_stab_scan)
 
     p = sub.add_parser("reg-count", help="count tuples with trivial stabilizer")
@@ -300,7 +308,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--threshold", type=int)
     p.add_argument("--first-point", type=int)
-    p.add_argument("--node-budget", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--node-budget", type=_positive_int, default=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_reg_count)
 
     p = sub.add_parser("bounds", help="closed-form bounds and thresholds")
@@ -313,7 +321,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a check manifest")
     p.add_argument("--manifest", required=True,
                    help="path to a manifest, or 'corpus' for the bundled one")
-    p.add_argument("--budget-ms", type=int,
+    p.add_argument("--budget-ms", type=_positive_int,
                    help="per-check budget in ms, unless a check sets its "
                         "own budget_ms; default: none")
     p.add_argument("--json", action="store_true")

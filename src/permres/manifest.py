@@ -451,12 +451,14 @@ def run_manifest(source: str | Path | dict,
 
     source may be a path or an already-parsed document. budget_ms is the
     per-check default (None: no budget), and a check's own budget_ms field
-    overrides it.
+    overrides it. Like that field, it must be a positive integer.
 
     Each distinct recipe is built once per run, by the first check that
     needs it and inside that check's budget; later checks share the built
     group, its cached chain and factor list included, and only read it.
     """
+    if budget_ms is not None and (not isinstance(budget_ms, int) or budget_ms <= 0):
+        raise ManifestError("budget_ms must be a positive integer")
     if isinstance(source, dict):
         doc = source
         try:

@@ -598,37 +598,22 @@ def _preserving_elements(
 # -- actions with kernels -------------------------------------------------
 
 
-def action_with_kernel(
-    G: PermGroup, label_images: Sequence[Sequence[int]], nlabels: int
-) -> tuple[PermGroup, PermGroup]:
-    """Image and kernel of a G-action given per-generator label maps.
-
-    label_images[i] is the permutation of 0..nlabels-1 induced by G.gens[i].
-    The kernel is returned as a subgroup of G in its original action.
-    """
-    n = G.degree
-    big_gens = []
-    for g, limg in zip(G.gens, label_images):
-        big_gens.append(Perm(g.images + tuple(n + v for v in limg)))
-    hint = list(range(n, n + nlabels))
-    chain = StabilizerChain(n + nlabels, big_gens, base_hint=hint)
-    kernel_gens = [_from_images(bg.images[:n]) for bg in chain.gens_fixing_prefix(nlabels)]
-    image_gens = [_from_images(tuple(limg)) for limg in label_images]
-    image = PermGroup(nlabels, image_gens)
-    kernel = PermGroup(n, kernel_gens)
-    return image, kernel
-
-
 def action_on_blocks(G: PermGroup, blocks: Sequence[Sequence[int]]) -> tuple[PermGroup, PermGroup]:
-    """Induced action on a block system, with its kernel inside G."""
-    where = {}
-    for bi, blk in enumerate(blocks):
-        for x in blk:
-            where[x] = bi
-    label_images = []
-    for g in G.gens:
-        label_images.append([where[g.images[blk[0]]] for blk in blocks])
-    return action_with_kernel(G, label_images, len(blocks))
+    """Induced action on a block system, with its kernel inside G.
+
+    Each generator acts on the points and the block labels at once; the
+    kernel is read off a chain whose base starts with the labels, and is
+    returned as a subgroup of G in its original action.
+    """
+    n, nblocks = G.degree, len(blocks)
+    where = {x: bi for bi, blk in enumerate(blocks) for x in blk}
+    label_images = [tuple(where[g.images[blk[0]]] for blk in blocks) for g in G.gens]
+    big_gens = [Perm(g.images + tuple(n + v for v in limg))
+                for g, limg in zip(G.gens, label_images)]
+    chain = StabilizerChain(n + nblocks, big_gens, base_hint=list(range(n, n + nblocks)))
+    kernel_gens = [_from_images(bg.images[:n]) for bg in chain.gens_fixing_prefix(nblocks)]
+    image = PermGroup(nblocks, [_from_images(limg) for limg in label_images])
+    return image, PermGroup(n, kernel_gens)
 
 
 def normal_closure(G: PermGroup, seeds: Sequence[Perm]) -> PermGroup:

@@ -1,11 +1,14 @@
 """Composition structure: solvability, factors, and alternating sections.
 
 The factor descent peels a group apart by orbit kernels, block kernels,
-derived subgroups, and normal closures, in that order; every step strictly
-reduces (degree, order). Simple factors are identified by order against a
-generated table; the one documented order collision, at 20160, is
-settled by a scan of every element for one of order 15, which A8 has and
-L3(4) lacks. Anything unresolved is reported as unknown, never guessed.
+derived subgroups, and last a proper normal subgroup N of a primitive G
+that the probe finds: N is transitive, so G = N G_a (the Frattini
+argument), and G/N = G_a/N_a has the factors of G_a less those of N_a.
+Every step strictly reduces (degree, order). Simple factors are
+identified by order against a generated table; the one documented order
+collision, at 20160, is settled by a scan of every element for one of
+order 15, which A8 has and L3(4) lacks. Anything unresolved is reported
+as unknown, never guessed.
 
 Each factor carries one bracket [alt_lower, alt_upper] on its largest
 alternating section, and the restricted classes Gamma_d are read from the
@@ -28,7 +31,6 @@ from .perm import Perm
 from .stabchain import (
     PermGroup,
     action_on_blocks,
-    action_with_kernel,
     derived_subgroup,
     normal_closure,
     normal_closure_is_group,
@@ -210,8 +212,6 @@ _PROBE_SAMPLES = 64
 _PROBE_SEED = 97
 # seed of the walks that certify full normal closures in _find_proper_normal
 _WALK_SEED = 1913
-# _split_by_labels gives up when the point tuples to label exceed this
-_CELL_CAP = 300_000
 
 
 def composition_factors(G: PermGroup) -> list[FactorDescriptor]:
@@ -219,12 +219,13 @@ def composition_factors(G: PermGroup) -> list[FactorDescriptor]:
 
     Descent order: kernel of the action on one orbit, kernel of the action
     on a minimal block system, derived subgroup, then a normal-closure
-    search before accepting simplicity. Factors whose order matches no
-    table entry come back as kind unknown.
+    search; a proper normal subgroup N found there splits G by G/N =
+    G_a/N_a, and none means G is taken as simple. Factors whose order
+    matches no table entry come back as kind unknown.
 
     The descent runs once per group: the sorted list is cached on G and
     each call returns a fresh copy of it. Its cost follows the degree, not
-    the order, so no order cap guards it.
+    the order, and no cap on the order or the degree guards it.
     """
     if G._factors is None:
         out: list[FactorDescriptor] = []
@@ -271,13 +272,14 @@ def _descend(G: PermGroup, out: list[FactorDescriptor]) -> None:
     if N is None:
         out.append(_simple_descriptor(G))
         return
-    split = _split_by_labels(G, N)
-    if split is None:
-        out.append(_unknown(order, "proper normal subgroup found but not separable"))
-        return
-    image, kernel = split
-    _descend(image, out)
-    _descend(kernel, out)
+    # G is primitive, so N is transitive and G/N = G_a/N_a (Frattini)
+    _descend(N, out)
+    rest = composition_factors(G.point_stabilizer(0))
+    for f in composition_factors(N.point_stabilizer(0)):
+        if f not in rest:
+            raise AssertionError("a factor of N_a is not a factor of G_a")
+        rest.remove(f)
+    out.extend(rest)
 
 
 def _find_proper_normal(G: PermGroup) -> PermGroup | None:
@@ -316,74 +318,6 @@ def _find_proper_normal(G: PermGroup) -> PermGroup | None:
         if 1 < N.order() < order:
             return N
     return None
-
-
-def _split_by_labels(G: PermGroup, N: PermGroup):
-    """Separate G along a normal subgroup via its orbits on point tuples.
-
-    Labels each ordered pair (then triple) of points by its N-orbit; G
-    permutes the labels and N lies in the kernel, so the kernel action
-    splits G whenever some generator moves a label.
-    """
-    n = G.degree
-    for arity in (2, 3):
-        size = n ** arity
-        if size > _CELL_CAP:
-            return None
-        label = _tuple_orbit_labels(N, arity)
-        nlabels = max(label) + 1
-        if nlabels == 1:
-            continue
-        label_images = []
-        moved = False
-        for g in G.gens:
-            img = [0] * nlabels
-            done = [False] * nlabels
-            for t in range(size):
-                lb = label[t]
-                if not done[lb]:
-                    done[lb] = True
-                    img[lb] = label[_apply_to_tuple(g, t, arity, n)]
-            if any(img[i] != i for i in range(nlabels)):
-                moved = True
-            label_images.append(img)
-        if not moved:
-            continue
-        image, kernel = action_with_kernel(G, label_images, nlabels)
-        if kernel.order() < G.order():
-            return image, kernel
-    return None
-
-
-def _apply_to_tuple(g: Perm, t: int, arity: int, n: int) -> int:
-    out = 0
-    mult = 1
-    for _ in range(arity):
-        out += g.images[t % n] * mult
-        t //= n
-        mult *= n
-    return out
-
-
-def _tuple_orbit_labels(N: PermGroup, arity: int) -> list[int]:
-    n = N.degree
-    size = n ** arity
-    label = [-1] * size
-    next_label = 0
-    for start in range(size):
-        if label[start] != -1:
-            continue
-        label[start] = next_label
-        frontier = [start]
-        while frontier:
-            t = frontier.pop()
-            for g in N.gens:
-                u = _apply_to_tuple(g, t, arity, n)
-                if label[u] == -1:
-                    label[u] = next_label
-                    frontier.append(u)
-        next_label += 1
-    return label
 
 
 def _simple_descriptor(G: PermGroup) -> FactorDescriptor:

@@ -231,7 +231,13 @@ def test_usage_errors_exit_three(capsys):
                  ["verify", "--manifest", "corpus", "--threads", "2"],
                  # options the CLI does not have
                  ["describe", "--recipe", S5, "--order-cap", "100"],
-                 ["base-size", "--recipe", S5, "--max-b", "6"]):
+                 ["base-size", "--recipe", S5, "--max-b", "6"],
+                 # a budget of 0 or less, not a budget that ran out (exit 2)
+                 ["verify", "--manifest", "corpus", "--budget-ms", "-5"],
+                 ["base-size", "--recipe", S5, "--node-budget", "-1"],
+                 ["stab-scan", "--recipe", S5, "--c", "1", "--node-budget", "-3"],
+                 ["reg-count", "--recipe", S5, "--t", "2", "--node-budget", "0"],
+                 ["dist-number", "--recipe", S5, "--elem-cap", "-1"]):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 3

@@ -393,6 +393,13 @@ def test_run_manifest_budget_default():
     assert rep.exit_code == 2
 
 
+@pytest.mark.parametrize("budget_ms", [0, -5])
+def test_run_manifest_rejects_a_non_positive_budget(budget_ms):
+    # the rule a check's own budget_ms follows, not a budget that ran out
+    with pytest.raises(ManifestError, match="budget_ms"):
+        run_manifest(_one_check(), budget_ms=budget_ms)
+
+
 def test_run_manifest_empty_is_pass():
     rep = run_manifest({"schema": 1, "checks": []})
     assert rep.exit_code == 0 and rep.counts() == {

@@ -16,7 +16,6 @@ from permres.stabchain import (
     ResourceLimit,
     StabilizerChain,
     action_on_blocks,
-    action_with_kernel,
     coloring_stabilizer,
     derived_subgroup,
     normal_closure,
@@ -356,11 +355,10 @@ def test_block_action_and_kernel():
             assert {k.images[x] for x in blk} == set(blk)
 
 
-def test_action_with_kernel_faithful():
-    # regular-ish action of sym3 on labels given by its own generators
+def test_block_action_on_singletons_is_faithful():
+    # singleton blocks: the block action is G's own action, with no kernel
     G = PermGroup(3, list(iter_sym_gens(3)))
-    limg = [list(g.images) for g in G.gens]
-    image, kernel = action_with_kernel(G, limg, 3)
+    image, kernel = action_on_blocks(G, [(0,), (1,), (2,)])
     assert image.order() == 6
     assert kernel.order() == 1
 

@@ -6,9 +6,10 @@ import pytest
 import permres.structure as structure
 from permres.classical import classical_generators
 from permres.constructions import matrix_orbit_action
+from permres.fq import FqField, FqMatrix
 from permres.manifest import construct_recipe
 from permres.perm import Perm, iter_alt_gens
-from permres.stabchain import PermGroup, StabilizerChain, derived_subgroup
+from permres.stabchain import PermGroup, StabilizerChain, derived_subgroup, normal_closure
 from permres.structure import (
     NO,
     UNKNOWN,
@@ -182,8 +183,8 @@ def test_descent_pins_closure_extends(monkeypatch):
     assert walks == [True] * 79
 
 
-# perfect primitive groups that are not simple: the probe hands a proper N
-# to _split_by_labels
+# perfect primitive groups that are not simple: the probe finds a proper N,
+# and the descent splits G by G/N = G_a/N_a
 PERFECT_NOT_SIMPLE = {
     "ASL(3,2)": lambda: construct_recipe({"kind": "affine", "family": "SL", "m": 3, "q": 2}).group,
     "2^4:A6": lambda: derived_subgroup(
@@ -191,6 +192,7 @@ PERFECT_NOT_SIMPLE = {
     "diag60'": lambda: derived_subgroup(construct_recipe(
         {"kind": "diagonal", "factor": {"kind": "alternating", "m": 5},
          "swap": True, "outer": [0, 1, 2, 4, 3]}).group),
+    "ASL(2,5)": lambda: construct_recipe({"kind": "affine", "family": "SL", "m": 2, "q": 5}).group,
 }
 
 
@@ -212,11 +214,39 @@ def test_factors_do_not_depend_on_the_walk_seed(monkeypatch, seed):
     monkeypatch.setattr(structure, "_WALK_SEED", seed)
     expected = {"ASL(3,2)": ["C2", "C2", "C2", "L2(7)"],
                 "2^4:A6": ["A6", "C2", "C2", "C2", "C2"],
-                "diag60'": ["A5", "A5"]}
+                "diag60'": ["A5", "A5"],
+                "ASL(2,5)": ["A5", "C2", "C5", "C5"]}
     for name, factors in expected.items():
         assert names(composition_factors(PERFECT_NOT_SIMPLE[name]())) == factors
     assert names(composition_factors(psl27())) == ["L2(7)"]
     assert names(composition_factors(PermGroup.alternating(7))) == ["A7"]
+
+
+def test_split_subtracts_the_factors_of_a_point_stabilizer_of_n(monkeypatch):
+    # every N the probe finds above is regular (N_a = 1); here N = 5^2:<-1>
+    # in ASL(2,5) has N_0 = <-1>, whose C2 must come off SL(2,5)'s factors
+    act = construct_recipe({"kind": "affine", "family": "SL", "m": 2, "q": 5})
+    G = act.group
+    z = act.perm_of(FqMatrix(FqField(5), [[4, 0], [0, 4]]))
+    N = normal_closure(G, [z])
+    assert (N.order(), N.point_stabilizer(0).order()) == (50, 2)
+    find = structure._find_proper_normal
+    monkeypatch.setattr(structure, "_find_proper_normal",
+                        lambda H: normal_closure(H, [z]) if H is G else find(H))
+    assert names(composition_factors(G)) == ["A5", "C2", "C5", "C5"]
+
+
+def test_split_needs_no_tuples_of_points():
+    # T x T for T = L2(11) on 660 points: labelling point pairs of a group
+    # of this degree was refused, and the factor came back unknown
+    gens = [[(x + 1) % 11 for x in range(11)] + [11],
+            [11 if x == 0 else -pow(x, -1, 11) % 11 for x in range(11)] + [0]]
+    G = construct_recipe({"kind": "diagonal", "swap": False, "factor": {
+        "kind": "perm-generators", "degree": 12, "generators": gens}}).group
+    assert G.degree == 660
+    assert names(composition_factors(G)) == ["L2(11)", "L2(11)"]
+    assert in_gamma(G, 6) == YES
+    assert gamma_profile(G)["min_certified_d"] == 6
 
 
 def test_factors_unidentified_is_unknown_not_mislabeled():

@@ -2,8 +2,9 @@
 
 Every construction returns a LabeledAction: a permutation group together
 with the list of objects its points stand for. Orbits are enumerated by
-breadth-first closure over canonical labels, then sorted so that point
-numbering is deterministic across runs.
+one breadth-first closure over canonical labels, which keeps the image of
+every (label, generator) pair as it goes; the labels are then sorted so
+that point numbering is deterministic across runs.
 """
 
 from __future__ import annotations
@@ -51,31 +52,31 @@ class LabeledAction:
         return Perm(images)
 
 
-def _close_orbit(seed, gen_objs, act):
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for lbl in frontier:
-            for g in gen_objs:
-                img = act(lbl, g)
-                if img not in seen:
-                    if len(seen) >= DEGREE_CAP:
-                        raise ConstructionError(f"orbit exceeds cap {DEGREE_CAP}")
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return sorted(seen)
-
-
-def _action_from_orbit(degree_gens, labels, act, label=None) -> LabeledAction:
+def _orbit_action(seed, gens, act, label=None) -> LabeledAction:
+    # one breadth-first pass: each (label, generator) image is computed
+    # once, kept as the index of its label in discovery order, and every
+    # index is renumbered once the orbit is closed so that labels are sorted
+    found = [seed]
+    where = {seed: 0}
+    rows = [[] for _ in gens]
+    for lbl in found:  # found grows as the orbit closes
+        for row, g in zip(rows, gens):
+            img = act(lbl, g)
+            t = where.get(img)
+            if t is None:
+                if len(found) >= DEGREE_CAP:
+                    raise ConstructionError(f"orbit exceeds cap {DEGREE_CAP}")
+                t = where[img] = len(found)
+                found.append(img)
+            row.append(t)
+    order = sorted(range(len(found)), key=found.__getitem__)
+    new = [0] * len(found)
+    for i, t in enumerate(order):
+        new[t] = i
+    labels = [found[t] for t in order]
+    perms = [Perm([new[row[t]] for t in order]) for row in rows]
     index = {lbl: i for i, lbl in enumerate(labels)}
-    perms = []
-    for g in degree_gens:
-        images = [index[act(lbl, g)] for lbl in labels]
-        perms.append(Perm(images))
-    group = PermGroup(len(labels), perms, label=label)
-    return LabeledAction(group, list(labels), index, act)
+    return LabeledAction(PermGroup(len(labels), perms, label=label), labels, index, act)
 
 
 # -- matrix orbit actions --------------------------------------------------
@@ -126,7 +127,8 @@ def matrix_orbit_action(grp: MatrixGroup, seed=None, kind: str = "vector",
 
     kind "vector": labels are row vectors, seed defaults to e_0.
     kind "subspace": labels are canonical subspaces, seed defaults to the
-    span of the first k standard basis vectors.
+    span of the first k standard basis vectors; k must lie in 1..m-1 and
+    a seed must span neither 0 nor all of F_q^m.
     flt restricts the seed (all / totally-isotropic / nondegenerate-plus /
     nondegenerate-minus / nonsingular); the orbit inherits the property.
     """
@@ -141,16 +143,20 @@ def matrix_orbit_action(grp: MatrixGroup, seed=None, kind: str = "vector",
         if seed is None:
             if k is None:
                 raise ConstructionError("subspace kind needs a seed or k")
+            if not 1 <= k < m:
+                raise ConstructionError(f"subspace k must lie in 1..{m - 1}, got {k}")
             seed = SubspaceFq.from_vectors(
                 field, [tuple(1 if j == i else 0 for j in range(m)) for i in range(k)])
         elif not isinstance(seed, SubspaceFq):
             seed = SubspaceFq.from_vectors(field, [tuple(v) for v in seed])
+        if not 0 < seed.dim < m:
+            raise ConstructionError(
+                f"subspace seed spans dimension {seed.dim}, not one in 1..{m - 1}")
         act = _subspace_act(field)
     else:
         raise ConstructionError(f"unknown kind {kind!r}")
     _check_seed_filter(grp, seed, kind, flt)
-    labels = _close_orbit(seed, grp.matrices, act)
-    return _action_from_orbit(grp.matrices, labels, act, label=grp.label)
+    return _orbit_action(seed, grp.matrices, act, label=grp.label)
 
 
 def affine_action(grp: MatrixGroup) -> LabeledAction:
@@ -207,42 +213,35 @@ def coset_action(G: PermGroup, H: PermGroup) -> LabeledAction:
         return _canonical_coset_rep(hchain, _from_images(lbl) * g).images
 
     seed = _canonical_coset_rep(hchain, Perm.identity(G.degree)).images
-    labels = _close_orbit(seed, G.gens, act)
-    return _action_from_orbit(G.gens, labels, act,
-                              label=f"[{G.label or 'G'}:{H.label or 'H'}]")
+    return _orbit_action(seed, G.gens, act, label=f"[{G.label or 'G'}:{H.label or 'H'}]")
 
 
 # -- symmetric-group combinatorial actions ---------------------------------
+
+
+def _orbit_of_all(seed, m: int, alt: bool, act, degree: int, name: str) -> LabeledAction:
+    # S_m and A_m are transitive on the k-sets and partitions asked for, so
+    # the orbit of one of them lists all, and its size checks the formula
+    gens = list(iter_alt_gens(m) if alt else iter_sym_gens(m))
+    action = _orbit_action(seed, gens, act, label=name)
+    if action.degree != degree:
+        raise AssertionError(f"orbit has {action.degree} points, expected {degree}")
+    return action
 
 
 def subsets_action(m: int, k: int, alt: bool = False) -> LabeledAction:
     """S_m or A_m on k-element subsets of {0..m-1}. Needs 1 <= k < m/2."""
     if not 1 <= k or not 2 * k < m:
         raise ConstructionError(f"subsets need 1 <= k < m/2, got k={k}, m={m}")
-    if math.comb(m, k) > DEGREE_CAP:
+    degree = math.comb(m, k)
+    if degree > DEGREE_CAP:
         raise ConstructionError("degree exceeds cap")
-    labels = sorted(itertools.combinations(range(m), k))
-    gens = list(iter_alt_gens(m) if alt else iter_sym_gens(m))
 
     def act(lbl, g: Perm):
         return tuple(sorted(g.images[x] for x in lbl))
 
-    name = f"{'A' if alt else 'S'}{m} on {k}-sets"
-    return _action_from_orbit(gens, labels, act, label=name)
-
-
-def _partitions_into(parts_of, k: int):
-    # set partitions of parts_of into blocks of size k, anchored on minima
-    if not parts_of:
-        yield ()
-        return
-    first = parts_of[0]
-    rest = parts_of[1:]
-    for others in itertools.combinations(rest, k - 1):
-        block = (first,) + others
-        remaining = tuple(x for x in rest if x not in others)
-        for tail in _partitions_into(remaining, k):
-            yield (block,) + tail
+    return _orbit_of_all(tuple(range(k)), m, alt, act, degree,
+                         f"{'A' if alt else 'S'}{m} on {k}-sets")
 
 
 def partitions_action(m: int, k: int, alt: bool = False) -> LabeledAction:
@@ -253,17 +252,14 @@ def partitions_action(m: int, k: int, alt: bool = False) -> LabeledAction:
     degree = math.factorial(m) // (math.factorial(k) ** n_parts * math.factorial(n_parts))
     if degree > DEGREE_CAP:
         raise ConstructionError("degree exceeds cap")
-    labels = sorted(_partitions_into(tuple(range(m)), k))
-    if len(labels) != degree:
-        raise AssertionError(f"listed {len(labels)} partitions, expected {degree}")
-    gens = list(iter_alt_gens(m) if alt else iter_sym_gens(m))
 
     def act(lbl, g: Perm):
         blocks = [tuple(sorted(g.images[x] for x in blk)) for blk in lbl]
         return tuple(sorted(blocks))
 
-    name = f"{'A' if alt else 'S'}{m} on {k}-part partitions"
-    return _action_from_orbit(gens, labels, act, label=name)
+    seed = tuple(tuple(range(i, i + k)) for i in range(0, m, k))
+    return _orbit_of_all(seed, m, alt, act, degree,
+                         f"{'A' if alt else 'S'}{m} on {k}-part partitions")
 
 
 # -- wreath products -------------------------------------------------------

@@ -5,7 +5,8 @@ base-p digit vectors, so 0 and 1 are the field zero and one. The defining
 polynomial is the lexicographically least primitive one: the first monic
 candidate modulo which x has order exactly q - 1, which makes it
 irreducible as well. Multiplication runs on exp/log tables, addition on a
-precomputed table.
+precomputed table; dot products over a prime field reduce one integer sum
+mod p, and over an extension field walk flat add and mul tables.
 
 Vectors are rows and matrices act on the right, x -> x*M, so matrix
 products compose left to right like permutations.
@@ -16,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
 MAX_Q = 512
@@ -188,6 +190,16 @@ class FqField:
                     db = digs[b]
                     add[row + b] = self._undigits(tuple((x + y) % p for x, y in zip(da, db)))
         self._add = add
+        if self.k > 1:
+            # products on a flat table indexed a*q + b, for dot
+            exp, log, n = self._exp, self._log, q - 1
+            mul_t = [0] * (q * q)
+            for a in range(1, q):
+                row = a * q
+                la = log[a]
+                for b in range(1, q):
+                    mul_t[row + b] = exp[(la + log[b]) % n]
+            self._mul = mul_t
         self._neg = [0] * q
         for a in range(q):
             if self.k == 1:
@@ -234,10 +246,12 @@ class FqField:
         return self.pow(a, self.q // 2) if a else 0
 
     def dot(self, u: Sequence[int], v: Sequence[int]) -> int:
+        if self.k == 1:
+            return sum(map(mul, u, v)) % self.p
+        add, mul_t, q = self._add, self._mul, self.q
         s = 0
         for x, y in zip(u, v):
-            if x and y:
-                s = self.add(s, self.mul(x, y))
+            s = add[s * q + mul_t[x * q + y]]
         return s
 
     def vec_add(self, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
@@ -252,11 +266,12 @@ class FqField:
 
 
 class FqMatrix:
-    __slots__ = ("field", "rows")
+    __slots__ = ("field", "rows", "cols")
 
     def __init__(self, field: FqField, rows: Iterable[Iterable[int]]):
         self.field = field
         self.rows = tuple(tuple(r) for r in rows)
+        self.cols = tuple(zip(*self.rows))
 
     @classmethod
     def identity(cls, field: FqField, n: int) -> "FqMatrix":
@@ -276,15 +291,18 @@ class FqMatrix:
         return f"FqMatrix(q={self.field.q}, {list(map(list, self.rows))})"
 
     def __mul__(self, other: "FqMatrix") -> "FqMatrix":
-        F = self.field
-        bt = tuple(zip(*other.rows))
-        return FqMatrix(F, [tuple(F.dot(row, col) for col in bt) for row in self.rows])
+        dot, cols = self.field.dot, other.cols
+        return FqMatrix(self.field, [tuple(dot(row, col) for col in cols)
+                                     for row in self.rows])
 
     def apply(self, v: Sequence[int]) -> tuple[int, ...]:
         """Row vector action v -> v * M."""
         F = self.field
-        bt = tuple(zip(*self.rows))
-        return tuple(F.dot(v, col) for col in bt)
+        if F.k == 1:
+            p = F.p
+            return tuple(sum(map(mul, v, col)) % p for col in self.cols)
+        dot = F.dot
+        return tuple(dot(v, col) for col in self.cols)
 
     def map_entries(self, fn) -> "FqMatrix":
         return FqMatrix(self.field, [[fn(x) for x in row] for row in self.rows])
@@ -399,18 +417,17 @@ class FormSpec:
         return _quad_eval(self.field, self.quad, v)
 
     def is_isometry(self, M: FqMatrix) -> bool:
+        # compares Q(e_i M) with Q(e_i) = quad[i][i] and B(e_i M, e_j M)
+        # with B(e_i, e_j) = gram[i][j]
         n = self.dim
-        rows = [M.rows[i] for i in range(n)]
+        rows = M.rows
         if self.quad is not None:
             for i in range(n):
-                ei = tuple(1 if t == i else 0 for t in range(n))
-                if self.quad_value(rows[i]) != self.quad_value(ei):
+                if self.quad_value(rows[i]) != self.quad[i][i]:
                     return False
         for i in range(n):
             for j in range(n):
-                ei = tuple(1 if t == i else 0 for t in range(n))
-                ej = tuple(1 if t == j else 0 for t in range(n))
-                if self.bilinear(rows[i], rows[j]) != self.bilinear(ei, ej):
+                if self.bilinear(rows[i], rows[j]) != self.gram[i][j]:
                     return False
         return True
 

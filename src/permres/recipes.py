@@ -15,6 +15,7 @@ to start.
 from __future__ import annotations
 
 import json
+import math
 from contextvars import ContextVar
 from typing import TYPE_CHECKING
 
@@ -72,6 +73,17 @@ def _as_action(G: PermGroup) -> LabeledAction:
     return LabeledAction(G, pts, {i: i for i in pts})
 
 
+def _bounded(act: LabeledAction, bound: int | None) -> LabeledAction:
+    act.group.order_bound = bound
+    return act
+
+
+def _sym_order(m: int, alt: bool) -> int:
+    # |S_m|, or |A_m| with alt
+    n = math.factorial(m)
+    return max(1, n // 2) if alt else n
+
+
 def _need(recipe: dict, *keys: str) -> list:
     missing = [k for k in keys if k not in recipe]
     if missing:
@@ -110,6 +122,8 @@ def _matrix_group(recipe: dict) -> MatrixGroup:
 
 
 def _matrix_action(recipe: dict) -> LabeledAction:
+    from .classical import scalar_kernel_order
+
     grp = _matrix_group(recipe)
     space = recipe.get("space", "vector")
     seed = recipe.get("seed")
@@ -123,12 +137,16 @@ def _matrix_action(recipe: dict) -> LabeledAction:
             shape = "a vector" if space == "vector" else "a list of vectors"
             raise ConstructionError(
                 f"seed must be {shape} of {grp.m} entries in 0..{grp.q - 1}")
+    # matrix-generators know no order (abstract_order 0); scalars act
+    # trivially on subspaces
+    order = grp.abstract_order or None
     if space == "vector":
-        return matrix_orbit_action(grp, seed=seed, kind="vector")
+        return _bounded(matrix_orbit_action(grp, seed=seed, kind="vector"), order)
     if space == "subspace":
-        return matrix_orbit_action(grp, seed=seed,
-                                   kind="subspace", k=recipe.get("k"),
-                                   flt=recipe.get("filter", "all"))
+        act = matrix_orbit_action(grp, seed=seed,
+                                  kind="subspace", k=recipe.get("k"),
+                                  flt=recipe.get("filter", "all"))
+        return _bounded(act, order and order // scalar_kernel_order(grp))
     raise ConstructionError(f"unknown space {space!r}")
 
 
@@ -144,6 +162,12 @@ def construct_recipe(recipe: dict) -> LabeledAction:
     and "filter"). A coset recipe whose subgroup is also matrix-flavored
     over the same field embeds the subgroup's matrices through the parent
     action instead of building a second, unrelated action.
+
+    Every kind but perm-generators and matrix-generators sets the group's
+    order_bound, which stops its first chain. The rule that keeps this
+    sound: a bound is the order of a group known to contain every
+    generator (S_m for an action of S_m, the classical group for its
+    matrices, the parent for a coset action), never an estimate.
 
     Inside run_manifest each distinct recipe that JSON can encode is built
     once, nested ones (coset parents, wreath factors, a matches target)
@@ -175,19 +199,19 @@ def _build_recipe(recipe: dict) -> LabeledAction:
         if m < 1:
             raise ConstructionError(f"{kind} needs m >= 1")
     if kind == "symmetric":
-        return _as_action(PermGroup.symmetric(m))
+        return _bounded(_as_action(PermGroup.symmetric(m)), _sym_order(m, False))
     if kind == "alternating":
-        return _as_action(PermGroup.alternating(m))
+        return _bounded(_as_action(PermGroup.alternating(m)), _sym_order(m, True))
     if kind == "cyclic":
         g = Perm(list(range(1, m)) + [0])
-        return _as_action(PermGroup(m, [g], label=f"C{m}"))
+        return _as_action(PermGroup(m, [g], label=f"C{m}", order_bound=m))
     if kind == "dihedral":
         (m,) = _need(recipe, "m")
         if m < 3:
             raise ConstructionError("dihedral needs m >= 3")
         rot = Perm(list(range(1, m)) + [0])
         ref = Perm([(m - i) % m for i in range(m)])
-        return _as_action(PermGroup(m, [rot, ref], label=f"D{m}"))
+        return _as_action(PermGroup(m, [rot, ref], label=f"D{m}", order_bound=2 * m))
     if kind == "perm-generators":
         degree, gens = _need(recipe, "degree", "generators")
         G = group_from_serialized({"degree": degree, "generators": gens,
@@ -196,7 +220,8 @@ def _build_recipe(recipe: dict) -> LabeledAction:
     if kind in ("classical", "matrix-generators"):
         return _matrix_action(recipe)
     if kind == "affine":
-        return affine_action(_matrix_group(dict(recipe, kind="classical")))
+        grp = _matrix_group(dict(recipe, kind="classical"))
+        return _bounded(affine_action(grp), grp.field.q ** grp.m * grp.abstract_order)
     if kind == "coset":
         parent_recipe, sub_recipe = _need(recipe, "group", "subgroup")
         if not isinstance(sub_recipe, dict):
@@ -212,29 +237,33 @@ def _build_recipe(recipe: dict) -> LabeledAction:
             H = construct_recipe(sub_recipe).group
             if H.degree != parent.degree:
                 raise ConstructionError("subgroup degree does not match")
-        return coset_action(parent.group, H)
-    if kind == "subsets":
+        # the action on cosets is an image of the parent
+        return _bounded(coset_action(parent.group, H), parent.group.order_bound)
+    if kind in ("subsets", "partitions"):
         m, k = _need(recipe, "m", "k")
-        return subsets_action(m, k, alt=recipe.get("alt", False))
-    if kind == "partitions":
-        m, k = _need(recipe, "m", "k")
-        return partitions_action(m, k, alt=recipe.get("alt", False))
+        alt = recipe.get("alt", False)
+        build = subsets_action if kind == "subsets" else partitions_action
+        return _bounded(build(m, k, alt=alt), _sym_order(m, alt))
     if kind == "wreath":
         inner, outer, act = _need(recipe, "inner", "outer", "action")
         L = construct_recipe(inner).group
         P = construct_recipe(outer).group
         if act == "imprimitive":
-            return wreath_imprimitive(L, P)
-        if act == "product":
-            return wreath_product_action(L, P)
-        raise ConstructionError(f"unknown wreath action {act!r}")
+            built = wreath_imprimitive(L, P)
+        elif act == "product":
+            built = wreath_product_action(L, P)
+        else:
+            raise ConstructionError(f"unknown wreath action {act!r}")
+        return _bounded(built, L.order() ** P.degree * P.order())
     if kind == "diagonal":
         (factor,) = _need(recipe, "factor")
         T = construct_recipe(factor).group
-        outer = recipe.get("outer")
-        return diagonal_type_group(
-            T, include_swap=recipe.get("swap", True),
-            outer=Perm(list(outer)) if outer is not None else None)
+        swap, outer = recipe.get("swap", True), recipe.get("outer")
+        outer = Perm(list(outer)) if outer is not None else None
+        built = diagonal_type_group(T, include_swap=swap, outer=outer)
+        # T x T is normal; the swap and the outer map commute modulo it
+        return _bounded(built, T.order() ** 2 * (2 if swap else 1)
+                        * (outer.order() if outer is not None else 1))
     raise ConstructionError(f"unknown recipe kind {kind!r}")
 
 

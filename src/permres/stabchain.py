@@ -303,15 +303,25 @@ class StabilizerChain:
 
 
 class PermGroup:
-    """A permutation group given by generators, with a cached chain."""
+    """A permutation group given by generators, with a cached chain.
 
-    def __init__(self, degree: int, gens: Sequence[Perm], label: str | None = None):
+    order_bound, when set, is the order of a group known to contain every
+    generator, never an estimate. The first chain built without a base
+    hint stops once its basic orbits multiply to it: they never multiply
+    to more than the order of the group generated, so that chain is then
+    complete. A bound the chain falls short of costs only time, as the
+    chain then closes fully.
+    """
+
+    def __init__(self, degree: int, gens: Sequence[Perm], label: str | None = None,
+                 order_bound: int | None = None):
         self.degree = degree
         self.gens = [g for g in gens if not g.is_identity()]
         for g in self.gens:
             if g.degree != degree:
                 raise ValueError("generator degree mismatch")
         self.label = label
+        self.order_bound = order_bound
         self._chain: StabilizerChain | None = None
         # sorted composition factors, filled in by structure.composition_factors
         self._factors: list | None = None
@@ -329,13 +339,14 @@ class PermGroup:
         return cls(m, list(iter_alt_gens(m)), label=f"Alt({m})")
 
     def chain(self, base_hint: Sequence[int] = ()) -> StabilizerChain:
-        """The cached chain, or a new one whose base starts with base_hint,
-        built to the cached chain's order when there is one."""
+        """The cached chain, built to order_bound, or a new one whose base
+        starts with base_hint, built to the cached chain's order when there
+        is one."""
         if base_hint:
             order = None if self._chain is None else self._chain.order()
             return StabilizerChain(self.degree, self.gens, base_hint=base_hint, order=order)
         if self._chain is None:
-            self._chain = StabilizerChain(self.degree, self.gens)
+            self._chain = StabilizerChain(self.degree, self.gens, order=self.order_bound)
         return self._chain
 
     def order(self) -> int:

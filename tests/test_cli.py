@@ -29,6 +29,17 @@ def test_order_text_and_json(capsys):
     assert code == 0 and json.loads(out)["order"] == 120
 
 
+@pytest.mark.parametrize("m,extra", [
+    (2, {"k": 5}), (3, {"k": 0}), (3, {"k": 3}), (3, {"k": -1}),
+    (3, {"seed": [[0, 0, 0]]}), (2, {"seed": [[1, 0], [0, 1]]}),
+], ids=["k-5-on-2", "k-0", "k-m", "k-negative", "seed-zero", "seed-everything"])
+def test_subspace_recipe_outside_proper_dimensions_is_bad_input(capsys, m, extra):
+    recipe = {"kind": "classical", "family": "GL", "m": m, "q": 3,
+              "space": "subspace", **extra}
+    code, out, err = run(capsys, "order", "--recipe", json.dumps(recipe))
+    assert code == 3 and out == "" and "subspace" in err
+
+
 def test_describe_recomputes_profile(capsys):
     code, out, _ = run(capsys, "describe", "--recipe", AFFINE, "--json")
     assert code == 0

@@ -285,6 +285,50 @@ def test_is_isometry_quadratic():
     assert not form.is_isometry(bad)
 
 
+def test_is_isometry_hermitian():
+    F = FqField.of(9)
+    form = make_hermitian_form(F, 2)
+    swap = FqMatrix(F, [[0, 1], [1, 0]])
+    assert form.is_isometry(swap)
+    # zeta^2 has norm zeta^(2 * 4) = 1 over F_3, zeta itself does not
+    zeta = F.primitive
+    unit = F.pow(zeta, 2)
+    assert form.is_isometry(FqMatrix(F, [[unit, 0], [0, unit]]))
+    assert not form.is_isometry(FqMatrix(F, [[zeta, 0], [0, 1]]))
+
+
+def test_is_isometry_checks_the_quadratic_form():
+    # the symplectic transvection along the singular e0 keeps the polar
+    # form of x0 x2 + x1 x3 but sends e2 to the nonsingular e0 + e2
+    F = FqField.of(2)
+    form = make_quadratic_form(F, 4, 1)
+    t = FqMatrix(F, [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]])
+    assert all(form.bilinear(t.rows[i], t.rows[j]) == form.gram[i][j]
+               for i in range(4) for j in range(4))
+    assert not form.is_isometry(t)
+
+
+def _reference_dot(F, u, v):
+    s = 0
+    for x, y in zip(u, v):
+        s = F.add(s, F.mul(x, y))
+    return s
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 49, 64, 81])
+def test_dot_and_apply_match_reference_loop(q):
+    F = FqField.of(q)
+    rng = random.Random(q)
+    for n in (1, 2, 3, 6):
+        M = FqMatrix(F, [[rng.randrange(q) for _ in range(n)] for _ in range(n)])
+        for _ in range(40):
+            u = tuple(rng.randrange(q) for _ in range(n))
+            v = tuple(rng.randrange(q) for _ in range(n))
+            assert F.dot(u, v) == _reference_dot(F, u, v)
+            assert M.apply(u) == tuple(
+                _reference_dot(F, u, [M.rows[i][j] for i in range(n)]) for j in range(n))
+
+
 # Defining polynomials of every extension field up to MAX_Q, little-endian
 # and monic: the lexicographically least primitive polynomial of degree k.
 EXTENSION_POLYS = {

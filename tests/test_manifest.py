@@ -6,7 +6,8 @@ import random
 import pytest
 
 from permres import manifest, recipes
-from permres.constructions import ConstructionError
+from permres.classical import classical_generators
+from permres.constructions import ConstructionError, matrix_orbit_action
 from permres.manifest import (
     ManifestError,
     OPS,
@@ -21,7 +22,7 @@ from permres.manifest import (
     validate_manifest,
 )
 from permres.search import base_size_exact
-from permres.stabchain import PermGroup
+from permres.stabchain import PermGroup, StabilizerChain
 
 
 # -- recipes ---------------------------------------------------------------
@@ -143,6 +144,79 @@ def test_seed_of_wrong_shape_names_seed(recipe):
     # rejected before the orbit closes, not later as a bad permutation
     with pytest.raises(ConstructionError, match="seed must be"):
         construct_recipe(recipe)
+
+
+def _corpus_recipes() -> dict:
+    doc, _ = load_manifest(bundled_corpus())
+    return {c["id"]: c["recipe"] for c in doc["checks"]}
+
+
+# one recipe of every kind that carries an order bound, beside the corpus's;
+# SU's affine group translates by (q^2)^m vectors, and SL(3,4) on points has
+# a scalar kernel of order 3
+BOUNDED_KINDS = [
+    {"kind": "symmetric", "m": 6},
+    {"kind": "alternating", "m": 6},
+    {"kind": "cyclic", "m": 7},
+    {"kind": "subsets", "m": 7, "k": 3, "alt": True},
+    {"kind": "partitions", "m": 6, "k": 2},
+    {"kind": "wreath", "inner": {"kind": "symmetric", "m": 3},
+     "outer": {"kind": "cyclic", "m": 3}, "action": "imprimitive"},
+    {"kind": "wreath", "inner": {"kind": "alternating", "m": 4},
+     "outer": {"kind": "symmetric", "m": 2}, "action": "product"},
+    {"kind": "classical", "family": "SU", "m": 3, "q": 2},
+    {"kind": "classical", "family": "SL", "m": 3, "q": 4, "space": "subspace", "k": 1},
+    {"kind": "classical", "family": "Sp", "m": 4, "q": 3, "space": "subspace",
+     "k": 2, "filter": "totally-isotropic"},
+    {"kind": "affine", "family": "SU", "m": 3, "q": 2},
+    {"kind": "affine", "family": "GL", "m": 2, "q": 5},
+    {"kind": "coset", "group": {"kind": "symmetric", "m": 5},
+     "subgroup": {"kind": "alternating", "m": 5}},
+    {"kind": "diagonal", "factor": {"kind": "alternating", "m": 5}, "swap": False},
+]
+
+
+def _bounded_recipes() -> list:
+    by_text = {}
+    for cid, r in _corpus_recipes().items():
+        by_text.setdefault(json.dumps(r, sort_keys=True), pytest.param(r, id=cid))
+    return list(by_text.values()) + [
+        pytest.param(r, id=f"{r['kind']}-{i}") for i, r in enumerate(BOUNDED_KINDS)]
+
+
+@pytest.mark.parametrize("recipe", _bounded_recipes())
+def test_order_under_bound_matches_unbounded_chain(recipe):
+    G = construct_recipe(recipe).group
+    assert G.order_bound is not None
+    full = StabilizerChain(G.degree, G.gens).order()
+    assert G.order() == full <= G.order_bound
+
+
+def test_generator_recipes_carry_no_bound():
+    perm = construct_recipe({"kind": "perm-generators", "degree": 4,
+                             "generators": [[1, 2, 3, 0]]})
+    mats = construct_recipe({"kind": "matrix-generators", "m": 2, "q": 3,
+                             "matrices": [[[1, 1], [0, 1]]], "space": "subspace",
+                             "k": 1})
+    assert perm.group.order_bound is None and mats.group.order_bound is None
+    # the classical order-formula tests build this way, so they stay unbounded
+    grp = classical_generators("GL", 3, 2)
+    assert matrix_orbit_action(grp, kind="vector").group.order_bound is None
+
+
+@pytest.mark.parametrize("check_id", [
+    "sp62-vector", "goplus62-vector", "linear-4-2-points", "deg36-subspace-route",
+    "linear-4-3-points", "deg36-coset"])
+def test_one_pass_generators_match_the_stored_action(check_id):
+    recipe = _corpus_recipes()[check_id]
+    act = construct_recipe(recipe)
+    if recipe["kind"] == "coset":
+        objs = construct_recipe(recipe["group"]).group.gens
+    else:
+        objs = recipes._matrix_group(recipe).matrices
+    perms = [act.perm_of(obj) for obj in objs]
+    assert act.group.gens == [p for p in perms if not p.is_identity()]
+    assert act.labels == sorted(act.labels)
 
 
 # -- serialization ---------------------------------------------------------

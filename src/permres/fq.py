@@ -299,6 +299,8 @@ class FqMatrix:
         """Row vector action v -> v * M."""
         F = self.field
         if F.k == 1:
+            # dot's prime case inlined: apply is the inner loop of every
+            # matrix orbit
             p = F.p
             return tuple(sum(map(mul, v, col)) % p for col in self.cols)
         dot = F.dot

@@ -6,7 +6,7 @@ polynomial is the lexicographically least primitive one: the first monic
 candidate modulo which x has order exactly q - 1, which makes it
 irreducible as well. Multiplication runs on exp/log tables, addition on a
 precomputed table; dot products over a prime field reduce one integer sum
-mod p, and over an extension field walk flat add and mul tables.
+mod p.
 
 Vectors are rows and matrices act on the right, x -> x*M, so matrix
 products compose left to right like permutations.
@@ -190,16 +190,6 @@ class FqField:
                     db = digs[b]
                     add[row + b] = self._undigits(tuple((x + y) % p for x, y in zip(da, db)))
         self._add = add
-        if self.k > 1:
-            # products on a flat table indexed a*q + b, for dot
-            exp, log, n = self._exp, self._log, q - 1
-            mul_t = [0] * (q * q)
-            for a in range(1, q):
-                row = a * q
-                la = log[a]
-                for b in range(1, q):
-                    mul_t[row + b] = exp[(la + log[b]) % n]
-            self._mul = mul_t
         self._neg = [0] * q
         for a in range(q):
             if self.k == 1:
@@ -248,10 +238,10 @@ class FqField:
     def dot(self, u: Sequence[int], v: Sequence[int]) -> int:
         if self.k == 1:
             return sum(map(mul, u, v)) % self.p
-        add, mul_t, q = self._add, self._mul, self.q
         s = 0
         for x, y in zip(u, v):
-            s = add[s * q + mul_t[x * q + y]]
+            if x and y:
+                s = self.add(s, self.mul(x, y))
         return s
 
     def vec_add(self, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
@@ -297,13 +287,7 @@ class FqMatrix:
 
     def apply(self, v: Sequence[int]) -> tuple[int, ...]:
         """Row vector action v -> v * M."""
-        F = self.field
-        if F.k == 1:
-            # dot's prime case inlined: apply is the inner loop of every
-            # matrix orbit
-            p = F.p
-            return tuple(sum(map(mul, v, col)) % p for col in self.cols)
-        dot = F.dot
+        dot = self.field.dot
         return tuple(dot(v, col) for col in self.cols)
 
     def map_entries(self, fn) -> "FqMatrix":

@@ -204,14 +204,14 @@ def _build_recipe(recipe: dict) -> LabeledAction:
         return _bounded(_as_action(PermGroup.alternating(m)), _sym_order(m, True))
     if kind == "cyclic":
         g = Perm(list(range(1, m)) + [0])
-        return _as_action(PermGroup(m, [g], label=f"C{m}", order_bound=m))
+        return _bounded(_as_action(PermGroup(m, [g], label=f"C{m}")), m)
     if kind == "dihedral":
         (m,) = _need(recipe, "m")
         if m < 3:
             raise ConstructionError("dihedral needs m >= 3")
         rot = Perm(list(range(1, m)) + [0])
         ref = Perm([(m - i) % m for i in range(m)])
-        return _as_action(PermGroup(m, [rot, ref], label=f"D{m}", order_bound=2 * m))
+        return _bounded(_as_action(PermGroup(m, [rot, ref], label=f"D{m}")), 2 * m)
     if kind == "perm-generators":
         degree, gens = _need(recipe, "degree", "generators")
         G = group_from_serialized({"degree": degree, "generators": gens,

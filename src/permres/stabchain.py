@@ -313,15 +313,14 @@ class PermGroup:
     chain then closes fully.
     """
 
-    def __init__(self, degree: int, gens: Sequence[Perm], label: str | None = None,
-                 order_bound: int | None = None):
+    def __init__(self, degree: int, gens: Sequence[Perm], label: str | None = None):
         self.degree = degree
         self.gens = [g for g in gens if not g.is_identity()]
         for g in self.gens:
             if g.degree != degree:
                 raise ValueError("generator degree mismatch")
         self.label = label
-        self.order_bound = order_bound
+        self.order_bound: int | None = None
         self._chain: StabilizerChain | None = None
         # sorted composition factors, filled in by structure.composition_factors
         self._factors: list | None = None

@@ -125,7 +125,8 @@ def matrix_orbit_action(grp: MatrixGroup, seed=None, kind: str = "vector",
                         flt: str = "all", k: int | None = None) -> LabeledAction:
     """Orbit of a vector or a subspace under the matrix generators.
 
-    kind "vector": labels are row vectors, seed defaults to e_0.
+    kind "vector": labels are row vectors, seed defaults to e_0 and may
+    not be the zero vector.
     kind "subspace": labels are canonical subspaces, seed defaults to the
     span of the first k standard basis vectors; k must lie in 1..m-1 and
     a seed must span neither 0 nor all of F_q^m.
@@ -138,6 +139,8 @@ def matrix_orbit_action(grp: MatrixGroup, seed=None, kind: str = "vector",
             seed = tuple(1 if i == 0 else 0 for i in range(m))
         else:
             seed = tuple(seed)
+            if not any(seed):
+                raise ConstructionError("seed vector is zero")
         act = _vector_act
     elif kind == "subspace":
         if seed is None:
@@ -160,8 +163,8 @@ def matrix_orbit_action(grp: MatrixGroup, seed=None, kind: str = "vector",
 
 
 def affine_action(grp: MatrixGroup) -> LabeledAction:
-    """Affine group V:H on the full vector space: linear parts plus a basis
-    of translations. Degree q^m."""
+    """Affine group V:H on the full vector space: linear parts plus the
+    translations by an F_p-basis of V, which generate all of V. Degree q^m."""
     field, m = grp.field, grp.m
     if field.q ** m > DEGREE_CAP:
         raise ConstructionError(f"degree {field.q}^{m} exceeds cap {DEGREE_CAP}")
@@ -170,9 +173,12 @@ def affine_action(grp: MatrixGroup) -> LabeledAction:
     perms = []
     for M in grp.matrices:
         perms.append(Perm([index[M.apply(v)] for v in labels]))
+    # b * e_i for b in the F_p-basis 1, x, ..., x^(k-1) of F_q, the field
+    # elements p^s; over a prime field that is e_i alone
     for i in range(m):
-        e = tuple(1 if j == i else 0 for j in range(m))
-        perms.append(Perm([index[field.vec_add(v, e)] for v in labels]))
+        for s in range(field.k):
+            e = tuple(field.p ** s if j == i else 0 for j in range(m))
+            perms.append(Perm([index[field.vec_add(v, e)] for v in labels]))
     group = PermGroup(len(labels), perms, label=f"{field.q}^{m}:{grp.label}")
     return LabeledAction(group, labels, index, _vector_act)
 

@@ -5,17 +5,19 @@ points are chosen as the smallest point in the largest remaining orbit
 unless a base hint pins them down. Every search and orbit walk uses fixed
 tie-breaks, so identical inputs give identical chains.
 
-Point stabilizers cost one Schreier-Sims run each. The stabilizer of a
-point tuple is read off a chain whose base starts with those points: its
-levels below the prefix are a chain for the stabilizer, and the stabilizer
-keeps them. When the group being cut already has a chain, its order is
-known, and the hinted run stops as soon as its basic orbits multiply to
-that order; a base and strong generating set whose basic orbits multiply
-to the group order is complete (Seress, Permutation Group Algorithms,
-2003, Ch. 4). A normal closure in a group with a chain stops the same way
-once it reaches the group's order, and is then the group itself;
-normal_closure_is_group certifies that case with a seeded random walk
-and no Schreier generators at all.
+Point stabilizers are read off the group's own chain, one point at a
+time. The stabilizer of the top level's point beta is the chain's tail;
+that of a point p = beta^u in beta's basic orbit is the tail conjugated
+by u, since G_p = (G_beta)^u, the cheap case of base change (Seress,
+Permutation Group Algorithms, 2003, Ch. 5); a point fixed by the group
+leaves it as it is. None of these runs Schreier-Sims. Only a point
+outside the first basic orbit that the group moves costs one run, hinted
+with the points still to stabilize and stopped at the known order: a base
+and strong generating set whose basic orbits multiply to the group order
+is complete (Seress, Ch. 4). A normal closure in a group with a chain
+stops the same way once it reaches the group's order, and is then the
+group itself; normal_closure_is_group certifies that case with a seeded
+random walk and no Schreier generators at all.
 
 Schreier-Sims is one sweep, _close, over two counters per level (see
 _Level). Orbits are closed lazily, when a sift or the sweep reads them:
@@ -127,6 +129,39 @@ class StabilizerChain:
         sub.degree = self.degree
         sub.identity = self.identity
         sub.levels = self.levels[k:]
+        return sub
+
+    def conjugate(self, u: Perm) -> "StabilizerChain":
+        """Chain of the conjugate group u^-1 G u, whose base is the image of
+        this chain's base under u. Runs no Schreier-Sims: each strong
+        generator is conjugated once, so the levels' generator lists stay
+        nested by identity, each orbit keeps its order mapped through u,
+        and each transversal element t becomes u^-1 t u."""
+        u_inv, img = u.inv(), u.images
+        conj: dict[int, Perm] = {}  # id of a strong generator -> its conjugate
+        levels = []
+        for lvl in self.levels:
+            new = object.__new__(_Level)
+            new.point = img[lvl.point]
+            gens = []
+            for g in lvl.gens:
+                h = conj.get(id(g))
+                if h is None:
+                    h = conj[id(g)] = u_inv * g * u
+                gens.append(h)
+            new.gens = gens
+            new.orbit = [img[b] for b in lvl.orbit]
+            new.transversal = {
+                img[b]: self.identity if b == lvl.point else u_inv * t * u
+                for b, t in lvl.transversal.items()}
+            new.tinv = {new.point: self.identity}
+            new.closed = lvl.closed
+            new.done = list(lvl.done)
+            levels.append(new)
+        sub = object.__new__(StabilizerChain)
+        sub.degree = self.degree
+        sub.identity = self.identity
+        sub.levels = levels
         return sub
 
     # -- construction ----------------------------------------------------
@@ -340,9 +375,9 @@ class PermGroup:
     def chain(self, base_hint: Sequence[int] = ()) -> StabilizerChain:
         """The cached chain, built to order_bound, or a new one whose base
         starts with base_hint, built to the cached chain's order when there
-        is one."""
+        is one and to order_bound when there is not."""
         if base_hint:
-            order = None if self._chain is None else self._chain.order()
+            order = self.order_bound if self._chain is None else self._chain.order()
             return StabilizerChain(self.degree, self.gens, base_hint=base_hint, order=order)
         if self._chain is None:
             self._chain = StabilizerChain(self.degree, self.gens, order=self.order_bound)
@@ -456,19 +491,42 @@ class PermGroup:
         return self.pointwise_stabilizer((point,))
 
     def pointwise_stabilizer(self, points: Sequence[int]) -> "PermGroup":
-        """Stabilizer of each of the points, from one hinted Schreier-Sims
-        run (stopped at this group's order if that is known). The returned
-        group keeps the levels of that chain below the points, so its order
-        and membership tests run no second Schreier-Sims, and its own point
-        stabilizers stop at that order in turn."""
+        """Stabilizer of each of the points, read off this group's own chain.
+
+        The points are peeled off one at a time, with beta the point of the
+        current chain's top level. For p = beta the stabilizer's chain is the
+        tail below that level; for p in beta's basic orbit it is that tail
+        conjugated by the transversal element u taking beta to p, since
+        G_p = (G_beta)^u; for a p that every generator fixes it is the
+        current chain itself. None of these runs Schreier-Sims. Any other
+        point (one in another orbit) falls back to one hinted run for the
+        points that are left, stopped at the current group's known order.
+        The returned group keeps the chain so reached, so its order and
+        membership tests run no second Schreier-Sims."""
+        chain, gens = self.chain(), self.gens
         pts = list(dict.fromkeys(points))  # first occurrences, in order
-        chain = self.chain(base_hint=pts)
-        stab = PermGroup(self.degree, chain.gens_fixing_prefix(len(pts)))
-        # the tail shares _Level objects with the hinted chain, which nobody
-        # else holds; nothing extends a group's cached chain, and that must
-        # stay so, or an extend would reach into both. The rule holds across
-        # manifest checks too: checks on one recipe share one group.
-        stab._chain = chain.tail(len(pts))
+        for i, p in enumerate(pts):
+            if not chain.levels:
+                break  # the trivial group fixes every point
+            top = chain.levels[0]
+            if p == top.point:
+                chain = chain.tail(1)
+            elif p in top.transversal:
+                chain = chain.tail(1).conjugate(top.transversal[p])
+            elif all(g.images[p] == p for g in gens):
+                continue
+            else:
+                rest = pts[i:]
+                hinted = StabilizerChain(self.degree, gens, base_hint=rest, order=chain.order())
+                chain = hinted.tail(len(rest))  # it fixes the later points
+            gens = chain.gens_fixing_prefix(0)
+        stab = PermGroup(self.degree, gens)
+        # a tail shares _Level objects with the chain it was cut from, and a
+        # fixed point shares the whole chain; nothing extends a group's
+        # cached chain, and that must stay so, or an extend would reach into
+        # both. The rule holds across manifest checks too: checks on one
+        # recipe share one group.
+        stab._chain = chain
         return stab
 
     def restriction(self, points: Sequence[int]) -> "PermGroup":
@@ -503,9 +561,10 @@ class PermGroup:
         also leave a node's orbits out of children and settle them itself
         without building a stabilizer; it counts those nodes too.
 
-        Each child costs one Schreier-Sims run: it is handed the tail of its
-        parent's hinted chain (see pointwise_stabilizer), and its own
-        children's runs stop at its known order.
+        A child's chain is read off its parent's (see pointwise_stabilizer):
+        a child whose point lies in its parent's first basic orbit, or is
+        fixed by the parent, costs no Schreier-Sims run, and any other child
+        one run, stopped at the parent's known order.
         """
         yield prefix, self, weight
         for orb in children(prefix, self):
@@ -559,7 +618,7 @@ def _preserving_elements(
     for c in coloring:
         class_size[c] = class_size.get(c, 0) + 1
     order_key = sorted(range(n), key=lambda x: (class_size[coloring[x]], coloring[x], x))
-    chain = StabilizerChain(n, G.gens, base_hint=order_key)
+    chain = G.chain(base_hint=order_key)  # stops at |G| when that is known
     levels = [lvl for lvl in chain.levels if len(lvl.orbit) > 1]
 
     # per level: points first fixed by that level's group, computed from its
@@ -613,17 +672,24 @@ def action_on_blocks(G: PermGroup, blocks: Sequence[Sequence[int]]) -> tuple[Per
 
     Each generator acts on the points and the block labels at once; the
     kernel is read off a chain whose base starts with the labels, and is
-    returned as a subgroup of G in its original action.
+    returned as a subgroup of G in its original action. That action is a
+    copy of G, so its chain stops at |G|; the label levels' orbits multiply
+    to the image's order and the levels below to the kernel's, which become
+    their order bounds.
     """
     n, nblocks = G.degree, len(blocks)
     where = {x: bi for bi, blk in enumerate(blocks) for x in blk}
     label_images = [tuple(where[g.images[blk[0]]] for blk in blocks) for g in G.gens]
     big_gens = [Perm(g.images + tuple(n + v for v in limg))
                 for g, limg in zip(G.gens, label_images)]
-    chain = StabilizerChain(n + nblocks, big_gens, base_hint=list(range(n, n + nblocks)))
+    chain = StabilizerChain(n + nblocks, big_gens, base_hint=list(range(n, n + nblocks)),
+                            order=G.order())
     kernel_gens = [_from_images(bg.images[:n]) for bg in chain.gens_fixing_prefix(nblocks)]
     image = PermGroup(nblocks, [_from_images(limg) for limg in label_images])
-    return image, PermGroup(n, kernel_gens)
+    kernel = PermGroup(n, kernel_gens)
+    kernel.order_bound = chain.tail(nblocks).order()
+    image.order_bound = chain.order() // kernel.order_bound
+    return image, kernel
 
 
 def normal_closure(G: PermGroup, seeds: Sequence[Perm]) -> PermGroup:

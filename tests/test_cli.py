@@ -40,6 +40,12 @@ def test_subspace_recipe_outside_proper_dimensions_is_bad_input(capsys, m, extra
     assert code == 3 and out == "" and "subspace" in err
 
 
+
+def test_zero_vector_seed_is_bad_input(capsys):
+    recipe = '{"kind": "classical", "family": "GL", "m": 2, "q": 3, "seed": [0, 0]}'
+    code, out, err = run(capsys, "order", "--recipe", recipe)
+    assert code == 3 and out == "" and "seed vector is zero" in err
+
 def test_describe_recomputes_profile(capsys):
     code, out, _ = run(capsys, "describe", "--recipe", AFFINE, "--json")
     assert code == 0

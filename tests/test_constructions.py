@@ -1,5 +1,6 @@
 """Construction-layer tests: orbits, cosets, combinatorial actions."""
 
+import hashlib
 import random
 
 import pytest
@@ -267,6 +268,36 @@ def test_affine_zero_stabilizer_is_linear_part():
     stab = act.group.point_stabilizer(act.index[(0, 0)])
     assert stab.chain().order() == 24
 
+
+
+def test_affine_over_an_extension_field_translates_by_all_of_the_space():
+    # F_4^2 is spanned over F_2 by e_0, e_1, x e_0, x e_1, not e_0, e_1 alone
+    act = affine_action(classical_generators("SU", 2, 2))
+    assert act.degree == 16
+    assert act.group.is_transitive()
+    assert act.group.order() == 16 * 6
+
+
+# sha256 of the generator image tuples: over a prime field the F_p-basis of
+# F_q is {1}, so the translations are by e_i alone and the generators are
+# pinned to their bytes
+AFFINE_PRIME_FIELD_GENS = {
+    ("Sp", 4, 2): "c684b5dd2c084383b785623afd89dd4b7867377842b3f1f4b74d18701c0a878f",
+    ("SL", 2, 3): "c7e4bac1779bfa85c00cff6417204d669dd110604818c6d67c009004b7c98120",
+    ("GL", 2, 5): "1a407d5073c679d2c2aa62f3bb8a0d7081a577d29f5e692cbfd4ad617573f905",
+}
+
+
+@pytest.mark.parametrize("family,m,q", sorted(AFFINE_PRIME_FIELD_GENS))
+def test_affine_generators_over_a_prime_field_are_unchanged(family, m, q):
+    act = affine_action(classical_generators(family, m, q))
+    digest = hashlib.sha256(repr([g.images for g in act.group.gens]).encode()).hexdigest()
+    assert digest == AFFINE_PRIME_FIELD_GENS[(family, m, q)]
+
+
+def test_zero_vector_seed_is_rejected():
+    with pytest.raises(ConstructionError, match="zero"):
+        matrix_orbit_action(classical_generators("GL", 2, 3), seed=(0, 0))
 
 # -- wreath products -------------------------------------------------------
 

@@ -735,13 +735,15 @@ def chain_builds(monkeypatch):
 
 
 def test_walk_pins_chain_builds(deg36, chain_builds):
-    # one Schreier-Sims run per stabilizer: each child keeps the tail of its
-    # hinted chain, so its order needs no second run (the counts were 42 and
-    # 2582 when every child built its own chain again)
+    # a stabilizer is read off its parent's chain, by its tail or the tail
+    # conjugated into place, so a transitive node runs no Schreier-Sims; the
+    # builds left are the fallback runs of intransitive nodes (the counts
+    # were 21 and 143 with one hinted run per stabilizer, and 42 and 2582
+    # when every child built its own chain again)
     assert base_size_exact(deg36).size == 6
-    assert chain_builds[0] == 21
+    assert chain_builds[0] == 9
 
     # leaves of the count build no chain (1291 runs when every leaf did)
     chain_builds[0] = 0
     rc = count_regular_tuples(deg36, 6, threshold=1451520)
-    assert (rc.value, chain_builds[0]) == (1451520, 143)
+    assert (rc.value, chain_builds[0]) == (1451520, 41)

@@ -363,6 +363,31 @@ def test_block_action_on_singletons_is_faithful():
     assert kernel.order() == 1
 
 
+
+@pytest.mark.parametrize("make,blocks", [
+    (lambda: PermGroup(*SAMPLES["dihedral4"]), [(0, 2), (1, 3)]),
+    (lambda: wreath_imprimitive(PermGroup.symmetric(4), PermGroup.symmetric(3)).group,
+     [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)]),
+], ids=["dihedral4", "s4wrs3"])
+def test_block_action_carries_exact_order_bounds(make, blocks):
+    G = make()
+    image, kernel = action_on_blocks(G, blocks)
+    assert image.order_bound == StabilizerChain(image.degree, image.gens).order()
+    assert kernel.order_bound == StabilizerChain(kernel.degree, kernel.gens).order()
+    assert image.order_bound * kernel.order_bound == G.order()
+
+
+def test_hinted_chain_without_a_cached_one_stops_at_order_bound():
+    gens = list(iter_sym_gens(8))
+    bounded, free = PermGroup(8, gens), PermGroup(8, gens)
+    bounded.order_bound = 40320
+    stopped, full = bounded.chain(base_hint=[3]), free.chain(base_hint=[3])
+    assert stopped.order() == full.order() == 40320
+    stopped.verify()
+    assert bounded._chain is None  # a hinted chain is not cached
+    pairs = [sum(sum(lvl.done) for lvl in c.levels) for c in (stopped, full)]
+    assert pairs[0] < pairs[1]
+
 # -- stabilizers ----------------------------------------------------------
 
 
@@ -657,6 +682,113 @@ def test_handed_down_chains_check_out(name):
         depth = max(depth, len(prefix))
     assert depth == 3
 
+
+
+# -- stabilizers read off the group's own chain ----------------------------
+
+
+PATH_GROUPS = dict(
+    WALKED,
+    # S4 on 0..3 times S3 on 4..6, fixing 7
+    intransitive=lambda: PermGroup(8, [cyc([(0, 1)], 8), cyc([(0, 1, 2, 3)], 8),
+                                       cyc([(4, 5)], 8), cyc([(4, 5, 6)], 8)]),
+)
+
+
+def stabilizer_path(H, p):
+    """How pointwise_stabilizer reads H_p off H's chain."""
+    levels = H.chain().levels
+    if levels and p == levels[0].point:
+        return "tail"
+    if levels and p in levels[0].transversal:
+        return "conjugate"
+    if all(g.images[p] == p for g in H.gens):
+        return "fixed"
+    return "fallback"
+
+
+@pytest.mark.parametrize("name,paths", [
+    ("deg36", {"tail", "conjugate", "fixed", "fallback"}),
+    ("intransitive", {"tail", "conjugate", "fixed", "fallback"}),
+    ("s5wrs2", {"tail", "conjugate", "fixed", "fallback"}),
+    ("sym6", {"tail", "conjugate", "fixed"}),
+])
+def test_each_stabilizer_path_gives_the_stabilizer(name, paths):
+    # every point of G, then of the stabilizers of its first one and two
+    # base points; each H_p passes verify(), has order |H| / |p^H|, lies in
+    # H and fixes p, and where G is small enough it equals the brute-force
+    # stabilizer
+    G = PATH_GROUPS[name]()
+    members = closure(G.degree, G.gens) if G.order() <= 30000 else None
+    seen = set()
+    nodes = [(G, ())]
+    for _ in range(2):
+        H, fixed = nodes[-1]
+        beta = H.chain().base[0]
+        nodes.append((H.point_stabilizer(beta), fixed + (beta,)))
+    for H, fixed in nodes:
+        orbit_of = {x: orb for orb in H.orbits() for x in orb}
+        for p in range(G.degree):
+            seen.add(stabilizer_path(H, p))
+            S = H.point_stabilizer(p)
+            S.chain().verify()
+            assert S.order() * len(orbit_of[p]) == H.order()
+            assert all(H.contains(g) and g.images[p] == p for g in S.gens)
+            if members is not None:
+                want = {t for t in members if all(t[x] == x for x in fixed + (p,))}
+                assert set(S.chain().image_tuples()) == want
+    assert seen == paths
+
+
+@pytest.mark.parametrize("name", ["intransitive", "s5wrs2", "sym6"])
+def test_pointwise_stabilizers_match_brute_force(name):
+    # several points peeled off in one call, fallback runs included
+    G = PATH_GROUPS[name]()
+    members = closure(G.degree, G.gens)
+    rng = random.Random(5)
+    for _ in range(30):
+        points = tuple(rng.choice(range(G.degree)) for _ in range(rng.randint(1, 4)))
+        S = G.pointwise_stabilizer(points)
+        S.chain().verify()
+        want = {t for t in members if all(t[x] == x for x in points)}
+        assert S.order() == len(want)
+        assert set(S.chain().image_tuples()) == want
+
+
+@pytest.mark.parametrize("name", sorted(WALKED))
+def test_transitive_point_stabilizers_build_no_chain(name, monkeypatch):
+    G = WALKED[name]()
+    assert G.is_transitive()
+    G.chain()
+    builds = [0]
+    inner = StabilizerChain.__init__
+
+    def counted(self, *args, **kwargs):
+        builds[0] += 1
+        inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(StabilizerChain, "__init__", counted)
+    for p in range(G.degree):
+        assert G.point_stabilizer(p).order() * G.degree == G.order()
+    assert builds[0] == 0
+
+
+def test_conjugate_chain_moves_the_base_and_shares_generators():
+    G = PermGroup.symmetric(6)
+    chain = G.chain()
+    u = cyc([(0, 3, 5), (1, 4)], 6)
+    conj = chain.conjugate(u)
+    conj.verify()
+    assert conj.base == tuple(u.images[b] for b in chain.base)
+    assert conj.order() == chain.order()
+    assert [lvl.orbit for lvl in conj.levels] == [
+        [u.images[b] for b in lvl.orbit] for lvl in chain.levels]
+    # a generator shared by two levels is conjugated once
+    for upper, lower in zip(conj.levels, conj.levels[1:]):
+        assert set(map(id, lower.gens)) <= set(map(id, upper.gens))
+    u_inv = u.inv()
+    for g in conj.levels[0].gens:
+        assert G.contains(u * g * u_inv)
 
 def test_known_order_is_not_kept_for_extend():
     G = PermGroup.alternating(6)

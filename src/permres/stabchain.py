@@ -503,8 +503,11 @@ class PermGroup:
         points that are left, stopped at the current group's known order.
         The returned group keeps the chain so reached, so its order and
         membership tests run no second Schreier-Sims."""
-        chain, gens = self.chain(), self.gens
         pts = list(dict.fromkeys(points))  # first occurrences, in order
+        for p in pts:
+            if not 0 <= p < self.degree:
+                raise ValueError(f"base hint point {p} out of range")
+        chain, gens = self.chain(), self.gens
         for i, p in enumerate(pts):
             if not chain.levels:
                 break  # the trivial group fixes every point

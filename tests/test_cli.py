@@ -46,6 +46,13 @@ def test_zero_vector_seed_is_bad_input(capsys):
     code, out, err = run(capsys, "order", "--recipe", recipe)
     assert code == 3 and out == "" and "seed vector is zero" in err
 
+
+@pytest.mark.parametrize("point", ["5", "-1"])
+def test_first_point_out_of_range_is_bad_input(capsys, point):
+    code, out, err = run(capsys, "reg-count", "--recipe", S5, "--t", "2",
+                         "--first-point", point)
+    assert code == 3 and out == "" and "out of range" in err
+
 def test_describe_recomputes_profile(capsys):
     code, out, _ = run(capsys, "describe", "--recipe", AFFINE, "--json")
     assert code == 0

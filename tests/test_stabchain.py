@@ -363,7 +363,6 @@ def test_block_action_on_singletons_is_faithful():
     assert kernel.order() == 1
 
 
-
 @pytest.mark.parametrize("make,blocks", [
     (lambda: PermGroup(*SAMPLES["dihedral4"]), [(0, 2), (1, 3)]),
     (lambda: wreath_imprimitive(PermGroup.symmetric(4), PermGroup.symmetric(3)).group,
@@ -387,6 +386,7 @@ def test_hinted_chain_without_a_cached_one_stops_at_order_bound():
     assert bounded._chain is None  # a hinted chain is not cached
     pairs = [sum(sum(lvl.done) for lvl in c.levels) for c in (stopped, full)]
     assert pairs[0] < pairs[1]
+
 
 # -- stabilizers ----------------------------------------------------------
 
@@ -683,7 +683,6 @@ def test_handed_down_chains_check_out(name):
     assert depth == 3
 
 
-
 # -- stabilizers read off the group's own chain ----------------------------
 
 
@@ -773,7 +772,7 @@ def test_transitive_point_stabilizers_build_no_chain(name, monkeypatch):
     assert builds[0] == 0
 
 
-def test_conjugate_chain_moves_the_base_and_shares_generators():
+def test_conjugate_chain_moves_the_base_and_orbits():
     G = PermGroup.symmetric(6)
     chain = G.chain()
     u = cyc([(0, 3, 5), (1, 4)], 6)
@@ -783,12 +782,10 @@ def test_conjugate_chain_moves_the_base_and_shares_generators():
     assert conj.order() == chain.order()
     assert [lvl.orbit for lvl in conj.levels] == [
         [u.images[b] for b in lvl.orbit] for lvl in chain.levels]
-    # a generator shared by two levels is conjugated once
-    for upper, lower in zip(conj.levels, conj.levels[1:]):
-        assert set(map(id, lower.gens)) <= set(map(id, upper.gens))
     u_inv = u.inv()
     for g in conj.levels[0].gens:
         assert G.contains(u * g * u_inv)
+
 
 def test_known_order_is_not_kept_for_extend():
     G = PermGroup.alternating(6)

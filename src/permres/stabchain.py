@@ -125,10 +125,15 @@ class StabilizerChain:
     def tail(self, k: int) -> "StabilizerChain":
         """Chain of the stabilizer of the first k base points: this chain's
         levels k and below, shared, not copied. Runs no Schreier-Sims."""
+        return self._on_levels(self.levels[k:])
+
+    def _on_levels(self, levels: list[_Level]) -> "StabilizerChain":
+        # a chain on the given levels, built without __init__, so that
+        # stabchain.chains_built counts only Schreier-Sims runs
         sub = object.__new__(StabilizerChain)
         sub.degree = self.degree
         sub.identity = self.identity
-        sub.levels = self.levels[k:]
+        sub.levels = levels
         return sub
 
     def conjugate(self, u: Perm) -> "StabilizerChain":
@@ -158,11 +163,7 @@ class StabilizerChain:
             new.closed = lvl.closed
             new.done = list(lvl.done)
             levels.append(new)
-        sub = object.__new__(StabilizerChain)
-        sub.degree = self.degree
-        sub.identity = self.identity
-        sub.levels = levels
-        return sub
+        return self._on_levels(levels)
 
     # -- construction ----------------------------------------------------
 

@@ -170,16 +170,9 @@ class ScanReport:
     exhaustive: bool
 
 
-# scan witnesses of larger order are summarized by their order alone
-_SUMMARY_ORDER_CAP = 10 ** 7
-
-
 def _structure_summary(H: PermGroup) -> str:
-    order = H.order()
-    if order == 1:
+    if H.order() == 1:
         return "trivial"
-    if order > _SUMMARY_ORDER_CAP:
-        return f"order {order}"
     return " * ".join(f.name for f in composition_factors(H))
 
 

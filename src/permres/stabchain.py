@@ -419,37 +419,28 @@ class PermGroup:
     def is_transitive(self) -> bool:
         return len(self.orbits()) == 1
 
-    def minimal_block_systems(self) -> list[tuple[tuple[int, ...], ...]]:
-        """Nontrivial block systems refined by no other nontrivial system.
+    def block_system(self) -> tuple[tuple[int, ...], ...] | None:
+        """A nontrivial block system, or None when there is none.
 
-        The group must be transitive. Each system is a tuple of sorted
-        blocks ordered by smallest element. Seeding the finest congruence
-        of every pair (0, b) reaches every atom of the congruence lattice;
-        non-atoms also show up (a seed pair can lie in no atom) and are
-        filtered out by comparing the blocks through 0, since for a
-        transitive group refinement is containment of those blocks. The
-        congruence of (0, b) is that of (0, b^h) for every h fixing 0, so
-        one b per orbit of the stabilizer of 0 seeds them all.
+        The group must be transitive. The blocks are sorted and ordered by
+        smallest element. Every nontrivial system has a block through 0 and
+        some b != 0, and so is refined by the finest congruence of (0, b)
+        (Atkinson 1975); that congruence is the same for (0, b^h) with h
+        fixing 0, so one b per orbit of the stabilizer of 0 is tried, in
+        order, and the first congruence with more than one block is the one
+        returned.
         """
         if not self.is_transitive():
             raise ValueError("block systems require a transitive group")
-        n = self.degree
-        systems = {}
         # the first suborbit is {0}
         for orb in self.point_stabilizer(0).orbits()[1:]:
             part = self._finest_congruence(0, orb[0])
             blocks = {}
-            for x in range(n):
+            for x in range(self.degree):
                 blocks.setdefault(part[x], []).append(x)
-            if 1 < len(blocks) < n:
-                system = tuple(sorted((tuple(v) for v in blocks.values()), key=lambda blk: blk[0]))
-                systems[system] = True
-        zero_blocks = {sys_: set(sys_[0]) for sys_ in systems}
-        minimal = [
-            sys_ for sys_, blk in zero_blocks.items()
-            if not any(other < blk for other in zero_blocks.values())
-        ]
-        return sorted(minimal, key=lambda sys_: (len(sys_[0]), sys_))
+            if len(blocks) > 1:
+                return tuple(map(tuple, blocks.values()))
+        return None
 
     def _finest_congruence(self, a: int, b: int) -> list[int]:
         n = self.degree
@@ -482,9 +473,7 @@ class PermGroup:
 
     def is_primitive(self) -> bool:
         """Transitive with no nontrivial block system. Degree 1 counts."""
-        if self.degree == 1:
-            return True
-        return self.is_transitive() and not self.minimal_block_systems()
+        return self.is_transitive() and self.block_system() is None
 
     # -- stabilizers -----------------------------------------------------
 

@@ -218,7 +218,7 @@ def composition_factors(G: PermGroup) -> list[FactorDescriptor]:
     """Composition factor multiset, sorted by (order, kind, name).
 
     Descent order: kernel of the action on one orbit, kernel of the action
-    on a minimal block system, derived subgroup, then a normal-closure
+    on a block system, derived subgroup, then a normal-closure
     search; a proper normal subgroup N found there splits G by G/N =
     G_a/N_a, and none means G is taken as simple. Factors whose order
     matches no table entry come back as kind unknown.
@@ -252,13 +252,12 @@ def _descend(G: PermGroup, out: list[FactorDescriptor]) -> None:
         _descend(image, out)
         _descend(kernel, out)
         return
-    if G.degree > 1:
-        systems = G.minimal_block_systems()
-        if systems:
-            image, kernel = action_on_blocks(G, systems[0])
-            _descend(image, out)
-            _descend(kernel, out)
-            return
+    system = G.block_system()
+    if system is not None:
+        image, kernel = action_on_blocks(G, system)
+        _descend(image, out)
+        _descend(kernel, out)
+        return
     D = derived_subgroup(G)
     dorder = D.order()
     if dorder < order:

@@ -201,6 +201,12 @@ def test_scan_s8_fails_on_s6_stabilizer():
     assert "A6" in rep.first_failure.summary
 
 
+def test_scan_summary_names_factors_of_large_witness():
+    # S11 has order 39916800 and is named by its factors, not its order
+    rep = stabilizer_scan(PermGroup.symmetric(12), 1, "solvable")
+    assert rep.worst_witness.summary == "C2 * A11"
+
+
 def test_scan_transitive_c1_single_rep():
     # transitive, so exactly one representative gets evaluated
     rep = stabilizer_scan(PermGroup.symmetric(5), 1, "solvable")

@@ -282,45 +282,44 @@ def test_primitive_sym4():
     assert PermGroup.symmetric(4).is_primitive()
 
 
+def test_degree_one_is_primitive():
+    G = PermGroup.trivial(1)
+    assert G.is_primitive()
+    assert G.block_system() is None
+
+
 def test_blocks_dihedral4():
     G = PermGroup(SAMPLES["dihedral4"][0], SAMPLES["dihedral4"][1])
-    systems = G.minimal_block_systems()
-    assert ((0, 2), (1, 3)) in systems
+    # the seed 1 closes to one block; the seed 2 gives the diagonals
+    assert G.block_system() == ((0, 2), (1, 3))
     assert not G.is_primitive()
-    for system in systems:
-        sizes = {len(b) for b in system}
-        assert len(sizes) == 1
 
 
 def test_blocks_cyclic6():
     G = PermGroup(SAMPLES["cyclic6"][0], SAMPLES["cyclic6"][1])
-    systems = G.minimal_block_systems()
-    sizes = sorted(len(s[0]) for s in systems)
-    assert sizes == [2, 3]
+    # the seed 1 closes to one block; the seed 2 gives the blocks of size 3
+    assert G.block_system() == ((0, 2, 4), (1, 3, 5))
 
 
 def test_blocks_require_transitive():
     G = PermGroup(SAMPLES["two_orbit"][0], SAMPLES["two_orbit"][1])
     with pytest.raises(ValueError):
-        G.minimal_block_systems()
+        G.block_system()
 
 
-def block_systems_seeded_by_every_point(G):
-    """minimal_block_systems with the finest congruence of (0, b) seeded
-    for every b, not one b per suborbit."""
+def congruences_seeded_by_every_point(G):
+    """The nontrivial finest congruences of (0, b) for every b in 1..n-1,
+    not one b per suborbit."""
     n = G.degree
-    systems = {}
+    systems = []
     for b in range(1, n):
         part = G._finest_congruence(0, b)
         blocks = {}
         for x in range(n):
             blocks.setdefault(part[x], []).append(x)
-        if 1 < len(blocks) < n:
-            systems[tuple(sorted((tuple(v) for v in blocks.values()), key=lambda blk: blk[0]))] = True
-    zero_blocks = {sys_: set(sys_[0]) for sys_ in systems}
-    minimal = [sys_ for sys_, blk in zero_blocks.items()
-               if not any(other < blk for other in zero_blocks.values())]
-    return sorted(minimal, key=lambda sys_: (len(sys_[0]), sys_))
+        if len(blocks) > 1:
+            systems.append(tuple(tuple(v) for v in blocks.values()))
+    return systems
 
 
 @pytest.mark.parametrize("make", [
@@ -340,7 +339,12 @@ def block_systems_seeded_by_every_point(G):
 def test_blocks_seeded_by_suborbit_match_every_seed(make):
     # (0, b) and (0, b^h) have the same finest congruence for h fixing 0
     G = make()
-    assert G.minimal_block_systems() == block_systems_seeded_by_every_point(G)
+    seeded = congruences_seeded_by_every_point(G)
+    system = G.block_system()
+    if seeded:
+        assert system in seeded
+    else:
+        assert system is None
 
 
 def test_block_action_and_kernel():

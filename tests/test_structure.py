@@ -236,17 +236,38 @@ def test_split_subtracts_the_factors_of_a_point_stabilizer_of_n(monkeypatch):
     assert names(composition_factors(G)) == ["A5", "C2", "C5", "C5"]
 
 
-def test_split_needs_no_tuples_of_points():
-    # T x T for T = L2(11) on 660 points: labelling point pairs of a group
-    # of this degree was refused, and the factor came back unknown
+def diag_l2_11():
+    """T x T for T = L2(11) in diagonal action on 660 points."""
     gens = [[(x + 1) % 11 for x in range(11)] + [11],
             [11 if x == 0 else -pow(x, -1, 11) % 11 for x in range(11)] + [0]]
-    G = construct_recipe({"kind": "diagonal", "swap": False, "factor": {
+    return construct_recipe({"kind": "diagonal", "swap": False, "factor": {
         "kind": "perm-generators", "degree": 12, "generators": gens}}).group
+
+
+def test_split_needs_no_tuples_of_points():
+    # labelling point pairs of a group of this degree was refused, and the
+    # factor came back unknown
+    G = diag_l2_11()
     assert G.degree == 660
     assert names(composition_factors(G)) == ["L2(11)", "L2(11)"]
     assert in_gamma(G, 6) == YES
     assert gamma_profile(G)["min_certified_d"] == 6
+
+
+def test_descent_pins_block_congruences(monkeypatch):
+    # each transitive node stops at its first nontrivial congruence (925
+    # congruences when every suborbit seeded one, most on the regular N)
+    G = diag_l2_11()
+    calls = [0]
+    inner = PermGroup._finest_congruence
+
+    def counted(self, *args):
+        calls[0] += 1
+        return inner(self, *args)
+
+    monkeypatch.setattr(PermGroup, "_finest_congruence", counted)
+    assert names(composition_factors(G)) == ["L2(11)", "L2(11)"]
+    assert calls[0] == 19
 
 
 def test_factors_unidentified_is_unknown_not_mislabeled():

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .fq import ceil_log
+from .fq import ceil_log, require_int
 
 if TYPE_CHECKING:
     from .stabchain import PermGroup
@@ -244,6 +244,7 @@ def n_c_delta(c: int, delta) -> int:
     N(c, delta) = max(c, M(e_c)): one threshold search, whatever c is. The
     shrunk parameter stays symbolic as (1+delta) to a rational power, so
     every comparison below is still certified."""
+    require_int("c", c)
     delta = Fraction(delta)
     if c < 0:
         raise ValueError("c must be >= 0")
@@ -262,6 +263,7 @@ def lemma22_check(G: PermGroup, d: int) -> BoundReport:
     The hypothesis is checked first and must resolve to a definite yes;
     d < 5 is rejected because no certificate exists down there (the d = 2
     class is empty)."""
+    require_int("d", d)
     if d < 2:
         raise ValueError("d must be >= 2")
     if d < 5:

@@ -41,6 +41,12 @@ def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == {n: 1}
 
 
+def require_int(name: str, value) -> None:
+    """Raise ValueError unless value is an int; a bool is not one here."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 def ceil_log(base: int, x: int) -> int:
     """min t with base**t >= x, by integer powering only."""
     if base < 2:

@@ -241,6 +241,11 @@ OPS: dict[str, Callable] = {
 # -- validation ------------------------------------------------------------
 
 
+def _positive_int(value: Any) -> bool:
+    # a bool is an int to Python, but true is no budget of 1 ms
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+
+
 def validate_manifest(doc: Any) -> list[dict]:
     if not isinstance(doc, dict):
         raise ManifestError("manifest root must be an object")
@@ -280,8 +285,7 @@ def validate_manifest(doc: Any) -> list[dict]:
                                     f"{', '.join(VALID_TAGS)}")
             if not isinstance(a.get("params", {}), dict):
                 raise ManifestError(f"{aw}: params must be an object")
-        if "budget_ms" in chk and (not isinstance(chk["budget_ms"], int)
-                                   or chk["budget_ms"] <= 0):
+        if "budget_ms" in chk and not _positive_int(chk["budget_ms"]):
             raise ManifestError(f"{where} ({cid}): budget_ms must be a "
                                 "positive integer")
     return checks
@@ -457,7 +461,7 @@ def run_manifest(source: str | Path | dict,
     needs it and inside that check's budget; later checks share the built
     group, its cached chain and factor list included, and only read it.
     """
-    if budget_ms is not None and (not isinstance(budget_ms, int) or budget_ms <= 0):
+    if budget_ms is not None and not _positive_int(budget_ms):
         raise ManifestError("budget_ms must be a positive integer")
     if isinstance(source, dict):
         doc = source

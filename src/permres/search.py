@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .fq import ceil_log, is_prime
+from .fq import ceil_log, is_prime, require_int
 from .stabchain import PermGroup, ResourceLimit, _preserving_elements
 from .structure import NO, UNKNOWN, YES, composition_factors, in_gamma, is_solvable
 
@@ -201,6 +201,7 @@ def stabilizer_scan(
     the verdict is fail whenever one was reached; otherwise it is
     inconclusive if a class was unknown or the walk was cut short.
     """
+    require_int("c", c)
     if c < 1:
         raise ValueError("scan needs c >= 1")
     test = _parse_predicate(predicate)
@@ -504,6 +505,9 @@ def count_regular_tuples(
     value >= threshold. first_point pins the first coordinate instead of
     branching over it.
     """
+    require_int("t", t)
+    if first_point is not None:
+        require_int("first_point", first_point)
     if t < 1:
         raise ValueError("tuple length must be >= 1")
     n = L.degree

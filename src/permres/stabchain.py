@@ -19,11 +19,11 @@ stops the same way once it reaches the group's order, and is then the
 group itself; normal_closure_is_group certifies that case with a seeded
 random walk and no Schreier generators at all.
 
-Schreier-Sims is one sweep, _close, over two counters per level (see
-_Level). Orbits are closed lazily, when a sift or the sweep reads them:
-closing under several new generators at once lists an orbit in another
-order than closing after each, and orbit order is part of the chain's
-layout, which seeded probes and pinned work counters read.
+Schreier-Sims is one sweep, _close, over one counter per orbit point
+(see _Level). Each level's orbit is closed under that level's generators
+at all times: a generator is installed by _Level.add, which closes the
+orbit under it at once, so a sift or the sweep never finds an orbit to
+finish.
 """
 
 from __future__ import annotations
@@ -43,10 +43,10 @@ class ResourceLimit(RuntimeError):
 
 
 class _Level:
-    # closed: the orbit is closed under gens[:closed].
+    # The orbit is closed under gens: only add() appends to gens.
     # done[k]: orbit[k] has been paired with gens[:done[k]] and each pair's
     # Schreier generator sifted; the list grows with the orbit.
-    __slots__ = ("point", "gens", "orbit", "transversal", "tinv", "closed", "done")
+    __slots__ = ("point", "gens", "orbit", "transversal", "tinv", "done")
 
     def __init__(self, point: int, identity: Perm):
         self.point = point
@@ -55,7 +55,6 @@ class _Level:
         self.transversal: dict[int, Perm] = {point: identity}
         # inverses of transversal elements, filled in on first read
         self.tinv: dict[int, Perm] = {point: identity}
-        self.closed = 0
         self.done: list[int] = [0]
 
     def inverse(self, beta: int) -> Perm:
@@ -65,24 +64,21 @@ class _Level:
             u = self.tinv[beta] = self.transversal[beta].inv()
         return u
 
-    def close_orbit(self) -> None:
-        """Close the orbit under all gens: old points meet only gens[closed:],
-        new points all of them, which lists the orbit as a full rescan does."""
-        gens = self.gens
-        if self.closed == len(gens):
-            return
-        orbit, transversal = self.orbit, self.transversal
-        newer = gens[self.closed:]
+    def add(self, g: Perm) -> None:
+        """Append g and close the orbit under it: the old points, already
+        closed under the other gens, meet only g; new points meet all."""
+        gens, orbit, transversal = self.gens, self.orbit, self.transversal
+        gens.append(g)
+        only_g = (g,)
         old = len(orbit)
         # the loop also walks the points appended while it runs
         for idx, beta in enumerate(orbit):
             u = transversal[beta]
-            for s in newer if idx < old else gens:
+            for s in only_g if idx < old else gens:
                 gamma = s.images[beta]
                 if gamma not in transversal:
                     transversal[gamma] = u * s
                     orbit.append(gamma)
-        self.closed = len(gens)
         self.done += [0] * (len(orbit) - old)
 
 
@@ -111,16 +107,13 @@ class StabilizerChain:
             if b not in seen:
                 seen.add(b)
                 self.levels.append(_Level(b, self.identity))
-        grew = False
         for g in gens:
             if g.degree != degree:
                 raise ValueError("generator degree mismatch")
             residue, j = self._sift(g, 0)
             if not residue.is_identity():
                 self._install(residue, j)
-                grew = True
-        if grew:
-            self._close(order)
+        self._close(order)
 
     def tail(self, k: int) -> "StabilizerChain":
         """Chain of the stabilizer of the first k base points: this chain's
@@ -160,7 +153,6 @@ class StabilizerChain:
                 img[b]: self.identity if b == lvl.point else u_inv * t * u
                 for b, t in lvl.transversal.items()}
             new.tinv = {new.point: self.identity}
-            new.closed = lvl.closed
             new.done = list(lvl.done)
             levels.append(new)
         return self._on_levels(levels)
@@ -188,9 +180,7 @@ class StabilizerChain:
             lvl = self.levels[i]
             beta = g.images[lvl.point]
             if beta not in lvl.transversal:
-                lvl.close_orbit()
-                if beta not in lvl.transversal:
-                    return g, i
+                return g, i
             if beta != lvl.point:
                 g = g * lvl.inverse(beta)
         return g, len(self.levels)
@@ -200,7 +190,7 @@ class StabilizerChain:
         if j == len(self.levels):
             self.levels.append(_Level(self._pick_point(g), self.identity))
         for i in range(j + 1):
-            self.levels[i].gens.append(g)
+            self.levels[i].add(g)
 
     def _pick_point(self, g: Perm) -> int:
         # smallest point in the largest cycle; cycles() lists each cycle from
@@ -209,16 +199,17 @@ class StabilizerChain:
 
     def _close(self, target: int | None = None) -> None:
         # The one sweep: walk up from the deepest level, sifting the Schreier
-        # generator of every pair that done has not reached; after an install
-        # close this level's orbit only (orbits stay lazy, see the module
-        # docstring) and, once the level is finished, restart at the deepest
-        # level. Ends when a walk installs nothing or the target is reached.
-        if self._reached(target):
+        # generator of every pair that done has not reached (an install has
+        # already closed the orbits it grew) and, once a level that installed
+        # is finished, restart at the deepest level. Ends when a walk installs
+        # nothing or the basic orbits multiply to the target: each is at most
+        # the index of the next stabilizer, so that product forces every
+        # orbit and every level's group to be complete.
+        if self.order() == target:
             return
         i = len(self.levels) - 1
         while i >= 0:
             lvl = self.levels[i]
-            lvl.close_orbit()
             orbit, gens, done = lvl.orbit, lvl.gens, lvl.done
             installed = False
             for k, beta in enumerate(orbit):  # orbit grows with each install
@@ -232,21 +223,10 @@ class StabilizerChain:
                     if residue.is_identity():
                         continue
                     self._install(residue, j)
-                    if self._reached(target):
+                    if self.order() == target:
                         return
-                    lvl.close_orbit()
                     installed = True
             i = len(self.levels) - 1 if installed else i - 1
-
-    def _reached(self, target: int | None) -> bool:
-        # each basic orbit is at most the index of the next stabilizer, so
-        # a product equal to the group order forces every orbit and every
-        # level's group to be complete
-        if target is None:
-            return False
-        for lvl in self.levels:
-            lvl.close_orbit()
-        return self.order() == target
 
     # -- queries ---------------------------------------------------------
 
@@ -757,7 +737,7 @@ def normal_closure_is_group(G: PermGroup, z: Perm, rng) -> bool:
         else:
             idle = 0
             walk._install(residue, j)
-            if walk._reached(target):
+            if walk.order() == target:
                 return True
         g = full.random_element(rng)
         x = x * (g.inv() * z * g)

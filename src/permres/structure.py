@@ -26,7 +26,7 @@ from functools import lru_cache
 from importlib import resources
 from operator import itemgetter
 
-from .fq import factorize, is_prime
+from .fq import factorize, is_prime, require_int
 from .perm import Perm
 from .stabchain import (
     PermGroup,
@@ -359,6 +359,7 @@ def in_gamma(G: PermGroup, d: int) -> str:
     question to the factor multiset; that reduction is this library's own
     bookkeeping, not a quoted result.
     """
+    require_int("d", d)
     if d < 5:
         raise ValueError("the restricted classes are defined for d >= 5 only")
     verdicts = [_factor_in_gamma(f, d) for f in composition_factors(G)]

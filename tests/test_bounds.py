@@ -419,3 +419,16 @@ def test_subsets_bound_dominates_measured():
     act = subsets_action(6, 2)
     measured = base_size_exact(act.group).size
     assert measured <= subsets_bound(6, 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: n_c_delta(1.5, 1),
+    lambda: n_c_delta(True, 1),
+    lambda: lemma22_check(PermGroup.symmetric(5), 9.5),
+    lambda: lemma22_check(PermGroup.symmetric(5), True),
+])
+def test_bounds_reject_counts_that_are_not_integers(call):
+    # n_c_delta(1.5, 1) once raised 3/5 to a float power, and lemma22 at
+    # d = 9.5 reported the float bound 8145.0625
+    with pytest.raises(ValueError, match="integer"):
+        call()

@@ -177,6 +177,13 @@ def test_bounds_rejects_a_params_key_it_does_not_read(capsys):
     assert "delat" in err and err.count("\n") == 1
 
 
+def test_bounds_rejects_a_c_that_is_not_an_integer(capsys):
+    # the threshold once came out as 53 from a float power of 3/5
+    code, out, err = run(capsys, "bounds", "--check", "threshold-n",
+                         "--params", '{"c": 1.5, "delta": "1"}')
+    assert code == 3 and out == "" and "integer" in err
+
+
 def test_bounds_failing_comparison_exits_one(capsys):
     code, out, _ = run(capsys, "bounds", "--check", "formula", "--params",
                        '{"name": "diag_bound", "params": {"k": 2, "t_order": 60},'

@@ -262,6 +262,7 @@ def test_validate_accepts_minimal_manifest():
     (_one_check(assertions=[{"op": "order", "expect": 1, "tag": "guessed"}]), "tag"),
     (_one_check(assertions=[{"op": "order", "tag": "direct"}]), "expect"),
     (_one_check(budget_ms=0), "budget"),
+    (_one_check(budget_ms=True), "budget"),
 ])
 def test_validate_rejects_bad_shapes(doc, msg):
     with pytest.raises(ManifestError, match=msg):
@@ -467,11 +468,29 @@ def test_run_manifest_budget_default():
     assert rep.exit_code == 2
 
 
-@pytest.mark.parametrize("budget_ms", [0, -5])
+@pytest.mark.parametrize("budget_ms", [0, -5, True, 1.5])
 def test_run_manifest_rejects_a_non_positive_budget(budget_ms):
     # the rule a check's own budget_ms follows, not a budget that ran out
     with pytest.raises(ManifestError, match="budget_ms"):
         run_manifest(_one_check(), budget_ms=budget_ms)
+
+
+def test_counts_that_are_not_integers_fail_their_assertions():
+    # each expect is what the op once measured for a count that is no integer
+    rep = run_manifest({"schema": 1, "checks": [
+        {"id": "scan", "recipe": {"kind": "symmetric", "m": 5}, "assertions": [
+            {"op": "stab-scan", "params": {"c": 1.5, "predicate": "solvable"},
+             "expect": {"classes": 4}, "tag": "direct"},
+            {"op": "reg-count", "params": {"t": 2.5}, "expect": {"t": 2.5},
+             "tag": "direct"},
+            {"op": "threshold-n", "params": {"c": 1.5, "delta": "1"},
+             "expect": 53, "tag": "direct"},
+            {"op": "lemma22", "params": {"d": 9.5}, "expect": "holds",
+             "tag": "direct"}]}]})
+    assertions = rep.checks[0].assertions
+    assert rep.checks[0].status == "fail" and len(assertions) == 4
+    for a in assertions:
+        assert a.ok is False and a.measured is None and "integer" in a.error
 
 
 def test_run_manifest_empty_is_pass():

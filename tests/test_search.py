@@ -753,3 +753,16 @@ def test_walk_pins_chain_builds(deg36, chain_builds):
     chain_builds[0] = 0
     rc = count_regular_tuples(deg36, 6, threshold=1451520)
     assert (rc.value, chain_builds[0]) == (1451520, 41)
+
+
+@pytest.mark.parametrize("call", [
+    lambda G: stabilizer_scan(G, 1.5, "solvable"),
+    lambda G: stabilizer_scan(G, True, "solvable"),
+    lambda G: count_regular_tuples(G, 2.5),
+    lambda G: count_regular_tuples(G, True),
+    lambda G: count_regular_tuples(G, 2, first_point=1.0),
+])
+def test_counts_that_are_not_integers_are_rejected(call):
+    # c = 1.5 once counted every node at depth 2 or more as a class
+    with pytest.raises(ValueError, match="integer"):
+        call(PermGroup.symmetric(5))

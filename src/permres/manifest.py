@@ -283,8 +283,12 @@ def validate_manifest(doc: Any) -> list[dict]:
             if a.get("tag") not in VALID_TAGS:
                 raise ManifestError(f"{aw}: tag must be one of "
                                     f"{', '.join(VALID_TAGS)}")
-            if not isinstance(a.get("params", {}), dict):
+            params = a.get("params", {})
+            if not isinstance(params, dict):
                 raise ManifestError(f"{aw}: params must be an object")
+            for key in ("node_budget", "elem_cap"):
+                if key in params and not _positive_int(params[key]):
+                    raise ManifestError(f"{aw}: {key} must be a positive integer")
         if "budget_ms" in chk and not _positive_int(chk["budget_ms"]):
             raise ManifestError(f"{where} ({cid}): budget_ms must be a "
                                 "positive integer")

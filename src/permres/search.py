@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .fq import ceil_log, is_prime, require_int
-from .stabchain import PermGroup, ResourceLimit, _preserving_elements
+from .stabchain import PermGroup, ResourceLimit, _has_preserving_element
 from .structure import NO, UNKNOWN, YES, composition_factors, in_gamma, is_solvable
 
 __all__ = [
@@ -262,10 +262,10 @@ _PROBE_SEED = 0xD157
 
 def verify_distinguishing(G: PermGroup, coloring) -> bool:
     """Check a coloring is preserved only by the identity, independently of
-    the search that produced it: coloring_stabilizer's backtrack over base
-    images, never the list of prime-order elements the rigid-coloring search
-    filters against. It stops at the first preserving non-identity element."""
-    return not _preserving_elements(G, coloring, first=True)
+    the search that produced it: stabchain's backtrack over base images,
+    never the list of prime-order elements the rigid-coloring search filters
+    against. It stops at the first preserving non-identity element."""
+    return not _has_preserving_element(G, coloring)
 
 
 def _prime_order_elements(G: PermGroup, cap: int) -> list[tuple[tuple[int, ...], int]]:
@@ -437,17 +437,15 @@ def distinguishing_witness(G: PermGroup, r: int) -> tuple[int, ...] | None:
     Establishes an upper bound only; None does not prove impossibility.
     """
     n = G.degree
+    require_int("r", r)
     if r < 1:
         raise ValueError("need at least one color")
     if G.order() == 1:
         return tuple([0] * n)
     if r == 1:
         return None  # every element preserves the one 1-coloring
-    try:
+    if G.order() <= _ELEM_CAP:
         tables = _coloring_tables(n, _prime_order_elements(G, _ELEM_CAP))
-    except ResourceLimit:
-        tables = None
-    if tables is not None:
         return _verified_rigid_coloring(G, r, tables)
     rng = random.Random(_PROBE_SEED)
     tried = set()

@@ -546,46 +546,25 @@ class PermGroup:
                 children, prefix + (point,), weight * len(orb))
 
 
-# -- backtrack search for color-preserving subgroups ----------------------
+# -- backtrack search for a color-preserving element ----------------------
 
 
-def coloring_stabilizer(
-    G: PermGroup,
-    coloring: Sequence[int],
-    node_budget: int | None = None,
-) -> PermGroup:
-    """Subgroup of G preserving a point coloring (for a two-valued coloring,
-    a setwise stabilizer).
+def _has_preserving_element(G: PermGroup, coloring: Sequence[int]) -> bool:
+    """True when some non-identity element of G preserves the coloring.
 
-    Complete depth-first search over base images with color and fixed-point
-    pruning. Exceeding node_budget raises ResourceLimit carrying the
-    preserving elements found so far.
-    """
-    return PermGroup(G.degree, _preserving_elements(G, coloring, node_budget))
-
-
-def _preserving_elements(
-    G: PermGroup,
-    coloring: Sequence[int],
-    node_budget: int | None = None,
-    first: bool = False,
-) -> list[Perm]:
-    """Generators of the subgroup preserving the coloring, as found by
-    coloring_stabilizer's search. With first=True the search stops at the
-    first non-identity preserving element, so the list is empty exactly when
-    the coloring is distinguishing.
-
-    The chain is hinted with every point, so most of its levels have a
-    trivial basic orbit. Those levels are dropped: each has one branch, and
-    the fixed_at table already checks its point. The search then walks one
-    stack entry per remaining level, a depth bounded by the base length and
-    not by the degree.
+    Depth-first search over base images with color and fixed-point pruning,
+    stopping at the first leaf that is not the identity. The chain is hinted
+    with every point, so most of its levels have a trivial basic orbit.
+    Those levels are dropped: each has one branch, and the fixed_at table
+    already checks its point. The search then walks one stack entry per
+    remaining level, a depth bounded by the base length and not by the
+    degree.
     """
     n = G.degree
     if len(coloring) != n:
         raise ValueError("coloring length must match degree")
     if not G.gens:
-        return []
+        return False
 
     class_size: dict[int, int] = {}
     for c in coloring:
@@ -609,9 +588,6 @@ def _preserving_elements(
         color, images, transversal = coloring[lvl.point], u.images, lvl.transversal
         return (transversal[beta] * u for beta in lvl.orbit if coloring[images[beta]] == color)
 
-    found: list[Perm] = []
-    sub = StabilizerChain(n)
-    nodes = 0
     # stack[i] yields the depth-i nodes still to visit, in orbit order
     stack: list[Iterator[Perm]] = [iter([chain.identity])]
     while stack:
@@ -619,9 +595,6 @@ def _preserving_elements(
         if u is None:
             stack.pop()
             continue
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            raise ResourceLimit("coloring stabilizer search exceeded node budget", partial=found)
         # points newly determined at this depth must keep their colors; at
         # a leaf every point has been checked
         i = len(stack) - 1
@@ -629,12 +602,9 @@ def _preserving_elements(
             continue
         if i < len(levels):
             stack.append(branches(levels[i], u))
-        elif not u.is_identity() and not sub.contains(u):
-            sub.extend(u)
-            found.append(u)
-            if first:
-                break
-    return found
+        elif not u.is_identity():
+            return True
+    return False
 
 
 # -- actions with kernels -------------------------------------------------

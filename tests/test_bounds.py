@@ -426,9 +426,14 @@ def test_subsets_bound_dominates_measured():
     lambda: n_c_delta(True, 1),
     lambda: lemma22_check(PermGroup.symmetric(5), 9.5),
     lambda: lemma22_check(PermGroup.symmetric(5), True),
+    lambda: formula_suite("bcp_order_bound", {"d": 9.5, "n": 10}),
+    lambda: formula_suite("subsets_bound", {"m": 6.5, "k": 2}),
+    lambda: formula_suite("diag_bound", {"k": 5, "t_order": 60.5}),
+    lambda: formula_suite("faw_bound", {"order": True, "n": 5}),
 ])
 def test_bounds_reject_counts_that_are_not_integers(call):
-    # n_c_delta(1.5, 1) once raised 3/5 to a float power, and lemma22 at
-    # d = 9.5 reported the float bound 8145.0625
+    # n_c_delta(1.5, 1) once raised 3/5 to a float power, lemma22 at d = 9.5
+    # reported the float bound 8145.0625, and bcp_order_bound at d = 9.5
+    # the float 630249409.72...
     with pytest.raises(ValueError, match="integer"):
         call()

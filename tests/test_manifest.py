@@ -263,6 +263,9 @@ def test_validate_accepts_minimal_manifest():
     (_one_check(assertions=[{"op": "order", "tag": "direct"}]), "expect"),
     (_one_check(budget_ms=0), "budget"),
     (_one_check(budget_ms=True), "budget"),
+    *[(_one_check(assertions=[{"op": op, "params": {key: bad}, "expect": 1, "tag": "direct"}]), key)
+      for op, key in (("base-size", "node_budget"), ("dist-number", "elem_cap"))
+      for bad in (0, -1, True, 1.5)],
 ])
 def test_validate_rejects_bad_shapes(doc, msg):
     with pytest.raises(ManifestError, match=msg):
@@ -486,9 +489,14 @@ def test_counts_that_are_not_integers_fail_their_assertions():
             {"op": "threshold-n", "params": {"c": 1.5, "delta": "1"},
              "expect": 53, "tag": "direct"},
             {"op": "lemma22", "params": {"d": 9.5}, "expect": "holds",
+             "tag": "direct"},
+            {"op": "formula", "params": {"name": "subsets_bound", "params": {"m": 6.5, "k": 2}},
+             "expect": {"value": 6.0}, "tag": "direct"}]},
+        {"id": "dihedral", "recipe": {"kind": "dihedral", "m": 5}, "assertions": [
+            {"op": "dist-upper", "params": {"r": 2.5}, "expect": True,
              "tag": "direct"}]}]})
-    assertions = rep.checks[0].assertions
-    assert rep.checks[0].status == "fail" and len(assertions) == 4
+    assertions = rep.checks[0].assertions + rep.checks[1].assertions
+    assert [c.status for c in rep.checks] == ["fail", "fail"] and len(assertions) == 6
     for a in assertions:
         assert a.ok is False and a.measured is None and "integer" in a.error
 

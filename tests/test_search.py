@@ -307,20 +307,23 @@ def test_probe_stops_at_first_preserving_element(monkeypatch, deg36):
     # a random 2-coloring of S9 is preserved by about 7,000 elements on
     # average and the 1-coloring of deg36 by all 1,451,520; each probe must
     # stop at the first, a few dozen nodes in, not visit them all
-    real = search._preserving_elements
-    monkeypatch.setattr(search, "_preserving_elements",
-                        lambda G, coloring, first: real(G, coloring, 200, first))
     monkeypatch.setattr(search, "_WITNESS_TRIES", 20)
-    assert distinguishing_witness(PermGroup.symmetric(9), 2) is None
+    S9 = PermGroup.symmetric(9)
+    S9.chain()
+    deg36.chain()
+    calls = []
+    real = Perm.__mul__
+    monkeypatch.setattr(Perm, "__mul__", lambda a, b: calls.append(1) or real(a, b))
+    assert distinguishing_witness(S9, 2) is None
     assert not verify_distinguishing(deg36, [0] * 36)
+    assert len(calls) < 10_000
 
 
 def test_probe_verifies_each_distinct_coloring_once(monkeypatch, deg36):
-    real = search._preserving_elements
+    real = search._has_preserving_element
     seen = []
-    monkeypatch.setattr(search, "_preserving_elements",
-                        lambda G, coloring, first: seen.append(tuple(coloring))
-                        or real(G, coloring, first=first))
+    monkeypatch.setattr(search, "_has_preserving_element",
+                        lambda G, coloring: seen.append(tuple(coloring)) or real(G, coloring))
     # the constant coloring is the only 1-coloring, and every element keeps it
     assert distinguishing_witness(deg36, 1) is None
     assert seen == []
@@ -761,6 +764,8 @@ def test_walk_pins_chain_builds(deg36, chain_builds):
     lambda G: count_regular_tuples(G, 2.5),
     lambda G: count_regular_tuples(G, True),
     lambda G: count_regular_tuples(G, 2, first_point=1.0),
+    lambda G: distinguishing_witness(G, 2.5),
+    lambda G: distinguishing_witness(G, True),
 ])
 def test_counts_that_are_not_integers_are_rejected(call):
     # c = 1.5 once counted every node at depth 2 or more as a class

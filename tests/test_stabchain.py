@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from permres.classical import classical_generators
 from permres.constructions import matrix_orbit_action, wreath_imprimitive
 from permres.perm import Perm, iter_alt_gens, iter_sym_gens
-from permres.search import stabilizer_scan
+from permres.search import stabilizer_scan, verify_distinguishing
 from permres.stabchain import (
     PermGroup,
     ResourceLimit,
     StabilizerChain,
     action_on_blocks,
-    coloring_stabilizer,
     derived_subgroup,
     normal_closure,
     normal_closure_is_group,
@@ -441,44 +440,56 @@ def test_pointwise_stabilizer():
     assert S2.order() == 1
 
 
+def preservers(degree, gens, coloring):
+    """The elements of the brute-force element set that preserve the coloring."""
+    return {e for e in closure(degree, gens) if all(coloring[e[x]] == coloring[x] for x in range(degree))}
+
+
 @pytest.mark.parametrize(
     "name,points",
     [("sym5", (0, 1)), ("sym5", (1, 3, 4)), ("alt6", (0, 5)), ("dihedral4", (0, 1)), ("psl27", (2, 4, 6))],
 )
 def test_setwise_stabilizer_matches_closure(name, points):
+    # the verdict on a set, and on the set plus one or two more points, each
+    # in its own color, is rigidity of the brute-force setwise stabilizer
     degree, gens = SAMPLES[name]
     G = PermGroup(degree, gens)
-    elems = closure(degree, gens)
-    pts = set(points)
-    want = {e for e in elems if {e[x] for x in pts} == pts}
-    S = coloring_stabilizer(G, [1 if x in pts else 0 for x in range(degree)])
-    assert S.order() == len(want)
-    assert {e.images for e in S.elements()} == want
+    rest = [x for x in range(degree) if x not in points]
+    for extra in range(3):
+        coloring = [1 if x in points else 0 for x in range(degree)]
+        for c, x in enumerate(rest[:extra]):
+            coloring[x] = 2 + c
+        assert verify_distinguishing(G, coloring) is (preservers(degree, gens, coloring) == {tuple(range(degree))})
 
 
 def test_coloring_stabilizer_three_colors():
+    # the color classes {0,1}, {2,3,4}, {5} of S6 are kept by 12 elements;
+    # splitting the classes one point at a time leaves 6, then 2, then 1
     G = PermGroup.symmetric(6)
-    coloring = [0, 0, 1, 1, 1, 2]
-    elems = closure(6, G.gens)
-    want = {e for e in elems if all(coloring[e[x]] == coloring[x] for x in range(6))}
-    S = coloring_stabilizer(G, coloring)
-    assert S.order() == len(want) == 2 * 6 * 1
+    colorings = ([0, 0, 1, 1, 1, 2], [0, 3, 1, 1, 1, 2], [0, 3, 1, 1, 4, 2], [0, 3, 1, 5, 4, 2])
+    assert [len(preservers(6, G.gens, c)) for c in colorings] == [12, 6, 2, 1]
+    assert [verify_distinguishing(G, c) for c in colorings] == [False, False, False, True]
 
 
 def test_coloring_stabilizer_nontrivial_witness():
     G = PermGroup.symmetric(5)
-    coloring = [0, 0, 1, 1, 1]
-    S = coloring_stabilizer(G, coloring)
-    assert S.order() == 12
-    assert all(coloring[w.images[x]] == coloring[x] for w in S.gens for x in range(5))
+    assert len(preservers(5, G.gens, [0, 0, 1, 1, 1])) == 12
+    assert verify_distinguishing(G, [0, 0, 1, 1, 1]) is False
     # all-distinct coloring admits no nontrivial preserver
-    assert coloring_stabilizer(G, [0, 1, 2, 3, 4]).order() == 1
+    assert preservers(5, G.gens, [0, 1, 2, 3, 4]) == {tuple(range(5))}
+    assert verify_distinguishing(G, [0, 1, 2, 3, 4]) is True
 
 
-def test_coloring_stabilizer_budget():
+def test_coloring_stabilizer_budget(monkeypatch):
+    # every element of S7 keeps its 1-coloring; the search stops at the first
+    # non-identity leaf, one branch per level, not at the 5,040th
     G = PermGroup.symmetric(7)
-    with pytest.raises(ResourceLimit):
-        coloring_stabilizer(G, [0] * 7, node_budget=5)
+    G.chain()
+    calls = []
+    real = Perm.__mul__
+    monkeypatch.setattr(Perm, "__mul__", lambda a, b: calls.append(1) or real(a, b))
+    assert verify_distinguishing(G, [0] * 7) is False
+    assert len(calls) <= 100
 
 
 def test_coloring_stabilizer_deep_degree():
@@ -487,8 +498,25 @@ def test_coloring_stabilizer_deep_degree():
     n = 1200
     G = PermGroup(n, [Perm(list(range(1, n)) + [0])])
     t0 = time.perf_counter()
-    assert coloring_stabilizer(G, [0] * n).order() == n
+    assert verify_distinguishing(G, [0] * n) is False
     assert time.perf_counter() - t0 < 5.0
+
+
+def test_verify_distinguishing_builds_one_chain(monkeypatch):
+    # the hinted chain the search walks is the only Schreier-Sims run; no
+    # second chain collects the preserving elements it finds
+    G = PermGroup.symmetric(9)
+    G.chain()
+    builds = [0]
+    inner = StabilizerChain.__init__
+
+    def counted(self, *args, **kwargs):
+        builds[0] += 1
+        inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(StabilizerChain, "__init__", counted)
+    assert verify_distinguishing(G, [0, 1, 2, 3, 4, 5, 6, 7, 7]) is False
+    assert builds[0] == 1
 
 
 def test_restriction():

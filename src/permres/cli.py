@@ -107,6 +107,8 @@ def _cmd_base_size(args) -> int:
            "proof": w.proof_of_minimality,
            "points": list(w.points) if w.points is not None else None,
            "nodes": w.nodes}
+    if w.status == "partial":
+        doc["lower-bound"], doc["upper-bound"] = w.lower_bound, w.upper_bound
     _emit(doc, args.json)
     return 0 if w.status == "exact" else 2
 

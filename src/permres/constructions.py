@@ -163,44 +163,26 @@ def matrix_orbit_action(grp: MatrixGroup, seed=None, kind: str = "vector",
 
 
 def affine_action(grp: MatrixGroup) -> LabeledAction:
-    """Affine group V:H on the full vector space: linear parts plus the
-    translations by an F_p-basis of V, which generate all of V. Degree q^m."""
+    """Affine group V:H on the full vector space: the orbit of the zero
+    vector under the linear parts and the translations by an F_p-basis of
+    V, which generate all of V. Degree q^m."""
     field, m = grp.field, grp.m
     if field.q ** m > DEGREE_CAP:
         raise ConstructionError(f"degree {field.q}^{m} exceeds cap {DEGREE_CAP}")
-    labels = sorted(itertools.product(range(field.q), repeat=m))
-    index = {lbl: i for i, lbl in enumerate(labels)}
-    perms = []
-    for M in grp.matrices:
-        perms.append(Perm([index[M.apply(v)] for v in labels]))
     # b * e_i for b in the F_p-basis 1, x, ..., x^(k-1) of F_q, the field
     # elements p^s; over a prime field that is e_i alone
-    for i in range(m):
-        for s in range(field.k):
-            e = tuple(field.p ** s if j == i else 0 for j in range(m))
-            perms.append(Perm([index[field.vec_add(v, e)] for v in labels]))
-    group = PermGroup(len(labels), perms, label=f"{field.q}^{m}:{grp.label}")
-    return LabeledAction(group, labels, index, _vector_act)
+    shifts = [tuple(field.p ** s if j == i else 0 for j in range(m))
+              for i in range(m) for s in range(field.k)]
+
+    def act(v, g):
+        # a translation is a vector, a linear part a matrix
+        return field.vec_add(v, g) if isinstance(g, tuple) else g.apply(v)
+
+    return _orbit_action(tuple([0] * m), grp.matrices + shifts, act,
+                         label=f"{field.q}^{m}:{grp.label}")
 
 
 # -- coset actions ---------------------------------------------------------
-
-
-def _canonical_coset_rep(hchain, g: Perm) -> Perm:
-    # minimize the images of H's base level by level; the result is the
-    # unique minimal element of Hg because only the identity of H fixes
-    # every base point
-    for lvl in hchain.levels:
-        best_alpha = None
-        best_val = None
-        for alpha in lvl.transversal:
-            val = g.images[alpha]
-            if best_val is None or val < best_val:
-                best_val = val
-                best_alpha = alpha
-        if best_alpha != lvl.point:
-            g = lvl.transversal[best_alpha] * g
-    return g
 
 
 def coset_action(G: PermGroup, H: PermGroup) -> LabeledAction:
@@ -216,9 +198,9 @@ def coset_action(G: PermGroup, H: PermGroup) -> LabeledAction:
 
     # a coset is labeled by the images of its canonical representative
     def act(lbl, g: Perm):
-        return _canonical_coset_rep(hchain, _from_images(lbl) * g).images
+        return hchain.canonical_coset_rep(_from_images(lbl) * g).images
 
-    seed = _canonical_coset_rep(hchain, Perm.identity(G.degree)).images
+    seed = hchain.canonical_coset_rep(Perm.identity(G.degree)).images
     return _orbit_action(seed, G.gens, act, label=f"[{G.label or 'G'}:{H.label or 'H'}]")
 
 
@@ -322,39 +304,32 @@ def wreath_product_action(L: PermGroup, P: PermGroup) -> LabeledAction:
 
 def diagonal_type_group(T: PermGroup, include_swap: bool = True,
                         outer: Perm | None = None) -> LabeledAction:
-    """Group between T x T and its extensions, acting on the elements of T.
+    """Group between T x T and its extensions, acting on the right cosets
+    of the diagonal (Dixon-Mortimer, Permutation Groups, 1996, Sec. 4.5).
 
-    Points are the elements of T, indexed by sorted sift signatures. The
-    two factors act by t -> a^-1 t and t -> t b, the swap is inversion,
-    and outer, when given, is a permutation normalizing T acting by
-    conjugation.
+    T x T, and with include_swap the swap of its factors, act on two
+    copies of T's points as in T wr S2; outer, when given, is a permutation
+    normalizing T that acts on both copies. The point stabilizer is
+    generated by the diagonal elements (t, t), the swap and outer, so the
+    coset of (a, b) stands for a^-1 b in T, on which (a, b) acts by
+    t -> a^-1 t b, the swap by inversion and outer by conjugation.
     """
-    if outer is not None and outer.degree != T.degree:
-        raise ConstructionError(f"outer map has degree {outer.degree}, T has {T.degree}")
-    chain = T.chain()
-    if chain.order() > DEGREE_CAP:
-        raise ConstructionError("|T| exceeds cap")
-    sig_of = {}
-    for t in chain.elements():
-        sig_of[tuple(chain.base_images(t))] = t
-    labels = sorted(sig_of)
-    index = {lbl: i for i, lbl in enumerate(labels)}
-
-    def point(t: Perm) -> int:
-        return index[tuple(chain.base_images(t))]
-
-    perms = []
-    for a in T.gens:
-        ainv = a.inv()
-        perms.append(Perm([point(ainv * sig_of[lbl]) for lbl in labels]))
-        perms.append(Perm([point(sig_of[lbl] * a) for lbl in labels]))
-    if include_swap:
-        perms.append(Perm([point(sig_of[lbl].inv()) for lbl in labels]))
+    d = T.degree
     if outer is not None:
-        oinv = outer.inv()
-        for g in T.gens:
-            if not chain.contains(oinv * g * outer):
-                raise ConstructionError("outer map is not an automorphism of T")
-        perms.append(Perm([point(oinv * sig_of[lbl] * outer) for lbl in labels]))
-    group = PermGroup(len(labels), perms, label=f"diag({T.label or 'T'})")
-    return LabeledAction(group, labels, index)
+        if outer.degree != d:
+            raise ConstructionError(f"outer map has degree {outer.degree}, T has {d}")
+        oinv, chain = outer.inv(), T.chain()
+        if not all(chain.contains(oinv * g * outer) for g in T.gens):
+            raise ConstructionError("outer map is not an automorphism of T")
+
+    def doubled(g: Perm) -> Perm:
+        return Perm(g.images + tuple(d + x for x in g.images))
+
+    top = PermGroup(2, [Perm([1, 0])] if include_swap else [])
+    wreath = wreath_imprimitive(T, top).group.gens  # T on each copy, then the swap
+    extra = [doubled(outer)] if outer is not None else []
+    G = PermGroup(2 * d, wreath + extra)
+    diagonal = PermGroup(2 * d, [doubled(t) for t in T.gens] + wreath[2 * len(T.gens):] + extra)
+    act = coset_action(G, diagonal)
+    act.group.label = f"diag({T.label or 'T'})"
+    return act

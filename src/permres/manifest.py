@@ -33,8 +33,8 @@ of the first check that needs the recipe, and every later check shares the
 built group read-only, so the report is the same in any check order.
 
 Recipes and their builder live in permres.recipes. This module imports
-construct_recipe, ManifestError, pick, describe_error and the two
-serialization functions from there, so callers may keep reading them here.
+construct_recipe, ManifestError, pick, describe_error and serialize_group
+from there, so callers may keep reading them here.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -56,7 +56,6 @@ from .recipes import (
     ManifestError,
     construct_recipe,
     describe_error,
-    group_from_serialized,
     pick,
     serialize_group,
 )
@@ -202,7 +201,7 @@ def _op_matches(act: LabeledAction, p: dict):
 
 def _op_roundtrip(act: LabeledAction, p: dict):
     G = act.group
-    H = group_from_serialized(json.loads(json.dumps(serialize_group(G))))
+    H = construct_recipe(json.loads(json.dumps(serialize_group(G)))).group
     if H.degree != G.degree or H.order() != G.order():
         return False
     return all(G.contains(g) for g in H.gens)
@@ -306,10 +305,6 @@ class AssertionResult:
     ok: bool | None          # None when the assertion was resource-skipped
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return {"op": self.op, "expected": self.expected,
-                "measured": self.measured, "ok": self.ok, "error": self.error}
-
 
 @dataclass
 class CheckResult:
@@ -318,12 +313,6 @@ class CheckResult:
     elapsed_ms: int
     assertions: list[AssertionResult] = field(default_factory=list)
     error: str | None = None
-
-    def to_dict(self) -> dict:
-        return {"id": self.id, "status": self.status,
-                "elapsed_ms": self.elapsed_ms,
-                "assertions": [a.to_dict() for a in self.assertions],
-                "error": self.error}
 
 
 @dataclass
@@ -355,7 +344,7 @@ class RunReport:
                 "manifest_sha256": self.manifest_sha256,
                 "name": self.name,
                 "summary": self.counts(),
-                "checks": [c.to_dict() for c in self.checks]}
+                "checks": [asdict(c) for c in self.checks]}
 
     def fingerprint(self) -> dict:
         """Report content with wall-clock fields removed; equal across

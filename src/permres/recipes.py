@@ -3,8 +3,9 @@ turns one into a labeled action.
 
 A recipe is an object with a "kind" ("symmetric", "classical", "coset",
 "wreath", ...) and the fields that kind needs; construct_recipe builds it.
-The module also holds what every recipe consumer shares: the serialized
-form of a group, the input error ManifestError, pick and describe_error.
+The module also holds what every recipe consumer shares: serialize_group,
+which writes a group as a perm-generators recipe, the input error
+ManifestError, pick and describe_error.
 
 The builder imports neither the searches, the structure layer nor the
 manifest runner, and loads the classical-group code only for a recipe
@@ -31,6 +32,7 @@ from .constructions import (
     wreath_imprimitive,
     wreath_product_action,
 )
+from .fq import require_int
 from .perm import Perm
 from .stabchain import PermGroup, ResourceLimit
 
@@ -46,23 +48,13 @@ class ManifestError(ValueError):
 
 
 def serialize_group(G: PermGroup) -> dict:
+    """G as a perm-generators recipe, which construct_recipe reads back."""
     return {
+        "kind": "perm-generators",
         "degree": G.degree,
         "generators": [list(g.images) for g in G.gens],
         "label": G.label,
     }
-
-
-def group_from_serialized(doc: dict) -> PermGroup:
-    try:
-        degree = int(doc["degree"])
-        gens = [Perm(list(map(int, images))) for images in doc["generators"]]
-    except (KeyError, TypeError, ValueError) as e:
-        raise ManifestError(f"bad serialized group: {e}") from None
-    for g in gens:
-        if len(g.images) != degree:
-            raise ManifestError("generator length does not match degree")
-    return PermGroup(degree, gens, label=doc.get("label"))
 
 
 # -- recipes ---------------------------------------------------------------
@@ -92,18 +84,28 @@ def _need(recipe: dict, *keys: str) -> list:
     return [recipe[k] for k in keys]
 
 
+def _counts(recipe: dict, *keys: str) -> list:
+    # counts (m, k, q, a degree) must be ints, and a bool is not one
+    values = _need(recipe, *keys)
+    for key, value in zip(keys, values):
+        require_int(key, value)
+    return values
+
+
 def _matrix_group(recipe: dict) -> MatrixGroup:
     from .classical import FAMILIES, MatrixGroup, classical_generators
     from .fq import FqField, FqMatrix
 
     kind = recipe["kind"]
     if kind == "classical":
-        family, m, q = _need(recipe, "family", "m", "q")
+        (family,) = _need(recipe, "family")
+        m, q = _counts(recipe, "m", "q")
         if family not in FAMILIES:
             raise ConstructionError(f"unknown family {family!r}")
         return classical_generators(family, m, q)
     if kind == "matrix-generators":
-        m, q, mats = _need(recipe, "m", "q", "matrices")
+        m, q = _counts(recipe, "m", "q")
+        (mats,) = _need(recipe, "matrices")
         if m < 1:
             raise ConstructionError("matrix-generators needs m >= 1")
         fld = FqField.of(q)
@@ -143,6 +145,8 @@ def _matrix_action(recipe: dict) -> LabeledAction:
     if space == "vector":
         return _bounded(matrix_orbit_action(grp, seed=seed, kind="vector"), order)
     if space == "subspace":
+        if "k" in recipe:
+            require_int("k", recipe["k"])
         act = matrix_orbit_action(grp, seed=seed,
                                   kind="subspace", k=recipe.get("k"),
                                   flt=recipe.get("filter", "all"))
@@ -195,7 +199,7 @@ def _build_recipe(recipe: dict) -> LabeledAction:
     kind = recipe["kind"]
 
     if kind in ("symmetric", "alternating", "cyclic"):
-        (m,) = _need(recipe, "m")
+        (m,) = _counts(recipe, "m")
         if m < 1:
             raise ConstructionError(f"{kind} needs m >= 1")
     if kind == "symmetric":
@@ -206,17 +210,23 @@ def _build_recipe(recipe: dict) -> LabeledAction:
         g = Perm(list(range(1, m)) + [0])
         return _bounded(_as_action(PermGroup(m, [g], label=f"C{m}")), m)
     if kind == "dihedral":
-        (m,) = _need(recipe, "m")
+        (m,) = _counts(recipe, "m")
         if m < 3:
             raise ConstructionError("dihedral needs m >= 3")
         rot = Perm(list(range(1, m)) + [0])
         ref = Perm([(m - i) % m for i in range(m)])
         return _bounded(_as_action(PermGroup(m, [rot, ref], label=f"D{m}")), 2 * m)
     if kind == "perm-generators":
-        degree, gens = _need(recipe, "degree", "generators")
-        G = group_from_serialized({"degree": degree, "generators": gens,
-                                   "label": recipe.get("label")})
-        return _as_action(G)
+        (degree,) = _counts(recipe, "degree")
+        (gens,) = _need(recipe, "generators")
+        if not isinstance(gens, list) or not all(
+                isinstance(images, list) and len(images) == degree for images in gens):
+            raise ConstructionError(f"generators must be lists of {degree} images")
+        for images in gens:
+            for x in images:
+                require_int("a generator image", x)
+        return _as_action(PermGroup(degree, [Perm(images) for images in gens],
+                                    label=recipe.get("label")))
     if kind in ("classical", "matrix-generators"):
         return _matrix_action(recipe)
     if kind == "affine":
@@ -240,7 +250,7 @@ def _build_recipe(recipe: dict) -> LabeledAction:
         # the action on cosets is an image of the parent
         return _bounded(coset_action(parent.group, H), parent.group.order_bound)
     if kind in ("subsets", "partitions"):
-        m, k = _need(recipe, "m", "k")
+        m, k = _counts(recipe, "m", "k")
         alt = recipe.get("alt", False)
         build = subsets_action if kind == "subsets" else partitions_action
         return _bounded(build(m, k, alt=alt), _sym_order(m, alt))

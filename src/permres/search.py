@@ -251,7 +251,6 @@ class DistinguishingResult:
     method: str
 
 
-_DEGREE_CAP = 64
 # groups above this order are not enumerated for the exact coloring search
 _ELEM_CAP = 200_000
 # distinguishing_witness above _ELEM_CAP: how many seeded random colorings
@@ -404,8 +403,6 @@ def distinguishing_number(G: PermGroup, elem_cap: int = _ELEM_CAP) -> Distinguis
     Everything else is exhaustive search, so the group order is capped.
     """
     n = G.degree
-    if n > _DEGREE_CAP:
-        raise ValueError(f"degree {n} exceeds the distinguishing cap {_DEGREE_CAP}")
     order = G.order()
     if order == 1:
         return DistinguishingResult(1, tuple([0] * n), "closed-form")

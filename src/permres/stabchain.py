@@ -252,8 +252,16 @@ class StabilizerChain:
             return []
         return list(self.levels[k].gens)
 
-    def base_images(self, g: Perm) -> tuple[int, ...]:
-        return tuple(g.images[lvl.point] for lvl in self.levels)
+    def canonical_coset_rep(self, g: Perm) -> Perm:
+        """The canonical element of the right coset Hg, H this chain's group:
+        the one whose images of the base points, in base order, are least.
+        They are minimized level by level, and the result is unique because
+        only the identity of H fixes every base point."""
+        for lvl in self.levels:
+            best = min(lvl.transversal, key=g.images.__getitem__)
+            if best != lvl.point:
+                g = lvl.transversal[best] * g
+        return g
 
     def image_tuples(self) -> Iterator[tuple[int, ...]]:
         """Image tuples of all elements, lazily: u_(k-1) * ... * u_0 with one

@@ -83,10 +83,8 @@ def _unknown(order: int, note: str) -> FactorDescriptor:
 
 @lru_cache(maxsize=1)
 def _table() -> dict[int, list[dict]]:
-    try:
-        text = resources.files("permres.data").joinpath("simple_groups.json").read_text()
-    except (FileNotFoundError, ModuleNotFoundError):
-        return {}
+    # no fallback: read as empty, a missing table would make every factor unknown
+    text = resources.files("permres.data").joinpath("simple_groups.json").read_text()
     payload = json.loads(text)
     by_order: dict[int, list[dict]] = {}
     for row in payload["groups"]:

@@ -10,7 +10,7 @@ import pytest
 
 from permres import cli, search
 from permres.cli import main
-from permres.manifest import bundled_corpus, group_from_serialized
+from permres.manifest import bundled_corpus
 
 S5 = '{"kind": "symmetric", "m": 5}'
 AFFINE = '{"kind": "affine", "family": "Sp", "m": 4, "q": 2}'
@@ -80,9 +80,10 @@ def test_construct_roundtrips_through_file(capsys, tmp_path):
                        "--out", str(dest))
     assert code == 0 and str(dest) in out
     doc = json.loads(dest.read_text())
-    G = group_from_serialized(doc)
-    assert G.degree == 10 and G.order() == 120
-    assert len(doc["point-labels"]) == 10
+    assert doc["kind"] == "perm-generators" and len(doc["point-labels"]) == 10
+    # the written file is a recipe the other verbs read
+    code, out, _ = run(capsys, "order", "--recipe", f"@{dest}", "--json")
+    assert code == 0 and json.loads(out)["order"] == 120
 
 
 def test_recipe_from_file(capsys, tmp_path):
@@ -98,6 +99,15 @@ def test_base_size_verb(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["size"] == 2 and doc["status"] == "exact"
+
+
+def test_base_size_cut_short_prints_its_bracket(capsys):
+    code, out, _ = run(capsys, "base-size", "--recipe",
+                       '{"kind": "classical", "family": "Sp", "m": 6, "q": 2}',
+                       "--node-budget", "5", "--json")
+    doc = json.loads(out)
+    assert code == 2 and doc["status"] == "partial" and doc["size"] is None
+    assert (doc["lower-bound"], doc["upper-bound"]) == (5, 6)
 
 
 def test_budget_flags_pass_only_when_given(capsys, monkeypatch):
@@ -289,9 +299,17 @@ def test_bundled_corpus_is_reachable():
     '{"kind": "alternating", "m": 0}',
     '{"kind": "matrix-generators", "m": 0, "q": 3, "matrices": [[]]}',
     '{"kind": "partitions", "m": 6, "k": 0}',
+    # read as ints these built groups: 2.7 as 2 (order 3), true as 1
+    '{"kind": "perm-generators", "degree": 3.9, "generators": [[1.0, 2.7, 0]]}',
+    '{"kind": "perm-generators", "degree": "3", "generators": [[1, 2, 0]]}',
+    '{"kind": "perm-generators", "degree": 3, "generators": [["1", 2, 0]]}',
+    '{"kind": "symmetric", "m": true}',
+    '{"kind": "subsets", "m": 5, "k": true}',
+    '{"kind": "classical", "family": "GL", "m": 2, "q": 3.0}',
 ], ids=["string-m", "entry-out-of-field", "ragged-matrix", "outer-degree",
         "subgroup-not-object", "negative-m", "zero-m", "zero-matrix-m",
-        "zero-block-size"])
+        "zero-block-size", "float-degree-and-images", "string-degree",
+        "string-image", "bool-m", "bool-k", "float-q"])
 def test_ill_typed_recipe_exits_three(capsys, recipe):
     code, out, err = run(capsys, "describe", "--recipe", recipe, "--json")
     assert code == 3 and out == ""

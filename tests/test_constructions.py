@@ -158,9 +158,7 @@ def test_seed_stabilizer_is_h():
     h_order = H.chain().order()
     act = coset_action(G, H)
     assert act.degree * h_order == 120
-    from permres.constructions import _canonical_coset_rep
-
-    seed = _canonical_coset_rep(H.chain(), Perm.identity(5))
+    seed = H.chain().canonical_coset_rep(Perm.identity(5))
     pt = act.index[seed.images]
     stab = act.group.point_stabilizer(pt)
     assert stab.chain().order() == h_order
@@ -169,15 +167,13 @@ def test_seed_stabilizer_is_h():
 def test_canonical_rep_is_true_minimum():
     # the level-by-level greedy must reach the lexicographic minimum of
     # the coset's image tuples
-    from permres.constructions import _canonical_coset_rep
-
     rng = random.Random(5)
     G = PermGroup.symmetric(5)
     H = PermGroup(5, [Perm([1, 2, 0, 3, 4]), Perm([0, 1, 2, 4, 3])])
     h_elements = list(H.chain().elements())
     for _ in range(20):
         g = G.chain().random_element(rng)
-        rep = _canonical_coset_rep(H.chain(), g)
+        rep = H.chain().canonical_coset_rep(g)
         brute = min((h * g).images for h in h_elements)
         assert rep.images == brute
         assert any((h * g).images == rep.images for h in h_elements)
@@ -278,6 +274,10 @@ def test_affine_over_an_extension_field_translates_by_all_of_the_space():
     assert act.group.order() == 16 * 6
 
 
+def _gens_digest(act) -> str:
+    return hashlib.sha256(repr([g.images for g in act.group.gens]).encode()).hexdigest()
+
+
 # sha256 of the generator image tuples: over a prime field the F_p-basis of
 # F_q is {1}, so the translations are by e_i alone and the generators are
 # pinned to their bytes
@@ -291,8 +291,23 @@ AFFINE_PRIME_FIELD_GENS = {
 @pytest.mark.parametrize("family,m,q", sorted(AFFINE_PRIME_FIELD_GENS))
 def test_affine_generators_over_a_prime_field_are_unchanged(family, m, q):
     act = affine_action(classical_generators(family, m, q))
-    digest = hashlib.sha256(repr([g.images for g in act.group.gens]).encode()).hexdigest()
-    assert digest == AFFINE_PRIME_FIELD_GENS[(family, m, q)]
+    assert _gens_digest(act) == AFFINE_PRIME_FIELD_GENS[(family, m, q)]
+
+
+# over extension fields too, pinned when the points were the sorted vectors
+# of F_q^m numbered in a table of their own; the orbit of the zero vector
+# sorts them the same way, so the generators keep their bytes
+AFFINE_EXTENSION_FIELD_GENS = {
+    ("GL", 2, 4): "ee509c4fd0c30aeceab16218c889e6466c7167716d66c2c6fd9f663c942f5f23",
+    ("SL", 2, 9): "9f7f6246c7ad8b4014c49d3a6a48e2cae21ed38819e71fad5dcebb6005be7a30",
+}
+
+
+@pytest.mark.parametrize("family,m,q", sorted(AFFINE_EXTENSION_FIELD_GENS))
+def test_affine_generators_over_an_extension_field_are_pinned(family, m, q):
+    act = affine_action(classical_generators(family, m, q))
+    assert act.labels == sorted(act.labels) and act.degree == q ** m
+    assert _gens_digest(act) == AFFINE_EXTENSION_FIELD_GENS[(family, m, q)]
 
 
 def test_zero_vector_seed_is_rejected():
@@ -347,12 +362,52 @@ def test_diagonal_a5_orders():
     assert full.group.chain().order() == 14400
 
 
+def _doubled(t: Perm) -> Perm:
+    # (t, t) on two copies of t's points
+    d = t.degree
+    return Perm(t.images + tuple(d + x for x in t.images))
+
+
 def test_diagonal_identity_stabilizer():
     T = PermGroup.alternating(5)
     act = diagonal_type_group(T, include_swap=False)
-    # points are labeled by base images, so the identity's label is the base
-    stab = act.group.point_stabilizer(act.index[T.chain().base])
+    # the identity's point is the coset of the diagonal itself, the one
+    # whose label, the images of its canonical representative, lies in it
+    diag = PermGroup(10, [_doubled(t) for t in T.gens])
+    (point,) = [i for i, lbl in enumerate(act.labels) if diag.contains(Perm(lbl))]
+    stab = act.group.point_stabilizer(point)
     assert stab.chain().order() == 60
+    assert all(stab.contains(act.perm_of(_doubled(t))) for t in T.gens)
+
+
+def _element_of(images: tuple, d: int) -> Perm:
+    # the coset H g, for g on two copies of T's points, stands for 1^g = a^-1 b,
+    # with a and b the parts of g that land in the first and second copy
+    first, second = (images[:d], images[d:]) if images[0] < d else (images[d:], images[:d])
+    a = Perm(first)
+    b = Perm([x - d for x in second])
+    return a.inv() * b
+
+
+@pytest.mark.parametrize("swap,outer", [(False, None), (True, None),
+                                        (True, Perm([0, 1, 2, 4, 3]))])
+def test_diagonal_acts_on_t_as_defined(swap, outer):
+    # each generator of T x T acts on the elements of T by t -> a^-1 t b,
+    # the swap by inversion and outer by conjugation, through Hg -> 1^g
+    T = PermGroup.alternating(5)
+    act = diagonal_type_group(T, include_swap=swap, outer=outer)
+    elem = [_element_of(lbl, 5) for lbl in act.labels]
+    assert sorted(e.images for e in elem) == sorted(t.images for t in T.elements())
+    defs = [lambda t, a=a: a.inv() * t for a in T.gens]
+    defs += [lambda t, b=b: t * b for b in T.gens]
+    if swap:
+        defs.append(Perm.inv)
+    if outer is not None:
+        defs.append(lambda t: outer.inv() * t * outer)
+    assert len(defs) == len(act.group.gens)
+    for g, defined in zip(act.group.gens, defs):
+        assert all(elem[g.images[i]].images == defined(elem[i]).images
+                   for i in range(act.degree))
 
 
 def test_diagonal_outer_must_normalize():

@@ -531,9 +531,13 @@ def test_verify_rejects_preserved_coloring():
     assert not verify_distinguishing(PermGroup.symmetric(3), (0, 0, 1))
 
 
-def test_distinguishing_degree_cap():
-    with pytest.raises(ValueError):
-        distinguishing_number(PermGroup.trivial(65))
+def test_distinguishing_has_no_degree_cap():
+    # a cap at degree 64 once refused these cheap answers as bad input
+    assert distinguishing_number(PermGroup.trivial(65)).number == 1
+    d150 = distinguishing_number(construct_recipe({"kind": "dihedral", "m": 150}).group)
+    assert (d150.number, d150.method) == (2, "exhausted")
+    s70 = distinguishing_number(construct_recipe({"kind": "symmetric", "m": 70}).group)
+    assert (s70.number, s70.method) == (70, "closed-form")
 
 
 # -- regular tuple counts --------------------------------------------------

@@ -16,6 +16,7 @@ import pytest
 
 from permres.classical import classical_generators
 from permres.constructions import matrix_orbit_action
+from permres import structure
 from permres.structure import (
     alt_section_upper_bound,
     composition_factors,
@@ -100,6 +101,19 @@ def test_identify_pins_table_rows(table):
     assert identify_simple(168) == "L2(7)"
     assert (byname["S6(2)"]["alt_lower"], byname["S6(2)"]["alt_upper"]) == (8, 8)
     assert (byname["U4(2)"]["alt_lower"], byname["U4(2)"]["alt_upper"]) == (6, 6)
+
+
+def test_missing_table_raises(monkeypatch, tmp_path):
+    # read as empty, a missing table would name L2(7) "?168"
+    monkeypatch.setattr(structure.resources, "files", lambda package: tmp_path)
+    structure._table.cache_clear()
+    try:
+        with pytest.raises(FileNotFoundError):
+            identify_simple(168)
+    finally:
+        structure._table.cache_clear()
+    monkeypatch.undo()
+    assert identify_simple(168) == "L2(7)"
 
 
 def test_identified_sp62_pipeline():

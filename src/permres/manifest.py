@@ -77,10 +77,10 @@ VALID_TAGS = ("reported", "direct", "derived")
 # -- assertion operations --------------------------------------------------
 # Every runner takes the constructed action and the assertion's parameter
 # object and returns a JSON-comparable measured value. Expected values that
-# are objects match as subsets: only the listed keys are compared. Besides
-# an op's own inputs, the only keys read are the search budgets node_budget
-# and elem_cap; a budget left out takes the library function's own default,
-# and any other key is ignored.
+# are objects match as subsets: only the listed keys are compared. OP_KEYS
+# lists the params keys each op reads: its own inputs and the search budgets
+# node_budget and elem_cap. A budget left out takes the library function's
+# own default, and any other key fails the assertion with an error naming it.
 
 
 def _op_order(act: LabeledAction, p: dict):
@@ -231,6 +231,32 @@ OPS: dict[str, Callable] = {
     "threshold-n": _op_threshold_n,
     "matches": _op_matches,
     "roundtrip": _op_roundtrip,
+}
+
+OP_KEYS: dict[str, tuple[str, ...]] = {
+    "order": (),
+    "degree": (),
+    "transitive": (),
+    "primitive": (),
+    "solvable": (),
+    "orbit-sizes": (),
+    "suborbit-sizes": ("point",),
+    "comp-factors": (),
+    "gamma-min-d": (),
+    "in-gamma": ("d",),
+    "base-size": ("node_budget",),
+    "base-upper": (),
+    "dist-number": ("elem_cap",),
+    "dist-upper": ("r",),
+    "stab-scan": ("c", "predicate", "node_budget"),
+    "reg-count": ("t", "threshold", "first_point", "node_budget"),
+    "lemma22": ("d",),
+    "thm13": ("c", "d", "delta"),
+    "formula": ("name", "params", "measured"),
+    "threshold-m": ("eps",),
+    "threshold-n": ("c", "delta"),
+    "matches": ("other", "compare"),
+    "roundtrip": (),
 }
 
 # Threshold and formula ops never look at the constructed group, so their
@@ -392,6 +418,11 @@ def run_check(chk: dict, budget_ms: int | None = None) -> CheckResult:
         op, params, expected = a["op"], a.get("params", {}), a["expect"]
         try:
             clock.check()
+            unread = sorted(set(params).difference(OP_KEYS[op]))
+            if unread:
+                reads = ", ".join(sorted(OP_KEYS[op])) or "no params"
+                raise ManifestError(f"unknown params key {', '.join(map(repr, unread))} "
+                                    f"for op {op}, which reads {reads}")
             measured = OPS[op](act, params)
         except ResourceLimit as e:
             results.append(AssertionResult(op, expected, None, None, describe_error(e)))

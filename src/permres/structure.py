@@ -4,7 +4,14 @@ The factor descent peels a group apart by orbit kernels, block kernels,
 derived subgroups, and last a proper normal subgroup N of a primitive G
 that the probe finds: N is transitive, so G = N G_a (the Frattini
 argument), and G/N = G_a/N_a has the factors of G_a less those of N_a.
-Every step strictly reduces (degree, order). Simple factors are
+Every step strictly reduces (degree, order). A perfect primitive G is
+certified simple by its order and degree when they rule out both kinds
+of minimal normal subgroup a proper N would contain (Dixon-Mortimer 1996,
+Ch. 4, with Schreier's conjecture by CFSG and Burnside's p^a q^b
+theorem): this settles Sp(6,2) on 36 or 63 points, A5 to A9, L3(4) and
+the Mathieu groups. Only the rest, affine-compatible prime-power degrees
+and orders with three primes squared such as A10 or a diagonal T x T,
+go to the probe, whose choice of elements is sampled. Simple factors are
 identified by order against a generated table; the one documented order
 collision, at 20160, is settled by a scan of every element for one of
 order 15, which A8 has and L3(4) lacks. Anything unresolved is reported
@@ -216,10 +223,12 @@ def composition_factors(G: PermGroup) -> list[FactorDescriptor]:
     """Composition factor multiset, sorted by (order, kind, name).
 
     Descent order: kernel of the action on one orbit, kernel of the action
-    on a block system, derived subgroup, then a normal-closure
-    search; a proper normal subgroup N found there splits G by G/N =
-    G_a/N_a, and none means G is taken as simple. Factors whose order
-    matches no table entry come back as kind unknown.
+    on a block system, derived subgroup. A perfect primitive group is
+    then simple by its order and degree (_simple_by_order, certified), or
+    else goes to a normal-closure probe (_find_proper_normal): a proper
+    normal subgroup N found there splits G by G/N = G_a/N_a, and none
+    means G is taken as simple. Factors whose order matches no table
+    entry come back as kind unknown.
 
     The descent runs once per group: the sorted list is cached on G and
     each call returns a fresh copy of it. Its cost follows the degree, not
@@ -264,8 +273,9 @@ def _descend(G: PermGroup, out: list[FactorDescriptor]) -> None:
                 out.append(_cyclic(p))
         _descend(D, out)
         return
-    # perfect, transitive, primitive: hunt for a proper normal subgroup
-    N = _find_proper_normal(G)
+    # perfect, transitive, primitive: simple by its order and degree, or
+    # else hunt for a proper normal subgroup
+    N = None if _simple_by_order(order, G.degree) else _find_proper_normal(G)
     if N is None:
         out.append(_simple_descriptor(G))
         return
@@ -279,11 +289,40 @@ def _descend(G: PermGroup, out: list[FactorDescriptor]) -> None:
     out.extend(rest)
 
 
+def _simple_by_order(order: int, degree: int) -> bool:
+    """Whether every perfect primitive group of this order and degree is
+    simple; False decides nothing (Dixon-Mortimer 1996, Ch. 4).
+
+    A proper nontrivial normal subgroup of such a G contains a minimal
+    normal subgroup M of G, and M is transitive. If M is abelian, it is
+    regular, so degree = p^d and G_a = G/M is a nontrivial perfect subgroup
+    of GL(d, p): d >= 2, |G_a| >= 60 and |G_a| divides |GL(d, p)|. If M = T^k
+    with T nonabelian simple, k = 1 and C_G(M) = 1 would put G inside Aut(T)
+    with G/T solvable (Schreier's conjecture, by CFSG) and perfect, so
+    G = M. Otherwise T^k with k >= 2, or M x C_G(M) with both factors
+    regular, makes |T|^2 divide |G|; |T| has at least three prime divisors
+    (Burnside's p^a q^b theorem), so three primes divide |G| squared.
+    """
+    if sum(e >= 2 for e in factorize(order).values()) >= 3:
+        return False
+    powers = factorize(degree)
+    if len(powers) == 1:
+        ((p, d),) = powers.items()
+        stabilizer = order // degree
+        gl_order = math.prod(p**d - p**i for i in range(d))
+        if d >= 2 and stabilizer >= 60 and gl_order % stabilizer == 0:
+            return False
+    return True
+
+
 def _find_proper_normal(G: PermGroup) -> PermGroup | None:
     """A proper nontrivial normal subgroup, or None if none was found.
 
-    Probes every generator, pairwise generator products, and seeded random
-    elements. Before a probe's normal closure is built, a seeded random
+    The descent calls it only on the perfect primitive groups that
+    _simple_by_order refuses: degree p^d with |G_a| >= 60 dividing
+    |GL(d, p)|, or three primes squared in |G|, such as ASL(3,2), A10 or a
+    diagonal T x T. Probes every generator, pairwise generator products,
+    and seeded random elements. Before a probe's normal closure is built, a seeded random
     walk (normal_closure_is_group) tries to certify that the closure is
     full, that is, that its basic orbits multiply to |G|. The walk decides
     nothing on its own: a certified probe is skipped, and every other probe

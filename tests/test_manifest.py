@@ -11,6 +11,7 @@ from permres.constructions import ConstructionError, matrix_orbit_action
 from permres.manifest import (
     ManifestError,
     OPS,
+    OP_KEYS,
     _matches,
     bundled_corpus,
     construct_recipe,
@@ -499,6 +500,31 @@ def test_counts_that_are_not_integers_fail_their_assertions():
     assert [c.status for c in rep.checks] == ["fail", "fail"] and len(assertions) == 6
     for a in assertions:
         assert a.ok is False and a.measured is None and "integer" in a.error
+
+
+def test_a_params_key_no_op_reads_fails_only_its_assertion():
+    # a misspelt budget or threshold once ran as if it were not there
+    assert OP_KEYS.keys() == OPS.keys()
+    rep = run_manifest({"schema": 1, "checks": [
+        {"id": "s5", "recipe": {"kind": "symmetric", "m": 5}, "assertions": [
+            {"op": "base-size", "params": {"node_budgett": 5}, "expect": {"size": 4},
+             "tag": "direct"},
+            {"op": "reg-count", "params": {"t": 2, "treshold": 10}, "expect": {"t": 2},
+             "tag": "direct"},
+            {"op": "order", "params": {"treshold": 10}, "expect": 120, "tag": "direct"},
+            {"op": "order", "expect": 120, "tag": "direct"}]},
+        {"id": "s4", "recipe": {"kind": "symmetric", "m": 4}, "assertions": [
+            {"op": "reg-count", "params": {"t": 2, "threshold": 10}, "expect": {"t": 2},
+             "tag": "direct"}]}]})
+    s5, s4 = rep.checks
+    assert [s5.status, s4.status] == ["fail", "pass"]
+    assert [(a.ok, a.measured, a.error) for a in s5.assertions] == [
+        (False, None, "unknown params key 'node_budgett' for op base-size, "
+                      "which reads node_budget"),
+        (False, None, "unknown params key 'treshold' for op reg-count, "
+                      "which reads first_point, node_budget, t, threshold"),
+        (False, None, "unknown params key 'treshold' for op order, which reads no params"),
+        (True, 120, None)]
 
 
 def test_run_manifest_empty_is_pass():

@@ -154,9 +154,10 @@ def deg36():
 
 
 def test_descent_pins_closure_extends(monkeypatch):
-    # every probe of the simple group is certified full by the walk, which
-    # installs residues without extend, so no probe closure is built (444
-    # extends and 79 closures when each probe built its closure to |G|)
+    # Sp(6,2) on 36 points is simple by its order and degree, so no probe
+    # runs: no walk (79 walks, each certifying its probe full, before the
+    # order test) and no probe closure (444 extends and 79 closures when
+    # each probe built its closure to |G|)
     G = deg36()
     extends, closures, walks = [0], [0], []
     inner = StabilizerChain.extend
@@ -180,7 +181,7 @@ def test_descent_pins_closure_extends(monkeypatch):
     assert names(composition_factors(G)) == ["S6(2)"]
     assert extends[0] == 10
     assert closures[0] == 0
-    assert walks == [True] * 79
+    assert walks == []
 
 
 # perfect primitive groups that are not simple: the probe finds a proper N,
@@ -252,6 +253,144 @@ def test_split_needs_no_tuples_of_points():
     assert names(composition_factors(G)) == ["L2(11)", "L2(11)"]
     assert in_gamma(G, 6) == YES
     assert gamma_profile(G)["min_certified_d"] == 6
+
+
+def psl2(p):
+    """PSL(2, p) on the p + 1 points of the projective line, infinity as p."""
+    return PermGroup(p + 1, [Perm(tuple([(x + 1) % p for x in range(p)] + [p])),
+                             Perm(tuple([p if x == 0 else -pow(x, -1, p) % p
+                                         for x in range(p)] + [0]))])
+
+
+def linear_on_points(m, q):
+    return matrix_orbit_action(classical_generators("SL", m, q), kind="subspace", k=1).group
+
+
+def _count_probes(monkeypatch):
+    # the groups handed to _find_proper_normal, and how many walks ran
+    probed, walks = [], [0]
+    find, walk = structure._find_proper_normal, structure.normal_closure_is_group
+
+    def counted_find(G):
+        probed.append(G)
+        return find(G)
+
+    def counted_walk(*args):
+        walks[0] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(structure, "_find_proper_normal", counted_find)
+    monkeypatch.setattr(structure, "normal_closure_is_group", counted_walk)
+    return probed, walks
+
+
+# simple primitive groups that the order test certifies: no probe runs
+SIMPLE_BY_ORDER = {
+    "Sp(6,2) on 36": (deg36, "S6(2)"),
+    "Sp(6,2) on 63": (lambda: construct_recipe(
+        {"kind": "classical", "family": "Sp", "m": 6, "q": 2}).group, "S6(2)"),
+    "A6 on 15": (lambda: construct_recipe(
+        {"kind": "subsets", "m": 6, "k": 2, "alt": True}).group, "A6"),
+    **{f"A{m}": (lambda m=m: PermGroup.alternating(m), f"A{m}") for m in range(5, 10)},
+    "L2(7)": (psl27, "L2(7)"),
+    "L2(8)": (lambda: linear_on_points(2, 8), "L2(8)"),
+    "L3(4)": (lambda: linear_on_points(3, 4), "L3(4)"),
+    "U4(2) on 40": (lambda: matrix_orbit_action(
+        classical_generators("Sp", 4, 3), kind="subspace", k=1).group, "U4(2)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMPLE_BY_ORDER))
+def test_simple_by_order_runs_no_probe(monkeypatch, name):
+    build, factor = SIMPLE_BY_ORDER[name]
+    G = build()
+    assert structure._simple_by_order(G.order(), G.degree)
+    probed, walks = _count_probes(monkeypatch)
+    assert names(composition_factors(G)) == [factor]
+    assert (probed, walks[0]) == ([], 0)
+
+
+@pytest.mark.parametrize("order,degree", [
+    (7920, 11), (7920, 12), (95040, 12), (443520, 22), (10200960, 23), (244823040, 24),
+], ids=["M11", "M11 on 12", "M12", "M22", "M23", "M24"])
+def test_mathieu_groups_are_simple_by_order(order, degree):
+    assert structure._simple_by_order(order, degree)
+
+
+# perfect primitive groups that the order test refuses, with their factors:
+# each top group still goes to the probe
+REFUSED_BY_ORDER = {
+    "ASL(3,2)": ["C2", "C2", "C2", "L2(7)"],
+    "2^4:A6": ["A6", "C2", "C2", "C2", "C2"],
+    "diag60'": ["A5", "A5"],
+    "ASL(2,5)": ["A5", "C2", "C5", "C5"],
+    "diag(L2(11))": ["L2(11)", "L2(11)"],
+    "A10": ["A10"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_BY_ORDER))
+def test_refused_groups_are_still_probed(monkeypatch, name):
+    build = {**PERFECT_NOT_SIMPLE, "diag(L2(11))": diag_l2_11,
+             "A10": lambda: PermGroup.alternating(10)}[name]
+    G = build()
+    assert not structure._simple_by_order(G.order(), G.degree)
+    probed, walks = _count_probes(monkeypatch)
+    assert names(composition_factors(G)) == REFUSED_BY_ORDER[name]
+    assert probed[0] is G
+
+
+# every perfect primitive group of order at most 20,160 built here, simple
+# or not; PSL(2,31) on 32 points is simple but refused (2^5 points, and 465
+# divides |GL(5,2)|)
+SMALL_PERFECT_PRIMITIVE = {
+    **{f"A{m}": lambda m=m: PermGroup.alternating(m) for m in range(5, 9)},
+    **{f"A{m} on {k}-sets": lambda m=m, k=k: construct_recipe(
+        {"kind": "subsets", "m": m, "k": k, "alt": True}).group
+       for m, k in ((5, 2), (6, 2), (7, 2), (7, 3), (8, 2))},
+    **{f"L2({q}) on points": lambda q=q: linear_on_points(2, q) for q in (4, 5, 7, 8, 9)},
+    **{f"L2({p})": lambda p=p: psl2(p) for p in (11, 13, 17, 19, 23, 29, 31)},
+    "L2(7)": psl27,
+    "L3(3)": lambda: linear_on_points(3, 3),
+    "L3(4)": lambda: linear_on_points(3, 4),
+    "A8 on 15": lambda: matrix_orbit_action(classical_generators("GL", 4, 2)).group,
+    "ASL(2,4)": lambda: construct_recipe({"kind": "affine", "family": "SL", "m": 2, "q": 4}).group,
+    **PERFECT_NOT_SIMPLE,
+}
+
+
+def _every_normal_closure_is_whole(G):
+    # one closure per conjugacy class, each class closed under conjugation
+    # by the generators
+    covered = set()
+    for g in G.chain().elements():
+        if g.is_identity() or g.images in covered:
+            continue
+        covered.add(g.images)
+        stack = [g]
+        while stack:
+            x = stack.pop()
+            for h in G.gens:
+                y = h.inv() * x * h
+                if y.images not in covered:
+                    covered.add(y.images)
+                    stack.append(y)
+        if normal_closure(G, [g]).order() < G.order():
+            return False
+    return True
+
+
+def test_simple_by_order_is_sound_on_small_groups():
+    verdicts = set()
+    for name, build in SMALL_PERFECT_PRIMITIVE.items():
+        G = build()
+        assert G.order() <= 20160 and G.is_primitive(), name
+        assert derived_subgroup(G).order() == G.order(), name
+        certified = structure._simple_by_order(G.order(), G.degree)
+        if certified:
+            assert _every_normal_closure_is_whole(G), name
+        verdicts.add(certified)
+    assert verdicts == {True, False}
 
 
 def test_descent_pins_block_congruences(monkeypatch):

@@ -334,7 +334,19 @@ def _coloring_tables(n: int, rows: list) -> tuple[list[list[int]], list[int]]:
     return pairs, [(1 << bisect_right(lasts, i)) - 1 for i in range(n)]
 
 
-def _rigid_coloring_dfs(r: int, tables: tuple) -> tuple[int, ...] | None:
+def _orbit_leaders(G: PermGroup) -> list[list[int]]:
+    """For each point j, the points i < j whose basic orbit holds j in the
+    chain on base 0, 1, ..., n - 1: the orbit of i under the pointwise
+    stabilizer of 0..i-1. One hinted run, stopped at |G| once it is known."""
+    leaders: list[list[int]] = [[] for _ in range(G.degree)]
+    for i, lvl in enumerate(G.chain(base_hint=range(G.degree)).levels):
+        for j in lvl.orbit:
+            if j != i:
+                leaders[j].append(i)
+    return leaders
+
+
+def _rigid_coloring_dfs(r: int, tables: tuple, leaders=None) -> tuple[int, ...] | None:
     """First r-coloring (canonical form: color k appears only after 0..k-1)
     preserved by no listed element, or None if none exists.
 
@@ -349,13 +361,29 @@ def _rigid_coloring_dfs(r: int, tables: tuple) -> tuple[int, ...] | None:
     Points are colored in increasing order, so once point i is colored a
     survivor in done[i] has every moved point colored and preserves every
     completion: the branch holds no rigid coloring and the next color is
-    tried at once. The cut removes only branches without a solution, so
-    the first coloring found is the one the uncut search finds. The walk
-    keeps one stack frame per colored point rather than one interpreter
-    frame, so the degree is not bounded by the recursion limit.
+    tried at once.
+
+    leaders, the _orbit_leaders of the group, add a lex-leader cut: color
+    col is refused at point j when some i in leaders[j] already has a color
+    above col. Every G-image of a rigid coloring is rigid, so the first
+    rigid coloring c* in DFS order, which is lexicographic over canonical
+    colorings, is least among the canonical forms of its G-orbit. Take h
+    fixing 0..i-1 with h(i) = j: the canonical form of c*.h agrees with c*
+    before i, and at i it holds c*(j) when that color is used before i and
+    a new color, never below c*(i), otherwise; so c*(i) <= c*(j), and no
+    prefix of c* is cut.
+
+    Both cuts remove only branches that hold no solution or come after c*,
+    and every return is rigid, so the first coloring found is the one the
+    uncut search finds, and None is returned exactly when no rigid
+    r-coloring exists. The walk keeps one stack frame per colored point
+    rather than one interpreter frame, so the degree is not bounded by the
+    recursion limit.
     """
     pairs, done = tables
     n = len(done)
+    if leaders is None:
+        leaders = [()] * n
     coloring = [0] * n
     # frame i: survivors before point i is colored, colors used by points
     # 0..i-1, next color to try at point i, point i's pair masks by color
@@ -382,12 +410,15 @@ def _rigid_coloring_dfs(r: int, tables: tuple) -> tuple[int, ...] | None:
         by_color = [0] * used
         for j, mask in enumerate(pairs[i + 1]):
             by_color[coloring[j]] |= mask
-        stack.append([alive, used, 0, by_color])
+        floor = max(map(coloring.__getitem__, leaders[i + 1]), default=0)
+        stack.append([alive, used, floor, by_color])
     return None
 
 
-def _verified_rigid_coloring(G: PermGroup, r: int, tables: tuple) -> tuple[int, ...] | None:
-    hit = _rigid_coloring_dfs(r, tables)
+def _verified_rigid_coloring(
+    G: PermGroup, r: int, tables: tuple, leaders: list[list[int]]
+) -> tuple[int, ...] | None:
+    hit = _rigid_coloring_dfs(r, tables, leaders)
     if hit is not None and not verify_distinguishing(G, hit):
         raise AssertionError(f"search returned a non-rigid coloring {hit}")
     return hit
@@ -417,8 +448,9 @@ def distinguishing_number(G: PermGroup, elem_cap: int = _ELEM_CAP) -> Distinguis
             raise AssertionError(f"closed-form witness {witness} is not rigid")
         return DistinguishingResult(n - 1, witness, "closed-form")
     tables = _coloring_tables(n, _prime_order_elements(G, elem_cap))
+    leaders = _orbit_leaders(G)
     for r in range(2, n + 1):
-        hit = _verified_rigid_coloring(G, r, tables)
+        hit = _verified_rigid_coloring(G, r, tables, leaders)
         if hit is not None:
             return DistinguishingResult(r, hit, "exhausted")
     raise AssertionError("coloring all points distinctly is always rigid")
@@ -443,7 +475,7 @@ def distinguishing_witness(G: PermGroup, r: int) -> tuple[int, ...] | None:
         return None  # every element preserves the one 1-coloring
     if G.order() <= _ELEM_CAP:
         tables = _coloring_tables(n, _prime_order_elements(G, _ELEM_CAP))
-        return _verified_rigid_coloring(G, r, tables)
+        return _verified_rigid_coloring(G, r, tables, _orbit_leaders(G))
     rng = random.Random(_PROBE_SEED)
     tried = set()
     for _ in range(_WITNESS_TRIES):

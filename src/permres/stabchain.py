@@ -348,6 +348,8 @@ class PermGroup:
         self._chain: StabilizerChain | None = None
         # sorted composition factors, filled in by structure.composition_factors
         self._factors: list | None = None
+        # whether the group is solvable, filled in by structure.is_solvable
+        self._solvable: bool | None = None
 
     @classmethod
     def trivial(cls, degree: int, label: str | None = None) -> "PermGroup":

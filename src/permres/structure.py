@@ -8,14 +8,14 @@ Every step strictly reduces (degree, order). A perfect primitive G is
 certified simple by its order and degree when they rule out both kinds
 of minimal normal subgroup a proper N would contain (Dixon-Mortimer 1996,
 Ch. 4, with Schreier's conjecture by CFSG and Burnside's p^a q^b
-theorem): this settles Sp(6,2) on 36 or 63 points, A5 to A9, L3(4) and
-the Mathieu groups. Only the rest, affine-compatible prime-power degrees
-and orders with three primes squared such as A10 or a diagonal T x T,
-go to the probe, whose choice of elements is sampled. Simple factors are
-identified by order against a generated table; the one documented order
-collision, at 20160, is settled by a scan of every element for one of
-order 15, which A8 has and L3(4) lacks. Anything unresolved is reported
-as unknown, never guessed.
+theorem): this settles Sp(6,2) on 36 or 63 points, A_m on m < 25
+points, L3(4) and the Mathieu groups. Only the rest, affine-compatible
+prime-power degrees and, from degree 25 on, orders with three primes
+squared such as a diagonal T x T, go to the probe, whose choice of
+elements is sampled. Simple factors are identified by order against a
+generated table; the one documented order collision, at 20160, is
+settled by a scan of every element for one of order 15, which A8 has and
+L3(4) lacks. Anything unresolved is reported as unknown, never guessed.
 
 Each factor carries one bracket [alt_lower, alt_upper] on its largest
 alternating section, and the restricted classes Gamma_d are read from the
@@ -207,7 +207,15 @@ def derived_series(G: PermGroup) -> list[PermGroup]:
 
 
 def is_solvable(G: PermGroup) -> bool:
-    return derived_series(G)[-1].order() == 1
+    """Whether G is solvable, cached on G. A cached factor list decides it
+    at once: G is solvable exactly when every factor is cyclic. Otherwise
+    the derived series does."""
+    if G._solvable is None:
+        if G._factors is not None:
+            G._solvable = all(f.kind == "cyclic" for f in G._factors)
+        else:
+            G._solvable = derived_series(G)[-1].order() == 1
+    return G._solvable
 
 
 # -- composition factor descent --------------------------------------------
@@ -230,13 +238,21 @@ def composition_factors(G: PermGroup) -> list[FactorDescriptor]:
     means G is taken as simple. Factors whose order matches no table
     entry come back as kind unknown.
 
+    A group that is_solvable has already found solvable runs no descent:
+    by Jordan-Holder its factors are C_p, once for each prime power
+    dividing |G|. No derived series is run just to find this out.
+
     The descent runs once per group: the sorted list is cached on G and
     each call returns a fresh copy of it. Its cost follows the degree, not
     the order, and no cap on the order or the degree guards it.
     """
     if G._factors is None:
         out: list[FactorDescriptor] = []
-        _descend(G, out)
+        if G._solvable:
+            for p, e in factorize(G.order()).items():
+                out.extend([_cyclic(p)] * e)
+        else:
+            _descend(G, out)
         prod = 1
         for f in out:
             prod *= f.order
@@ -301,9 +317,12 @@ def _simple_by_order(order: int, degree: int) -> bool:
     with G/T solvable (Schreier's conjecture, by CFSG) and perfect, so
     G = M. Otherwise T^k with k >= 2, or M x C_G(M) with both factors
     regular, makes |T|^2 divide |G|; |T| has at least three prime divisors
-    (Burnside's p^a q^b theorem), so three primes divide |G| squared.
+    (Burnside's p^a q^b theorem), so three primes divide |G| squared. Such
+    a G has degree at least 25 (O'Nan-Scott, Liebeck-Praeger-Saxl 1988):
+    5^2 in product action, |T| >= 60 for the diagonal, twisted wreath and
+    two-minimal-normal types. So below degree 25 the squares decide nothing.
     """
-    if sum(e >= 2 for e in factorize(order).values()) >= 3:
+    if degree >= 25 and sum(e >= 2 for e in factorize(order).values()) >= 3:
         return False
     powers = factorize(degree)
     if len(powers) == 1:
@@ -320,8 +339,8 @@ def _find_proper_normal(G: PermGroup) -> PermGroup | None:
 
     The descent calls it only on the perfect primitive groups that
     _simple_by_order refuses: degree p^d with |G_a| >= 60 dividing
-    |GL(d, p)|, or three primes squared in |G|, such as ASL(3,2), A10 or a
-    diagonal T x T. Probes every generator, pairwise generator products,
+    |GL(d, p)|, or degree at least 25 with three primes squared in |G|,
+    such as ASL(3,2), A25 or a diagonal T x T. Probes every generator, pairwise generator products,
     and seeded random elements. Before a probe's normal closure is built, a seeded random
     walk (normal_closure_is_group) tries to certify that the closure is
     full, that is, that its basic orbits multiply to |G|. The walk decides

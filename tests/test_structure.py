@@ -70,6 +70,27 @@ def test_solvable_sym(m, solvable):
     assert is_solvable(PermGroup.symmetric(m)) == solvable
 
 
+@pytest.mark.parametrize("build", [
+    lambda: PermGroup.symmetric(4),
+    lambda: matrix_orbit_action(classical_generators("GL", 2, 3)).group,
+    lambda: construct_recipe({"kind": "affine", "family": "GL", "m": 2, "q": 3}).group,
+    lambda: PermGroup.alternating(5),
+    a5_wr_c2,
+], ids=["S4", "GL(2,3)", "AGL(2,3)", "A5", "A5wrC2"])
+def test_solvability_and_factors_share_their_cache(monkeypatch, build):
+    # a group found solvable gets one C_p per prime power of |G| with no
+    # descent, and cached factors decide solvability with no derived series
+    G, H = build(), build()
+    expected = composition_factors(H)
+    solvable = is_solvable(G)
+    assert solvable == all(f.kind == "cyclic" for f in expected)
+    monkeypatch.setattr(structure, "derived_series", None)
+    assert is_solvable(H) == solvable
+    if solvable:
+        monkeypatch.setattr(structure, "_descend", None)
+    assert composition_factors(G) == expected
+
+
 # -- composition factors ---------------------------------------------------
 
 
@@ -291,7 +312,8 @@ SIMPLE_BY_ORDER = {
         {"kind": "classical", "family": "Sp", "m": 6, "q": 2}).group, "S6(2)"),
     "A6 on 15": (lambda: construct_recipe(
         {"kind": "subsets", "m": 6, "k": 2, "alt": True}).group, "A6"),
-    **{f"A{m}": (lambda m=m: PermGroup.alternating(m), f"A{m}") for m in range(5, 10)},
+    **{f"A{m}": (lambda m=m: PermGroup.alternating(m), f"A{m}")
+       for m in (*range(5, 11), 16, 20)},
     "L2(7)": (psl27, "L2(7)"),
     "L2(8)": (lambda: linear_on_points(2, 8), "L2(8)"),
     "L3(4)": (lambda: linear_on_points(3, 4), "L3(4)"),
@@ -325,14 +347,12 @@ REFUSED_BY_ORDER = {
     "diag60'": ["A5", "A5"],
     "ASL(2,5)": ["A5", "C2", "C5", "C5"],
     "diag(L2(11))": ["L2(11)", "L2(11)"],
-    "A10": ["A10"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(REFUSED_BY_ORDER))
 def test_refused_groups_are_still_probed(monkeypatch, name):
-    build = {**PERFECT_NOT_SIMPLE, "diag(L2(11))": diag_l2_11,
-             "A10": lambda: PermGroup.alternating(10)}[name]
+    build = {**PERFECT_NOT_SIMPLE, "diag(L2(11))": diag_l2_11}[name]
     G = build()
     assert not structure._simple_by_order(G.order(), G.degree)
     probed, walks = _count_probes(monkeypatch)

@@ -39,7 +39,6 @@ from there, so callers may keep reading them here.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field
@@ -459,6 +458,8 @@ def bundled_corpus() -> Path:
 
 def load_manifest(source: str | Path) -> tuple[dict, str]:
     """Read and parse a manifest file; returns (document, sha256 hex)."""
+    import hashlib  # loads OpenSSL, so only where a digest is computed
+
     path = Path(source)
     try:
         raw = path.read_bytes()
@@ -494,6 +495,8 @@ def run_manifest(source: str | Path | dict,
         except (TypeError, ValueError):
             # not encodable as JSON; its bad recipes fail their own checks
             text = repr(doc)
+        import hashlib
+
         digest = hashlib.sha256(text.encode()).hexdigest()
     else:
         doc, digest = load_manifest(source)

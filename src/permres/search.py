@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .fq import ceil_log, is_prime, require_int
+from .fq import ceil_log, require_int
 from .stabchain import PermGroup, ResourceLimit, _has_preserving_element
 from .structure import NO, UNKNOWN, YES, composition_factors, in_gamma, is_solvable
 
@@ -269,14 +269,12 @@ def verify_distinguishing(G: PermGroup, coloring) -> bool:
 
 def _prime_order_elements(G: PermGroup, cap: int) -> list[tuple[tuple[int, ...], int]]:
     """(images, largest moved point) of one generator of each subgroup of
-    prime order, sorted by largest moved point; the chain's image tuples
-    are read directly, and no Perm is built.
-
-    The cycle through the least moved point x gives the only candidate
-    prime p, its length, and g has order p exactly when g^p, p - 1
-    itemgetter compositions, is the identity. Of g, g^2, ..., g^(p-1)
-    exactly one maps x to the least other point of x's cycle, and only that
-    one is kept: all of them preserve the same colorings and move the same
+    prime order, sorted by largest moved point. The generators come from
+    StabilizerChain.prime_order_generators, which scans one coset per
+    suborbit at each level of the chain instead of every element, and
+    keeps, of the p - 1 generators of each subgroup, the one mapping the
+    first base point it moves to the least other point of that point's
+    cycle. All of them preserve the same colorings and move the same
     points, so the list still decides rigidity and the coloring search
     finds the same first coloring.
     """
@@ -285,30 +283,9 @@ def _prime_order_elements(G: PermGroup, cap: int) -> list[tuple[tuple[int, ...],
             f"group order {G.order()} exceeds the exact-coloring element cap {cap};"
             " use distinguishing_witness for an upper bound"
         )
-    n = G.degree
-    identity = tuple(range(n))
-    primes = {p for p in range(2, n + 1) if is_prime(p)}
     rows = []
-    for images in G.chain().image_tuples():
-        if images == identity:
-            continue
-        start = 0
-        while images[start] == start:
-            start += 1
-        # walk start's cycle from its image on and stop at the first point
-        # below that image: a kept row's cycle closes there, at start
-        first = images[start]
-        y, p = images[first], 2
-        while y > first:
-            y, p = images[y], p + 1
-        if y != start or p not in primes:
-            continue
-        power, h = itemgetter(*images), images
-        for _ in range(p - 1):
-            h = power(h)
-        if h != identity:
-            continue
-        last = n - 1
+    for images in G.chain().prime_order_generators():
+        last = len(images) - 1
         while images[last] == last:
             last -= 1
         rows.append((images, last))

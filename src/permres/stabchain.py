@@ -31,6 +31,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
+from .fq import is_prime
 from .perm import Perm, _from_images, iter_alt_gens, iter_sym_gens
 
 
@@ -287,6 +288,93 @@ class StabilizerChain:
             else:
                 stack.append(step)
 
+    def prime_order_generators(self) -> list[tuple[int, ...]]:
+        """Image tuples of one generator of each subgroup of prime order,
+        found level by level from one coset per suborbit. No Perm is
+        composed: every product is one itemgetter call on image tuples.
+
+        At level i, with base point b, basic orbit O and H = G^(i+1) the
+        stabilizer of b in G^(i), the elements of G^(i) that move b map it
+        into O - {b}, and those mapping b to r form the coset of the s * u_r
+        with s in H, u_r the transversal element for r. Conjugating by
+        h in H fixes b and carries that coset onto the one for r^h, so fix
+        one representative r of each H-orbit on O - {b} and, for each point
+        r' of its orbit, one h in H with r^h = r'. Every element y of G^(i)
+        moving b is then h^-1 x h for exactly one triple (r, h, x): r is the
+        representative of b^y's orbit, h the chosen element for b^y, and
+        x = h y h^-1, which lies in r's coset. Each element of G other than
+        the identity moves a first base point, so it is reached at exactly
+        one level, once. Conjugation keeps the order, so only the x of
+        prime order in each representative coset are powered: b's x-cycle
+        has prime length p and x^p = 1.
+
+        The elements of a subgroup K of prime order p all first move the
+        same base point b, and b's K-orbit has p points. Exactly one of the
+        p - 1 generators of K maps b to the least point of that orbit other
+        than b. For y = h^-1 x h, b^y = r^h and b's y-cycle is the h-image
+        of its x-cycle, so y is kept exactly when r^h is below the h-images
+        of the other points of b's x-cycle besides b. One tuple per subgroup
+        of prime order comes back, in a fixed order.
+        """
+        n = self.degree
+        identity = tuple(range(n))
+        out: list[tuple[int, ...]] = []
+        for i, lvl in enumerate(self.levels):
+            b = lvl.point
+            if len(lvl.orbit) == 1:
+                continue
+            # b's cycle lies in O, so no prime above |O| is a cycle length
+            primes = {p for p in range(2, len(lvl.orbit) + 1) if is_prime(p)}
+            # per suborbit: r, u_r, and each h with a getter applying h^-1 first
+            cosets = [(r, lvl.transversal[r].images,
+                       [(h, itemgetter(*h_inv)) for h, h_inv in reached])
+                      for r, reached in self._suborbit_transversals(i)]
+            for s in self.tail(i + 1).image_tuples():
+                times_s = itemgetter(*s)
+                for r, u, reached in cosets:
+                    x = times_s(u)
+                    rest = []  # the points of b's x-cycle after r
+                    y = x[r]
+                    while y != b:
+                        rest.append(y)
+                        y = x[y]
+                    p = len(rest) + 2
+                    if p not in primes:
+                        continue
+                    power, z = itemgetter(*x), x
+                    for _ in range(p - 1):
+                        z = power(z)
+                    if z != identity:
+                        continue
+                    for h, after_h_inv in reached:
+                        if not rest or min(map(h.__getitem__, rest)) > h[r]:
+                            out.append(after_h_inv(power(h)))  # h^-1 x h
+        return out
+
+    def _suborbit_transversals(self, i: int) -> list[tuple[int, list]]:
+        """One (r, reached) per orbit of H = G^(i+1) on level i's basic
+        orbit minus its point, in orbit order: r is the orbit's first point,
+        and reached holds (h, h^-1) as image tuples, one h in H for each
+        point of the orbit, with r^h that point; r's own h is the identity."""
+        lvl = self.levels[i]
+        identity = tuple(range(self.degree))
+        gens = [(g.images, g.inv().images) for g in self.gens_fixing_prefix(i + 1)]
+        out = []
+        seen = {lvl.point}
+        for r in lvl.orbit:
+            if r in seen:
+                continue
+            seen.add(r)
+            reached = [(identity, identity)]
+            for h, h_inv in reached:  # grows while it is walked
+                for g, g_inv in gens:
+                    w = g[h[r]]
+                    if w not in seen:
+                        seen.add(w)
+                        reached.append((itemgetter(*h)(g), itemgetter(*g_inv)(h_inv)))
+            out.append((r, reached))
+        return out
+
     def elements(self, limit: int | None = None) -> Iterator[Perm]:
         """All elements, in image_tuples order. Guarded by limit if given."""
         if limit is not None and self.order() > limit:
@@ -350,6 +438,8 @@ class PermGroup:
         self._factors: list | None = None
         # whether the group is solvable, filled in by structure.is_solvable
         self._solvable: bool | None = None
+        # the derived subgroup, filled in by derived_subgroup
+        self._derived: PermGroup | None = None
 
     @classmethod
     def trivial(cls, degree: int, label: str | None = None) -> "PermGroup":
@@ -513,7 +603,11 @@ class PermGroup:
         return stab
 
     def restriction(self, points: Sequence[int]) -> "PermGroup":
-        """Action on an invariant point set, relabeled to 0..len-1."""
+        """Action on an invariant point set, relabeled to 0..len-1.
+
+        When the group fixes every point left out, the action is faithful
+        and a derived subgroup already found comes along, restricted the
+        same way, so it is not built again."""
         index = {p: i for i, p in enumerate(points)}
         gens = []
         for g in self.gens:
@@ -522,7 +616,12 @@ class PermGroup:
             except KeyError:
                 raise ValueError("point set is not invariant") from None
             gens.append(_from_images(imgs))
-        return PermGroup(len(points), gens, label=self.label)
+        out = PermGroup(len(points), gens, label=self.label)
+        derived = self._derived
+        if derived is not None and all(
+                g.images[x] == x for g in self.gens for x in range(self.degree) if x not in index):
+            out._derived = out if derived is self else derived.restriction(points)
+        return out
 
     # -- orbit tree ------------------------------------------------------
 
@@ -725,9 +824,13 @@ def normal_closure_is_group(G: PermGroup, z: Perm, rng) -> bool:
 
 
 def derived_subgroup(G: PermGroup) -> PermGroup:
-    comms = []
-    gs = G.gens
-    for i in range(len(gs)):
-        for j in range(i + 1, len(gs)):
-            comms.append(gs[i].inv() * gs[j].inv() * gs[i] * gs[j])
-    return normal_closure(G, comms)
+    """The normal closure of the commutators of G's generators, built once
+    per group and cached on it."""
+    if G._derived is None:
+        comms = []
+        gs = G.gens
+        for i in range(len(gs)):
+            for j in range(i + 1, len(gs)):
+                comms.append(gs[i].inv() * gs[j].inv() * gs[i] * gs[j])
+        G._derived = normal_closure(G, comms)
+    return G._derived

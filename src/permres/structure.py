@@ -268,6 +268,11 @@ def _descend(G: PermGroup, out: list[FactorDescriptor]) -> None:
         return
     orbits = G.orbits()
     if len(orbits) > 1:
+        moved = sorted(x for orb in orbits if len(orb) > 1 for x in orb)
+        if len(moved) < G.degree:
+            # faithful on its moved points, and keeps a cached derived subgroup
+            _descend(G.restriction(moved), out)
+            return
         first = orbits[0]
         rest = [x for orb in orbits[1:] for x in orb]
         image = G.restriction(first)

@@ -1,7 +1,12 @@
 """Recipe construction, manifest validation, check execution, reports."""
 
+import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -588,6 +593,28 @@ def test_matches_op_compares_two_routes():
     })
     # singleton subsets carry the natural action under a different recipe
     assert res.status == "pass"
+
+
+def test_importing_manifest_loads_no_hashlib():
+    # hashlib loads OpenSSL; only the two digests import it
+    script = ("import sys\n"
+              "import permres.manifest\n"
+              "assert not {'hashlib', '_hashlib'} & set(sys.modules)\n")
+    src = str(Path(manifest.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", script], check=True, env=env,
+                   capture_output=True)
+
+
+def test_manifest_digests_are_sha256_of_the_input():
+    path = bundled_corpus()
+    doc, digest = load_manifest(path)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    small = {"schema": 1, "checks": [
+        {"id": "c6", "recipe": {"kind": "cyclic", "m": 6},
+         "assertions": [{"op": "order", "expect": 6, "tag": "direct"}]}]}
+    text = json.dumps(small, sort_keys=True)
+    assert run_manifest(small).manifest_sha256 == hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_bundled_corpus_validates():

@@ -1,6 +1,7 @@
 """Searches: minimal bases, stabilizer scans, colorings, tuple counts."""
 
 import itertools
+import operator
 import random
 
 import pytest
@@ -347,6 +348,17 @@ def first_rigid_coloring(G, r):
     return None
 
 
+ORACLE_RECIPES = {
+    "affine16": {"kind": "affine", "family": "Sp", "m": 4, "q": 2},
+    "diag60": {"kind": "diagonal", "factor": {"kind": "alternating", "m": 5},
+               "swap": True, "outer": [0, 1, 2, 4, 3]},
+    "a5wrs2": {"kind": "wreath", "inner": {"kind": "alternating", "m": 5},
+               "outer": {"kind": "symmetric", "m": 2}, "action": "product"},
+    "s5wrs2": {"kind": "wreath", "inner": {"kind": "symmetric", "m": 5},
+               "outer": {"kind": "symmetric", "m": 2}, "action": "imprimitive"},
+}
+
+
 def cyclic_subgroup(g):
     powers, h = {g.images}, g * g
     while not h.is_identity():
@@ -355,23 +367,77 @@ def cyclic_subgroup(g):
     return frozenset(powers)
 
 
-@pytest.mark.parametrize("G", [
-    PermGroup.symmetric(5),
-    dihedral8(),
-    PermGroup(6, [Perm([1, 2, 3, 4, 5, 0])]),
-    wreath_imprimitive(PermGroup.symmetric(3), PermGroup.symmetric(2)).group,
-], ids=["S5", "D8", "C6", "S3wrS2"])
-def test_prime_order_rows_match_element_orders(G):
+def assert_one_generator_per_prime_subgroup(G, rows):
     # against full element orders: exactly one row per subgroup of prime
     # order, and that row generates it
     subgroups = {cyclic_subgroup(g) for g in G.elements()
                  if not g.is_identity() and is_prime(g.order())}
-    rows = _prime_order_elements(G, 10 ** 6)
-    generated = [cyclic_subgroup(Perm(images)) for images, _ in rows]
+    generated = [cyclic_subgroup(Perm(images)) for images in rows]
     assert len(generated) == len(subgroups) and set(generated) == subgroups
+
+
+PRIME_ORDER_GROUPS = {
+    "S5": lambda: PermGroup.symmetric(5),
+    "D8": dihedral8,
+    "C6": lambda: PermGroup(6, [Perm([1, 2, 3, 4, 5, 0])]),
+    "S3wrS2": lambda: wreath_imprimitive(PermGroup.symmetric(3), PermGroup.symmetric(2)).group,
+    # S3 x C6 on the orbits {0, 1, 2}, {3, 4} and {5, 6, 7}, fixing 8
+    "intransitive": lambda: PermGroup(9, [Perm.from_cycles([(0, 1, 2)], 9),
+                                          Perm.from_cycles([(0, 1)], 9),
+                                          Perm.from_cycles([(3, 4), (5, 6, 7)], 9)]),
+    # every image tuple has two entries, so no itemgetter takes one index
+    "degree 2": lambda: PermGroup(2, [Perm([1, 0])]),
+    **{name: (lambda recipe=recipe: construct_recipe(recipe).group)
+       for name, recipe in ORACLE_RECIPES.items()},
+}
+
+
+@pytest.mark.parametrize("name", list(PRIME_ORDER_GROUPS))
+def test_prime_order_rows_match_element_orders(name):
+    G = PRIME_ORDER_GROUPS[name]()
+    rows = _prime_order_elements(G, 10 ** 6)
+    assert_one_generator_per_prime_subgroup(G, [images for images, _ in rows])
     for images, last in rows:
         assert last == max(Perm(images).moved())
     assert [last for _, last in rows] == sorted(last for _, last in rows)
+
+
+def test_prime_order_rows_on_a_hinted_chain_with_trivial_levels():
+    # S3 on 2..4 and C2 on 5, 6 of 8 points, hinted with every point: the
+    # levels of 0, 1 and 7 come first and have one-point orbits, as does
+    # that of 4, below the levels of 2 and 3
+    G = PermGroup(8, [Perm.from_cycles([(2, 3, 4)], 8), Perm.from_cycles([(2, 3)], 8),
+                      Perm.from_cycles([(5, 6)], 8)])
+    chain = G.chain(base_hint=[0, 1, 7, 2, 3, 4, 5, 6])
+    assert [len(lvl.orbit) for lvl in chain.levels] == [1, 1, 1, 3, 2, 1, 2, 1]
+    assert_one_generator_per_prime_subgroup(G, chain.prime_order_generators())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_prime_order_rows_on_random_small_groups(seed):
+    # random generators on random supports, so most groups are intransitive;
+    # each group is listed from its own chain and from a chain hinted with
+    # every point in a random order
+    rng = random.Random(seed)
+    tested = intransitive = 0
+    while tested < 25:
+        n = rng.randint(1, 8)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            support = rng.sample(range(n), rng.randint(1, n))
+            images = list(range(n))
+            for x, y in zip(support, rng.sample(support, len(support))):
+                images[x] = y
+            gens.append(Perm(images))
+        G = PermGroup(n, gens)
+        if G.order() > 5040:
+            continue
+        tested += 1
+        intransitive += not G.is_transitive()
+        assert_one_generator_per_prime_subgroup(G, G.chain().prime_order_generators())
+        hinted = G.chain(base_hint=rng.sample(range(n), n))
+        assert_one_generator_per_prime_subgroup(G, hinted.prime_order_generators())
+    assert intransitive > tested // 2
 
 
 @pytest.mark.parametrize("G", [
@@ -461,17 +527,6 @@ def relabeled(G, seed):
             images[sigma[x]] = sigma[y]
         gens.append(Perm(images))
     return PermGroup(G.degree, gens)
-
-
-ORACLE_RECIPES = {
-    "affine16": {"kind": "affine", "family": "Sp", "m": 4, "q": 2},
-    "diag60": {"kind": "diagonal", "factor": {"kind": "alternating", "m": 5},
-               "swap": True, "outer": [0, 1, 2, 4, 3]},
-    "a5wrs2": {"kind": "wreath", "inner": {"kind": "alternating", "m": 5},
-               "outer": {"kind": "symmetric", "m": 2}, "action": "product"},
-    "s5wrs2": {"kind": "wreath", "inner": {"kind": "symmetric", "m": 5},
-               "outer": {"kind": "symmetric", "m": 2}, "action": "imprimitive"},
-}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -592,6 +647,36 @@ def test_prime_order_filter_composes_no_perm(monkeypatch, affine16):
     monkeypatch.setattr(Perm, "__mul__", lambda a, b: calls.append(1) or real(a, b))
     assert len(_prime_order_elements(affine16, 10 ** 6)) == 1351
     assert calls == []
+
+
+def test_prime_order_listing_scans_one_coset_per_suborbit(monkeypatch, affine16):
+    # each level streams the image tuples of the stabilizer H below it once
+    # and scans one coset per orbit of H on the basic orbit minus its point:
+    # 837 elements for affine16, where filtering every element scanned 11,520
+    streamed, cosets = [], []
+    tuples, transversals = StabilizerChain.image_tuples, StabilizerChain._suborbit_transversals
+
+    def counted_tuples(self):
+        streamed.append(0)
+        for images in tuples(self):
+            streamed[-1] += 1
+            yield images
+
+    def counted_transversals(self, i):
+        cosets.append(transversals(self, i))
+        return cosets[-1]
+
+    monkeypatch.setattr(StabilizerChain, "image_tuples", counted_tuples)
+    monkeypatch.setattr(StabilizerChain, "_suborbit_transversals", counted_transversals)
+    chain = affine16.chain()
+    assert len(chain.prime_order_generators()) == 1351
+    suborbits = []
+    for i, lvl in enumerate(chain.levels):
+        H = PermGroup(affine16.degree, chain.gens_fixing_prefix(i + 1))
+        suborbits.append(sum(orb[0] in lvl.transversal for orb in H.orbits()) - 1)
+    assert [len(c) for c in cosets] == suborbits == [1, 2, 3, 1, 1]
+    assert streamed == [720, 48, 6, 2, 1]
+    assert sum(map(operator.mul, streamed, suborbits)) == 837
 
 
 def test_verify_rejects_preserved_coloring():

@@ -3,12 +3,14 @@ import random
 
 import pytest
 
+import permres.stabchain as stabchain
 import permres.structure as structure
 from permres.classical import classical_generators
 from permres.constructions import matrix_orbit_action
 from permres.fq import FqField, FqMatrix
 from permres.manifest import construct_recipe
 from permres.perm import Perm, iter_alt_gens
+from permres.search import stabilizer_scan
 from permres.stabchain import PermGroup, StabilizerChain, derived_subgroup, normal_closure
 from permres.structure import (
     NO,
@@ -89,6 +91,41 @@ def test_solvability_and_factors_share_their_cache(monkeypatch, build):
     if solvable:
         monkeypatch.setattr(structure, "_descend", None)
     assert composition_factors(G) == expected
+
+
+def test_scan_builds_each_derived_subgroup_once(monkeypatch):
+    # S10's one class of point pairs fails: is_solvable builds the series
+    # S8 > A8 = A8' of its stabilizer, and the summary's descent restricts
+    # the stabilizer to its moved points with both cached, so the two
+    # closures are not built again (4 were, before the cache)
+    closures = []
+    closure = stabchain.normal_closure
+    monkeypatch.setattr(stabchain, "normal_closure",
+                        lambda G, seeds: closures.append(G.order()) or closure(G, seeds))
+    rep = stabilizer_scan(PermGroup.symmetric(10), 2, "solvable")
+    assert (rep.verdict, rep.first_failure.summary) == ("fail", "C2 * A8")
+    assert closures == [40320, 20160]
+
+
+def test_restriction_keeps_the_derived_subgroup_only_when_faithful():
+    s4 = [cyc([(0, 1, 2, 3)], 6), cyc([(0, 1)], 6)]
+    G = PermGroup(6, s4)
+    assert derived_subgroup(G).order() == 12
+    R = G.restriction([0, 1, 2, 3])
+    assert R._derived is not None and R._derived.degree == 4
+    assert derived_subgroup(R) is R._derived and R._derived.order() == 12
+    assert R._derived.gens == [Perm(g.images[:4]) for g in G._derived.gens]
+    # with (4 5) the group moves a point left out, so the restriction to
+    # 0..3 is not faithful and its derived subgroup is built afresh
+    H = PermGroup(6, s4 + [cyc([(4, 5)], 6)])
+    derived_subgroup(H)
+    assert H.restriction([0, 1, 2, 3])._derived is None
+    # a perfect group with a chain is its own derived subgroup, and so is
+    # its restriction
+    A5 = PermGroup(7, [Perm(g.images + (5, 6)) for g in iter_alt_gens(5)])
+    assert A5.order() == 60 and derived_subgroup(A5) is A5
+    B = A5.restriction(range(5))
+    assert B._derived is B
 
 
 # -- composition factors ---------------------------------------------------

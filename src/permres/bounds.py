@@ -33,7 +33,9 @@ if TYPE_CHECKING:
 
 __all__ = [
     "BoundReport",
+    "CHECKS",
     "ceil_log",
+    "evaluate",
     "lemma22_check",
     "m_epsilon",
     "n_c_delta",
@@ -347,6 +349,42 @@ def theorem13_check(G: PermGroup, c: int, d: int, delta) -> BoundReport:
     params = dict(out.parameters)
     params["c"] = c
     return BoundReport(out.bound_name, params, out.bound_value, out.measured_value, out.verdict)
+
+
+# -- the checks the manifest ops and the bounds verb run -------------------
+
+# check -> the params keys it reads; each is required but formula's measured
+CHECKS = {
+    "lemma22": ("d",),
+    "thm13": ("c", "d", "delta"),
+    "formula": ("name", "params", "measured"),
+    "threshold-m": ("eps",),
+    "threshold-n": ("c", "delta"),
+}
+
+
+def evaluate(name: str, params: dict, group: PermGroup | None = None):
+    """Run the bounds check name on params: the threshold integer for
+    threshold-m and threshold-n, else a BoundReport. lemma22 and thm13
+    check group. A missing key raises KeyError, one the check does not
+    read ValueError: no key has a default."""
+    if name not in CHECKS:
+        raise ValueError(f"unknown bounds check {name!r}; have {', '.join(CHECKS)}")
+    unread = sorted(set(params).difference(CHECKS[name]))
+    if unread:
+        raise ValueError(f"unknown params key {', '.join(map(repr, unread))} for bounds "
+                         f"check {name}, which reads {', '.join(CHECKS[name])}")
+    if name == "threshold-m":
+        return m_epsilon(params["eps"])
+    if name == "threshold-n":
+        return n_c_delta(params["c"], params["delta"])
+    if name == "formula":
+        return formula_suite(params["name"], params["params"], measured=params.get("measured"))
+    if group is None:
+        raise ValueError(f"bounds check {name} needs a group: give a recipe")
+    if name == "lemma22":
+        return lemma22_check(group, params["d"])
+    return theorem13_check(group, params["c"], params["d"], params["delta"])
 
 
 def _approx(rhs: Fraction, e_pow: Fraction) -> str:

@@ -159,51 +159,23 @@ def _cmd_reg_count(args) -> int:
     return 0
 
 
-# the --params keys each bounds check reads; any other key is a typo
-_BOUNDS_KEYS = {
-    "lemma22": {"d"},
-    "thm13": {"c", "d", "delta"},
-    "formula": {"name", "params", "measured"},
-    "threshold-m": {"eps"},
-    "threshold-n": {"c", "delta"},
-}
-
-
 def _cmd_bounds(args) -> int:
-    from fractions import Fraction
-
-    from .bounds import formula_suite, lemma22_check, m_epsilon, n_c_delta, theorem13_check
+    from .bounds import evaluate
 
     params = json.loads(args.params) if args.params else {}
     if not isinstance(params, dict):
         raise ValueError("--params must be a JSON object")
-    name = args.check
-    if name not in _BOUNDS_KEYS:
-        raise ValueError(f"unknown bounds check {name!r}")
-    unread = sorted(set(params) - _BOUNDS_KEYS[name])
-    if unread:
-        raise ValueError(f"--check {name} reads only --params keys "
-                         f"{', '.join(sorted(_BOUNDS_KEYS[name]))}, "
-                         f"not {', '.join(unread)}")
-    if name == "threshold-m":
-        doc = {"M": m_epsilon(Fraction(params["eps"]))}
-    elif name == "threshold-n":
-        doc = {"N": n_c_delta(params["c"], Fraction(params["delta"]))}
-    elif name == "formula":
-        rep = formula_suite(params["name"], params.get("params", {}),
-                            measured=params.get("measured"))
-        doc = {"bound": rep.bound_value, "verdict": rep.verdict}
-    else:
-        if not args.recipe:
-            raise ValueError(f"--check {name} needs --recipe")
+    group = None
+    if args.recipe:
         from .recipes import construct_recipe
 
-        act = construct_recipe(_read_recipe(args.recipe))
-        if name == "lemma22":
-            rep = lemma22_check(act.group, params["d"])
-        else:
-            rep = theorem13_check(act.group, params.get("c", 0), params["d"],
-                                  Fraction(params.get("delta", 1)))
+        group = construct_recipe(_read_recipe(args.recipe)).group
+    rep = evaluate(args.check, params, group)
+    if isinstance(rep, int):  # M of threshold-m, N of threshold-n
+        doc = {args.check[-1].upper(): rep}
+    elif args.check == "formula":
+        doc = {"bound": rep.bound_value, "verdict": rep.verdict}
+    else:
         doc = {"bound": rep.bound_value, "measured": rep.measured_value,
                "verdict": rep.verdict}
     _emit(doc, args.json)
@@ -316,7 +288,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="closed-form bounds and thresholds")
     common(p, recipe_required=False)
     p.add_argument("--check", required=True,
-                   help=" | ".join(_BOUNDS_KEYS))
+                   help="check name; an unknown one lists them")
     p.add_argument("--params", help="JSON object of parameters")
     p.set_defaults(fn=_cmd_bounds)
 

@@ -134,6 +134,16 @@ def matrix_orbit_action(grp: MatrixGroup, seed=None, kind: str = "vector",
     nondegenerate-minus / nonsingular); the orbit inherits the property.
     """
     field, m = grp.field, grp.m
+    if seed is not None and not isinstance(seed, SubspaceFq):
+        # a vector seed is one row, a subspace seed a list of rows
+        rows = [seed] if kind == "vector" else seed
+        if not (isinstance(rows, (list, tuple)) and all(
+                isinstance(row, (list, tuple)) and len(row) == m
+                and all(isinstance(x, int) and 0 <= x < field.q for x in row)
+                for row in rows)):
+            shape = "a vector" if kind == "vector" else "a list of vectors"
+            raise ConstructionError(
+                f"seed must be {shape} of {m} entries in 0..{field.q - 1}")
     if kind == "vector":
         if seed is None:
             seed = tuple(1 if i == 0 else 0 for i in range(m))

@@ -42,13 +42,13 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from importlib import resources
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable
 
 from . import __version__
-from .bounds import formula_suite, lemma22_check, m_epsilon, n_c_delta, theorem13_check
+from .bounds import CHECKS, evaluate
 from .constructions import LabeledAction
 from .recipes import (
     _BUILT,
@@ -76,10 +76,12 @@ VALID_TAGS = ("reported", "direct", "derived")
 # -- assertion operations --------------------------------------------------
 # Every runner takes the constructed action and the assertion's parameter
 # object and returns a JSON-comparable measured value. Expected values that
-# are objects match as subsets: only the listed keys are compared. OP_KEYS
-# lists the params keys each op reads: its own inputs and the search budgets
-# node_budget and elem_cap. A budget left out takes the library function's
-# own default, and any other key fails the assertion with an error naming it.
+# are objects match as subsets: only the listed keys are compared. OPS
+# lists each op's runner with the params keys it reads: its own inputs and
+# the search budgets node_budget and elem_cap. A budget left out takes the
+# library function's own default, and any other key fails the assertion
+# with an error naming it. The five bounds ops take their keys from
+# bounds.CHECKS and need every one but formula's measured.
 
 
 def _op_order(act: LabeledAction, p: dict):
@@ -162,38 +164,25 @@ def _op_reg_count(act: LabeledAction, p: dict):
             "exact": res.exact, "t": res.t}
 
 
-def _op_lemma22(act: LabeledAction, p: dict):
-    return lemma22_check(act.group, p["d"]).verdict
+def _op_bound(name: str, shape: Callable = lambda rep: rep) -> tuple:
+    # the bounds verb calls the same evaluate; shape makes this op's output
+    return (lambda act, p: shape(evaluate(name, p, act.group))), CHECKS[name]
 
 
-def _op_thm13(act: LabeledAction, p: dict):
-    rep = theorem13_check(act.group, p["c"], p["d"], Fraction(p["delta"]))
-    return rep.verdict
-
-
-def _op_formula(act: LabeledAction, p: dict):
-    rep = formula_suite(p["name"], p["params"], measured=p.get("measured"))
+def _formula_shape(rep) -> dict:
     out = {"value": rep.bound_value}
     if rep.verdict is not None:
         out["verdict"] = rep.verdict
     return out
 
 
-def _op_threshold_m(act: LabeledAction, p: dict):
-    return m_epsilon(Fraction(p["eps"]))
-
-
-def _op_threshold_n(act: LabeledAction, p: dict):
-    return n_c_delta(p["c"], Fraction(p["delta"]))
-
-
 def _op_matches(act: LabeledAction, p: dict):
     other = construct_recipe(p["other"])
     for name in p["compare"]:
-        runner = OPS.get(name)
-        if runner is None or name == "matches":
+        if name not in OPS or name == "matches":
             raise ManifestError(f"cannot compare through op {name!r}")
-        if runner(act, {}) != runner(other, {}):
+        run = OPS[name][0]
+        if run(act, {}) != run(other, {}):
             return False
     return True
 
@@ -206,56 +195,31 @@ def _op_roundtrip(act: LabeledAction, p: dict):
     return all(G.contains(g) for g in H.gens)
 
 
-OPS: dict[str, Callable] = {
-    "order": _op_order,
-    "degree": _op_degree,
-    "transitive": _op_transitive,
-    "primitive": _op_primitive,
-    "solvable": _op_solvable,
-    "orbit-sizes": _op_orbit_sizes,
-    "suborbit-sizes": _op_suborbit_sizes,
-    "comp-factors": _op_comp_factors,
-    "gamma-min-d": _op_gamma_min_d,
-    "in-gamma": _op_in_gamma,
-    "base-size": _op_base_size,
-    "base-upper": _op_base_upper,
-    "dist-number": _op_dist_number,
-    "dist-upper": _op_dist_upper,
-    "stab-scan": _op_stab_scan,
-    "reg-count": _op_reg_count,
-    "lemma22": _op_lemma22,
-    "thm13": _op_thm13,
-    "formula": _op_formula,
-    "threshold-m": _op_threshold_m,
-    "threshold-n": _op_threshold_n,
-    "matches": _op_matches,
-    "roundtrip": _op_roundtrip,
-}
-
-OP_KEYS: dict[str, tuple[str, ...]] = {
-    "order": (),
-    "degree": (),
-    "transitive": (),
-    "primitive": (),
-    "solvable": (),
-    "orbit-sizes": (),
-    "suborbit-sizes": ("point",),
-    "comp-factors": (),
-    "gamma-min-d": (),
-    "in-gamma": ("d",),
-    "base-size": ("node_budget",),
-    "base-upper": (),
-    "dist-number": ("elem_cap",),
-    "dist-upper": ("r",),
-    "stab-scan": ("c", "predicate", "node_budget"),
-    "reg-count": ("t", "threshold", "first_point", "node_budget"),
-    "lemma22": ("d",),
-    "thm13": ("c", "d", "delta"),
-    "formula": ("name", "params", "measured"),
-    "threshold-m": ("eps",),
-    "threshold-n": ("c", "delta"),
-    "matches": ("other", "compare"),
-    "roundtrip": (),
+# op -> (runner, the params keys it reads)
+OPS: dict[str, tuple[Callable, tuple[str, ...]]] = {
+    "order": (_op_order, ()),
+    "degree": (_op_degree, ()),
+    "transitive": (_op_transitive, ()),
+    "primitive": (_op_primitive, ()),
+    "solvable": (_op_solvable, ()),
+    "orbit-sizes": (_op_orbit_sizes, ()),
+    "suborbit-sizes": (_op_suborbit_sizes, ("point",)),
+    "comp-factors": (_op_comp_factors, ()),
+    "gamma-min-d": (_op_gamma_min_d, ()),
+    "in-gamma": (_op_in_gamma, ("d",)),
+    "base-size": (_op_base_size, ("node_budget",)),
+    "base-upper": (_op_base_upper, ()),
+    "dist-number": (_op_dist_number, ("elem_cap",)),
+    "dist-upper": (_op_dist_upper, ("r",)),
+    "stab-scan": (_op_stab_scan, ("c", "predicate", "node_budget")),
+    "reg-count": (_op_reg_count, ("t", "threshold", "first_point", "node_budget")),
+    "lemma22": _op_bound("lemma22", attrgetter("verdict")),
+    "thm13": _op_bound("thm13", attrgetter("verdict")),
+    "formula": _op_bound("formula", _formula_shape),
+    "threshold-m": _op_bound("threshold-m"),
+    "threshold-n": _op_bound("threshold-n"),
+    "matches": (_op_matches, ("other", "compare")),
+    "roundtrip": (_op_roundtrip, ()),
 }
 
 # Threshold and formula ops never look at the constructed group, so their
@@ -417,12 +381,13 @@ def run_check(chk: dict, budget_ms: int | None = None) -> CheckResult:
         op, params, expected = a["op"], a.get("params", {}), a["expect"]
         try:
             clock.check()
-            unread = sorted(set(params).difference(OP_KEYS[op]))
+            run, keys = OPS[op]
+            unread = sorted(set(params).difference(keys))
             if unread:
-                reads = ", ".join(sorted(OP_KEYS[op])) or "no params"
+                reads = ", ".join(sorted(keys)) or "no params"
                 raise ManifestError(f"unknown params key {', '.join(map(repr, unread))} "
                                     f"for op {op}, which reads {reads}")
-            measured = OPS[op](act, params)
+            measured = run(act, params)
         except ResourceLimit as e:
             results.append(AssertionResult(op, expected, None, None, describe_error(e)))
             skipped = True

@@ -92,6 +92,14 @@ def _counts(recipe: dict, *keys: str) -> list:
     return values
 
 
+def _flag(recipe: dict, key: str, default: bool) -> bool:
+    # flags must be JSON booleans: read by truthiness, "no" meant yes
+    value = recipe.get(key, default)
+    if not isinstance(value, bool):
+        raise ConstructionError(f"{key} must be true or false, not {value!r}")
+    return value
+
+
 def _matrix_group(recipe: dict) -> MatrixGroup:
     from .classical import FAMILIES, MatrixGroup, classical_generators
     from .fq import FqField, FqMatrix
@@ -127,18 +135,7 @@ def _matrix_action(recipe: dict) -> LabeledAction:
     from .classical import scalar_kernel_order
 
     grp = _matrix_group(recipe)
-    space = recipe.get("space", "vector")
-    seed = recipe.get("seed")
-    if seed is not None:
-        # a vector seed is one row, a subspace seed a list of rows
-        rows = [seed] if space == "vector" else seed
-        if not (isinstance(rows, (list, tuple)) and all(
-                isinstance(row, (list, tuple)) and len(row) == grp.m
-                and all(isinstance(x, int) and 0 <= x < grp.q for x in row)
-                for row in rows)):
-            shape = "a vector" if space == "vector" else "a list of vectors"
-            raise ConstructionError(
-                f"seed must be {shape} of {grp.m} entries in 0..{grp.q - 1}")
+    space, seed = recipe.get("space", "vector"), recipe.get("seed")
     # matrix-generators know no order (abstract_order 0); scalars act
     # trivially on subspaces
     order = grp.abstract_order or None
@@ -251,7 +248,7 @@ def _build_recipe(recipe: dict) -> LabeledAction:
         return _bounded(coset_action(parent.group, H), parent.group.order_bound)
     if kind in ("subsets", "partitions"):
         m, k = _counts(recipe, "m", "k")
-        alt = recipe.get("alt", False)
+        alt = _flag(recipe, "alt", False)
         build = subsets_action if kind == "subsets" else partitions_action
         return _bounded(build(m, k, alt=alt), _sym_order(m, alt))
     if kind == "wreath":
@@ -268,7 +265,7 @@ def _build_recipe(recipe: dict) -> LabeledAction:
     if kind == "diagonal":
         (factor,) = _need(recipe, "factor")
         T = construct_recipe(factor).group
-        swap, outer = recipe.get("swap", True), recipe.get("outer")
+        swap, outer = _flag(recipe, "swap", True), recipe.get("outer")
         outer = Perm(list(outer)) if outer is not None else None
         built = diagonal_type_group(T, include_swap=swap, outer=outer)
         # T x T is normal; the swap and the outer map commute modulo it

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .fq import ceil_log, require_int
-from .stabchain import PermGroup, ResourceLimit, _has_preserving_element
+from .stabchain import PermGroup, ResourceLimit, _has_preserving_element, orbit_leaders
 from .structure import NO, UNKNOWN, YES, composition_factors, in_gamma, is_solvable
 
 __all__ = [
@@ -311,18 +311,6 @@ def _coloring_tables(n: int, rows: list) -> tuple[list[list[int]], list[int]]:
     return pairs, [(1 << bisect_right(lasts, i)) - 1 for i in range(n)]
 
 
-def _orbit_leaders(G: PermGroup) -> list[list[int]]:
-    """For each point j, the points i < j whose basic orbit holds j in the
-    chain on base 0, 1, ..., n - 1: the orbit of i under the pointwise
-    stabilizer of 0..i-1. One hinted run, stopped at |G| once it is known."""
-    leaders: list[list[int]] = [[] for _ in range(G.degree)]
-    for i, lvl in enumerate(G.chain(base_hint=range(G.degree)).levels):
-        for j in lvl.orbit:
-            if j != i:
-                leaders[j].append(i)
-    return leaders
-
-
 def _rigid_coloring_dfs(r: int, tables: tuple, leaders=None) -> tuple[int, ...] | None:
     """First r-coloring (canonical form: color k appears only after 0..k-1)
     preserved by no listed element, or None if none exists.
@@ -340,7 +328,7 @@ def _rigid_coloring_dfs(r: int, tables: tuple, leaders=None) -> tuple[int, ...] 
     completion: the branch holds no rigid coloring and the next color is
     tried at once.
 
-    leaders, the _orbit_leaders of the group, add a lex-leader cut: color
+    leaders, the orbit_leaders of the group, add a lex-leader cut: color
     col is refused at point j when some i in leaders[j] already has a color
     above col. Every G-image of a rigid coloring is rigid, so the first
     rigid coloring c* in DFS order, which is lexicographic over canonical
@@ -425,7 +413,7 @@ def distinguishing_number(G: PermGroup, elem_cap: int = _ELEM_CAP) -> Distinguis
             raise AssertionError(f"closed-form witness {witness} is not rigid")
         return DistinguishingResult(n - 1, witness, "closed-form")
     tables = _coloring_tables(n, _prime_order_elements(G, elem_cap))
-    leaders = _orbit_leaders(G)
+    leaders = orbit_leaders(G)
     for r in range(2, n + 1):
         hit = _verified_rigid_coloring(G, r, tables, leaders)
         if hit is not None:
@@ -452,7 +440,7 @@ def distinguishing_witness(G: PermGroup, r: int) -> tuple[int, ...] | None:
         return None  # every element preserves the one 1-coloring
     if G.order() <= _ELEM_CAP:
         tables = _coloring_tables(n, _prime_order_elements(G, _ELEM_CAP))
-        return _verified_rigid_coloring(G, r, tables, _orbit_leaders(G))
+        return _verified_rigid_coloring(G, r, tables, orbit_leaders(G))
     rng = random.Random(_PROBE_SEED)
     tried = set()
     for _ in range(_WITNESS_TRIES):

@@ -655,7 +655,19 @@ class PermGroup:
                 children, prefix + (point,), weight * len(orb))
 
 
-# -- backtrack search for a color-preserving element ----------------------
+# -- chain walks of the coloring searches ----------------------------------
+
+
+def orbit_leaders(G: PermGroup) -> list[list[int]]:
+    """For each point j, the points i < j whose basic orbit holds j in the
+    chain on base 0, 1, ..., n - 1: the orbit of i under the pointwise
+    stabilizer of 0..i-1. One hinted run, stopped at |G| once it is known."""
+    leaders: list[list[int]] = [[] for _ in range(G.degree)]
+    for i, lvl in enumerate(G.chain(base_hint=range(G.degree)).levels):
+        for j in lvl.orbit:
+            if j != i:
+                leaders[j].append(i)
+    return leaders
 
 
 def _has_preserving_element(G: PermGroup, coloring: Sequence[int]) -> bool:

@@ -187,6 +187,55 @@ def test_bounds_rejects_a_params_key_it_does_not_read(capsys):
     assert "delat" in err and err.count("\n") == 1
 
 
+def test_bounds_thm13_needs_every_key(capsys):
+    # c and delta once defaulted to 0 and 1, so this checked delta = 1
+    code, out, err = run(capsys, "bounds", "--check", "thm13", "--recipe", S5,
+                         "--params", '{"d": 73}')
+    assert code == 3 and out == ""
+    assert err == "error: KeyError: 'c'\n"
+
+
+def test_bounds_unknown_check_lists_the_checks(capsys):
+    from permres.bounds import CHECKS
+
+    code, out, err = run(capsys, "bounds", "--check", "thm-13")
+    assert code == 3 and out == "" and err.count("\n") == 1
+    assert all(name in err for name in CHECKS)
+
+
+# check -> (params, the CLI document, the manifest op's value); both front
+# ends reach the library through bounds.evaluate
+_SAME_BOUNDS = {
+    "lemma22": ({"d": 6}, {"verdict": "holds"}, "holds"),
+    "thm13": ({"c": 0, "d": 73, "delta": 1}, {"verdict": "holds"}, "holds"),
+    "formula": ({"name": "diag_bound", "params": {"k": 2, "t_order": 60}, "measured": 9},
+                {"bound": 4, "verdict": "fails"}, {"value": 4, "verdict": "fails"}),
+    "threshold-m": ({"eps": "1"}, {"M": 21}, 21),
+    "threshold-n": ({"c": 1, "delta": "1"}, {"N": 39}, 39),
+}
+
+
+@pytest.mark.parametrize("name", _SAME_BOUNDS)
+def test_bounds_verb_and_manifest_op_agree(capsys, monkeypatch, name):
+    from permres import bounds, manifest
+
+    params, doc, value = _SAME_BOUNDS[name]
+    calls, evaluate = [], bounds.evaluate
+
+    def spy(check, p, group=None):
+        calls.append(check)
+        return evaluate(check, p, group)
+
+    monkeypatch.setattr(bounds, "evaluate", spy)
+    monkeypatch.setattr(manifest, "evaluate", spy)
+    _, out, _ = run(capsys, "bounds", "--check", name, "--recipe", S5,
+                    "--params", json.dumps(params), "--json")
+    assert json.loads(out).items() >= doc.items()
+    op = manifest.OPS[name][0]
+    assert op(manifest.construct_recipe(json.loads(S5)), params) == value
+    assert calls == [name, name]
+
+
 def test_bounds_rejects_a_c_that_is_not_an_integer(capsys):
     # the threshold once came out as 53 from a float power of 3/5
     code, out, err = run(capsys, "bounds", "--check", "threshold-n",
@@ -306,10 +355,14 @@ def test_bundled_corpus_is_reachable():
     '{"kind": "symmetric", "m": true}',
     '{"kind": "subsets", "m": 5, "k": true}',
     '{"kind": "classical", "family": "GL", "m": 2, "q": 3.0}',
+    # read by truthiness, "no" built the swap (order 7200) and A5
+    '{"kind": "diagonal", "factor": {"kind": "alternating", "m": 5}, "swap": "no"}',
+    '{"kind": "subsets", "m": 5, "k": 2, "alt": "no"}',
 ], ids=["string-m", "entry-out-of-field", "ragged-matrix", "outer-degree",
         "subgroup-not-object", "negative-m", "zero-m", "zero-matrix-m",
         "zero-block-size", "float-degree-and-images", "string-degree",
-        "string-image", "bool-m", "bool-k", "float-q"])
+        "string-image", "bool-m", "bool-k", "float-q",
+        "string-swap", "string-alt"])
 def test_ill_typed_recipe_exits_three(capsys, recipe):
     code, out, err = run(capsys, "describe", "--recipe", recipe, "--json")
     assert code == 3 and out == ""

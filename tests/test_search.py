@@ -21,7 +21,6 @@ from permres.search import (
     BaseWitness,
     RegularCount,
     _coloring_tables,
-    _orbit_leaders,
     _prime_order_elements,
     _rigid_coloring_dfs,
     base_lower_bound,
@@ -33,7 +32,7 @@ from permres.search import (
     stabilizer_scan,
     verify_distinguishing,
 )
-from permres.stabchain import PermGroup, ResourceLimit, StabilizerChain
+from permres.stabchain import PermGroup, ResourceLimit, StabilizerChain, orbit_leaders
 
 
 @pytest.fixture(scope="module")
@@ -573,7 +572,7 @@ def test_lex_leader_cut_finds_first_rigid_coloring(name):
     G = build()
     n = G.degree
     tables = _coloring_tables(n, _prime_order_elements(G, 10 ** 6))
-    leaders = _orbit_leaders(G)
+    leaders = orbit_leaders(G)
     got = [_rigid_coloring_dfs(r, tables, leaders) for r in range(1, number + 1)]
     assert got == [first_rigid_coloring(G, r) for r in range(1, number + 1)]
     assert got[:-1] == [None] * (number - 1) and got[-1] is not None
@@ -607,7 +606,7 @@ def test_lex_leader_cut_pins_frames():
     G = construct_recipe(ORACLE_RECIPES["affine16"]).group
     n = G.degree
     tables = _coloring_tables(n, _prime_order_elements(G, 10 ** 6))
-    assert _rigid_coloring_dfs(2, tables, Counted(_orbit_leaders(G))) is None
+    assert _rigid_coloring_dfs(2, tables, Counted(orbit_leaders(G))) is None
     cut, Counted.reads = Counted.reads, 0
     assert _rigid_coloring_dfs(2, tables, Counted([()] * n)) is None
     assert cut <= 3000 and Counted.reads == 14527

@@ -855,3 +855,21 @@ def test_known_order_is_not_kept_for_extend():
     assert chain.extend(outside)
     chain.verify()
     assert chain.order() == StabilizerChain(6, G.gens + [outside]).order() == 720
+
+
+def test_only_stabchain_reads_chain_levels():
+    # a chain's layout may change inside stabchain alone: no other module
+    # reads its levels or their transversals
+    import ast
+    from pathlib import Path
+
+    import permres.stabchain
+
+    readers = []
+    for path in sorted(Path(permres.stabchain.__file__).parent.glob("*.py")):
+        if path.name == "stabchain.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("levels", "transversal"):
+                readers.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert not readers, readers

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .fq import ceil_log, require_int
+from .fq import ceil_log, require_int, require_keys
 
 if TYPE_CHECKING:
     from .stabchain import PermGroup
@@ -370,10 +370,7 @@ def evaluate(name: str, params: dict, group: PermGroup | None = None):
     read ValueError: no key has a default."""
     if name not in CHECKS:
         raise ValueError(f"unknown bounds check {name!r}; have {', '.join(CHECKS)}")
-    unread = sorted(set(params).difference(CHECKS[name]))
-    if unread:
-        raise ValueError(f"unknown params key {', '.join(map(repr, unread))} for bounds "
-                         f"check {name}, which reads {', '.join(CHECKS[name])}")
+    require_keys(params, CHECKS[name], f"bounds check {name}")
     if name == "threshold-m":
         return m_epsilon(params["eps"])
     if name == "threshold-n":

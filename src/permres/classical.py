@@ -4,15 +4,15 @@ Each family comes with its order formula; the formula is the contract and
 the generator recipe is replaceable. Recipes: elementary transvections and
 a signed cycle for SL/GL; symplectic transvections along a small set of
 directions plus a pair cycle for Sp; unitary transvections with trace-zero
-parameters plus a torus element for SU; reflection or orthogonal-transvection
-pools for GO in odd and even characteristic; and for odd-dimension GO in
-characteristic 2 the unique isometric lifts of the symplectic generators.
+parameters plus a torus element for SU; Eichler transformations along one
+hyperbolic pair plus one or two reflections for GO; and for odd-dimension
+GO in characteristic 2 the unique isometric lifts of the symplectic
+generators.
 Orders are validated downstream through faithful permutation actions.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .fq import (
@@ -194,34 +194,34 @@ def _su_generators(field: FqField, form: FormSpec, m: int, q0: int) -> list[FqMa
     return gens
 
 
-def _orthogonal_pool(field: FqField, form: FormSpec, m: int) -> list[tuple[int, ...]]:
-    """All nonsingular vectors up to scalars; requires q^m <= 4096."""
-    q = field.q
-    if q ** m > 4096:
-        raise ValueError(f"orthogonal recipe needs q^m <= 4096, got {q}^{m}")
-    pool = []
-    for v in itertools.product(range(q), repeat=m):
-        if not any(v):
-            continue
-        first = next(x for x in v if x)
-        if first != 1:
-            continue  # projective representative
-        if form.quad_value(v) != 0:
-            pool.append(v)
-    return pool
+def _eichler(field: FqField, form: FormSpec, u, v) -> FqMatrix:
+    # x -> x + B(x, u) v - (B(x, v) + Q(v) B(x, u)) u ; an isometry of the
+    # quadratic form when u is singular and v is orthogonal to u
+    m = form.dim
+    qv = form.quad_value(v)
+    rows = []
+    for i in range(m):
+        e = _basis(m, i)
+        bu = form.bilinear(e, u)
+        coef = field.neg(field.add(form.bilinear(e, v), field.mul(qv, bu)))
+        rows.append(field.vec_add(field.vec_add(e, field.vec_scale(bu, v)),
+                                  field.vec_scale(coef, u)))
+    return FqMatrix(field, rows)
 
 
 def _go_generators(field: FqField, form: FormSpec, m: int) -> list[FqMatrix]:
-    gens = [_transvection(field, form, v, field.neg(field.inv(form.quad_value(v))))
-            for v in _orthogonal_pool(field, form, m)]
-    n = m // 2
-    if field.p == 2 and m % 2 == 0 and n >= 2 and form.kind == "quadratic-plus":
-        # transvections alone fall short for the smallest plus-type space;
-        # swapping two hyperbolic pairs is always an isometry of this layout
-        images = [_basis(m, i) for i in range(m)]
-        images[0], images[1] = images[1], images[0]
-        images[n], images[n + 1] = images[n + 1], images[n]
-        gens.append(FqMatrix(field, images))
+    # the Eichler transformations along one hyperbolic pair (e, f), with v
+    # running over an F_p-basis of <e, f>^perp, generate Omega (Taylor 1992,
+    # Ch. 11); the reflections in e + f and, for odd q, in e + zeta f add the
+    # determinant and the spinor norm
+    fi = m // 2 - 1 if form.kind == "quadratic-minus" else m // 2
+    e, f = _basis(m, 0), _basis(m, fi)
+    scalars = [field.pow(field.primitive, s) for s in range(field.k)]
+    gens = [_eichler(field, form, u, field.vec_scale(a, _basis(m, i)))
+            for u in (e, f) for i in range(1, m) if i != fi for a in scalars]
+    for c in (1,) if field.p == 2 else (1, field.primitive):
+        w = field.vec_add(e, field.vec_scale(c, f))
+        gens.append(_transvection(field, form, w, field.neg(field.inv(form.quad_value(w)))))
     return gens
 
 
@@ -250,8 +250,7 @@ def classical_generators(family: str, m: int, q: int) -> MatrixGroup:
 
     Supported: families in FAMILIES, 2 <= m <= 12, q <= 9 a prime power
     (SU works inside the degree-2 extension, so its field is q^2 <= 81).
-    Orthogonal recipes additionally need q^m <= 4096 to enumerate their
-    reflection pools, except odd dimension in characteristic 2.
+    GO+ and GO- need even m >= 4, GO-odd odd m >= 3, and Sp even m.
     """
     if family not in FAMILIES:
         raise ValueError(f"unsupported family {family!r}")

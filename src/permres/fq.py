@@ -47,6 +47,16 @@ def require_int(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
+def require_keys(params, keys, reader: str) -> None:
+    """Raise ValueError naming each key of params outside keys; reader
+    names what reads them, as in "op order"."""
+    unread = sorted(set(params).difference(keys))
+    if unread:
+        reads = ", ".join(sorted(keys)) or "no params"
+        raise ValueError(f"unknown params key {', '.join(map(repr, unread))} "
+                         f"for {reader}, which reads {reads}")
+
+
 def ceil_log(base: int, x: int) -> int:
     """min t with base**t >= x, by integer powering only."""
     if base < 2:

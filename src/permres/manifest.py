@@ -50,6 +50,7 @@ from typing import Any, Callable
 from . import __version__
 from .bounds import CHECKS, evaluate
 from .constructions import LabeledAction
+from .fq import require_keys
 from .recipes import (
     _BUILT,
     ManifestError,
@@ -382,11 +383,7 @@ def run_check(chk: dict, budget_ms: int | None = None) -> CheckResult:
         try:
             clock.check()
             run, keys = OPS[op]
-            unread = sorted(set(params).difference(keys))
-            if unread:
-                reads = ", ".join(sorted(keys)) or "no params"
-                raise ManifestError(f"unknown params key {', '.join(map(repr, unread))} "
-                                    f"for op {op}, which reads {reads}")
+            require_keys(params, keys, f"op {op}")
             measured = run(act, params)
         except ResourceLimit as e:
             results.append(AssertionResult(op, expected, None, None, describe_error(e)))

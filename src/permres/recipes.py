@@ -215,6 +215,8 @@ def _build_recipe(recipe: dict) -> LabeledAction:
         return _bounded(_as_action(PermGroup(m, [rot, ref], label=f"D{m}")), 2 * m)
     if kind == "perm-generators":
         (degree,) = _counts(recipe, "degree")
+        if degree < 1:
+            raise ConstructionError("perm-generators needs degree >= 1")
         (gens,) = _need(recipe, "generators")
         if not isinstance(gens, list) or not all(
                 isinstance(images, list) and len(images) == degree for images in gens):

@@ -85,6 +85,15 @@ MEASURED = [
     ("GO-odd", 3, 5),
     ("GO-odd", 5, 2),
     ("GO-odd", 7, 2),
+    ("GO+", 8, 2),
+    ("GO-", 8, 2),
+    ("GO+", 6, 3),
+    ("GO-", 6, 3),
+    ("GO+", 4, 7),
+    ("GO-", 4, 7),
+    ("GO-odd", 5, 5),
+    ("GO+", 4, 9),
+    ("GO-", 4, 9),
 ]
 
 
@@ -128,7 +137,8 @@ def test_form_identity_exhaustive_quadratic():
     import itertools
 
     for family, m, q in [("GO+", 6, 2), ("GO-", 6, 2), ("GO-odd", 7, 2),
-                         ("GO+", 4, 3), ("GO-", 4, 3), ("GO-odd", 5, 3)]:
+                         ("GO+", 4, 3), ("GO-", 4, 3), ("GO-odd", 5, 3),
+                         ("GO+", 4, 4), ("GO-", 4, 4)]:
         grp = classical_generators(family, m, q)
         form = grp.form
         assert q ** m <= 2 ** 16
@@ -136,6 +146,17 @@ def test_form_identity_exhaustive_quadratic():
             qv = form.quad_value(v)
             for M in grp.matrices:
                 assert form.quad_value(M.apply(v)) == qv
+
+
+@pytest.mark.parametrize("family,m,q", [
+    ("GO+", 4, 2), ("GO-", 6, 4), ("GO+", 8, 2), ("GO-", 12, 2),
+    ("GO-odd", 3, 3), ("GO-odd", 7, 3), ("GO+", 4, 9), ("GO-", 8, 9),
+])
+def test_orthogonal_generator_count_is_linear(family, m, q):
+    # two Eichler families of (m - 2) k each, one reflection for even q and
+    # two for odd q; q^m is no bound, so GO-(8,9) builds too
+    grp = classical_generators(family, m, q)
+    assert len(grp.matrices) == 2 * (m - 2) * grp.field.k + (1 if q % 2 == 0 else 2)
 
 
 def test_form_identity_bilinear_sampled():
@@ -176,7 +197,6 @@ def test_gl_contains_nontrivial_determinant():
     ("GO+", 5, 2),       # odd dimension
     ("GO+", 2, 3),       # too small for the orthogonal recipes
     ("GO-odd", 6, 3),    # even dimension
-    ("GO+", 8, 3),       # 3^8 too large for the reflection pool
 ])
 def test_unsupported_triples_raise(family, m, q):
     with pytest.raises(ValueError):

@@ -358,11 +358,14 @@ def test_bundled_corpus_is_reachable():
     # read by truthiness, "no" built the swap (order 7200) and A5
     '{"kind": "diagonal", "factor": {"kind": "alternating", "m": 5}, "swap": "no"}',
     '{"kind": "subsets", "m": 5, "k": 2, "alt": "no"}',
+    # built a group of that degree and printed it
+    '{"kind": "perm-generators", "degree": -1, "generators": []}',
+    '{"kind": "perm-generators", "degree": 0, "generators": []}',
 ], ids=["string-m", "entry-out-of-field", "ragged-matrix", "outer-degree",
         "subgroup-not-object", "negative-m", "zero-m", "zero-matrix-m",
         "zero-block-size", "float-degree-and-images", "string-degree",
         "string-image", "bool-m", "bool-k", "float-q",
-        "string-swap", "string-alt"])
+        "string-swap", "string-alt", "negative-degree", "zero-degree"])
 def test_ill_typed_recipe_exits_three(capsys, recipe):
     code, out, err = run(capsys, "describe", "--recipe", recipe, "--json")
     assert code == 3 and out == ""

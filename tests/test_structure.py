@@ -525,6 +525,19 @@ def test_identify_unresolved_pair():
     assert identify_simple(4585351680) is None
 
 
+@pytest.mark.parametrize("recipe,expected", [
+    ({"kind": "classical", "family": "Sp", "m": 6, "q": 3, "space": "subspace", "k": 1},
+     ["?4585351680"]),
+    ({"kind": "classical", "family": "GO-odd", "m": 7, "q": 3, "space": "subspace", "k": 1,
+      "filter": "totally-isotropic"}, ["C2", "?4585351680"]),
+], ids=["Sp-6-3", "GO-odd-7-3"])
+def test_the_unresolved_order_pair_on_364_points(recipe, expected):
+    # S6(3) and O7(3) share their order, so each comes back unknown
+    G = construct_recipe(recipe).group
+    assert G.degree == 364
+    assert [f.name for f in composition_factors(G)] == expected
+
+
 def test_identify_alt8_from_group():
     G = PermGroup.alternating(8)
     assert identify_simple(20160, lambda k: structure._has_element_of_order(G, k)) == "A8"

@@ -27,14 +27,11 @@ def _read_recipe(text: str) -> dict:
         except OSError as e:
             raise ValueError(f"cannot read recipe file: {e}") from None
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ValueError(
             f"recipe is not valid JSON (line {e.lineno} column {e.colno}: "
             f"{e.msg})") from None
-    if not isinstance(doc, dict):
-        raise ValueError("recipe must be a JSON object")
-    return doc
 
 
 def _emit(doc: dict, as_json: bool) -> None:

@@ -126,7 +126,7 @@ def matrix_orbit_action(grp: MatrixGroup, seed=None, kind: str = "vector",
     """Orbit of a vector or a subspace under the matrix generators.
 
     kind "vector": labels are row vectors, seed defaults to e_0 and may
-    not be the zero vector.
+    not be the zero vector; a k is refused.
     kind "subspace": labels are canonical subspaces, seed defaults to the
     span of the first k standard basis vectors; k must lie in 1..m-1 and
     a seed must span neither 0 nor all of F_q^m.
@@ -145,6 +145,8 @@ def matrix_orbit_action(grp: MatrixGroup, seed=None, kind: str = "vector",
             raise ConstructionError(
                 f"seed must be {shape} of {m} entries in 0..{field.q - 1}")
     if kind == "vector":
+        if k is not None:
+            raise ConstructionError(f"space vector takes no k, got {k!r}")
         if seed is None:
             seed = tuple(1 if i == 0 else 0 for i in range(m))
         else:
@@ -167,7 +169,7 @@ def matrix_orbit_action(grp: MatrixGroup, seed=None, kind: str = "vector",
                 f"subspace seed spans dimension {seed.dim}, not one in 1..{m - 1}")
         act = _subspace_act(field)
     else:
-        raise ConstructionError(f"unknown kind {kind!r}")
+        raise ConstructionError(f"unknown space {kind!r}")
     _check_seed_filter(grp, seed, kind, flt)
     return _orbit_action(seed, grp.matrices, act, label=grp.label)
 

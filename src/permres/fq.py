@@ -50,7 +50,8 @@ def require_int(name: str, value) -> None:
 def require_keys(params, keys, reader: str) -> None:
     """Raise ValueError naming each key of params outside keys; reader
     names what reads them, as in "op order"."""
-    unread = sorted(set(params).difference(keys))
+    # by repr, as str and int keys do not compare
+    unread = sorted(set(params).difference(keys), key=repr)
     if unread:
         reads = ", ".join(sorted(keys)) or "no params"
         raise ValueError(f"unknown params key {', '.join(map(repr, unread))} "

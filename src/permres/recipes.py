@@ -32,7 +32,7 @@ from .constructions import (
     wreath_imprimitive,
     wreath_product_action,
 )
-from .fq import require_int
+from .fq import require_int, require_keys
 from .perm import Perm
 from .stabchain import PermGroup, ResourceLimit
 
@@ -76,79 +76,87 @@ def _sym_order(m: int, alt: bool) -> int:
     return max(1, n // 2) if alt else n
 
 
-def _need(recipe: dict, *keys: str) -> list:
-    missing = [k for k in keys if k not in recipe]
+# kind -> (keys it needs, keys it may also read); any other key is bad
+# input. A matrix kind's action keys are read by _matrix_action only.
+_ACTION = ("space", "seed", "k", "filter")
+KINDS = {
+    "symmetric": (("m",), ()),
+    "alternating": (("m",), ()),
+    "cyclic": (("m",), ()),
+    "dihedral": (("m",), ()),
+    "perm-generators": (("degree", "generators"), ("label", "point-labels")),
+    "classical": (("family", "m", "q"), _ACTION),
+    "matrix-generators": (("m", "q", "matrices"), ("label",) + _ACTION),
+    "affine": (("family", "m", "q"), ()),
+    "coset": (("group", "subgroup"), ()),
+    "subsets": (("m", "k"), ("alt",)),
+    "partitions": (("m", "k"), ("alt",)),
+    "wreath": (("inner", "outer", "action"), ()),
+    "diagonal": (("factor",), ("swap", "outer")),
+}
+_MATRIX_KINDS = ("classical", "matrix-generators")
+
+
+def _check_recipe(recipe, skip: tuple = ()) -> str:
+    # the kind, once the keys match KINDS less skip, the counts are ints (a
+    # bool is not one) and the flags are JSON booleans ("no" once meant yes)
+    if not isinstance(recipe, dict) or "kind" not in recipe:
+        raise ConstructionError("recipe must be an object with a 'kind'")
+    kind = recipe["kind"]
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ConstructionError(f"unknown recipe kind {kind!r}")
+    need, may = KINDS[kind]
+    missing = [k for k in need if k not in recipe]
     if missing:
-        raise ConstructionError(
-            f"recipe kind {recipe.get('kind')!r} needs {', '.join(missing)}")
-    return [recipe[k] for k in keys]
-
-
-def _counts(recipe: dict, *keys: str) -> list:
-    # counts (m, k, q, a degree) must be ints, and a bool is not one
-    values = _need(recipe, *keys)
-    for key, value in zip(keys, values):
-        require_int(key, value)
-    return values
-
-
-def _flag(recipe: dict, key: str, default: bool) -> bool:
-    # flags must be JSON booleans: read by truthiness, "no" meant yes
-    value = recipe.get(key, default)
-    if not isinstance(value, bool):
-        raise ConstructionError(f"{key} must be true or false, not {value!r}")
-    return value
+        raise ConstructionError(f"recipe kind {kind!r} needs {', '.join(missing)}")
+    require_keys(recipe, {"kind", *need, *may}.difference(skip),
+                 f"recipe kind {kind!r}")
+    for key in ("m", "k", "q", "degree"):
+        if key in recipe:
+            require_int(key, recipe[key])
+            if key in ("m", "degree") and recipe[key] < 1:
+                raise ConstructionError(f"{kind} needs {key} >= 1")
+    for key in ("alt", "swap"):
+        if not isinstance(recipe.get(key, False), bool):
+            raise ConstructionError(f"{key} must be true or false, not {recipe[key]!r}")
+    return kind
 
 
 def _matrix_group(recipe: dict) -> MatrixGroup:
-    from .classical import FAMILIES, MatrixGroup, classical_generators
+    # a checked classical, affine or matrix-generators recipe's matrices
+    from .classical import MatrixGroup, classical_generators
     from .fq import FqField, FqMatrix
 
-    kind = recipe["kind"]
-    if kind == "classical":
-        (family,) = _need(recipe, "family")
-        m, q = _counts(recipe, "m", "q")
-        if family not in FAMILIES:
-            raise ConstructionError(f"unknown family {family!r}")
-        return classical_generators(family, m, q)
-    if kind == "matrix-generators":
-        m, q = _counts(recipe, "m", "q")
-        (mats,) = _need(recipe, "matrices")
-        if m < 1:
-            raise ConstructionError("matrix-generators needs m >= 1")
-        fld = FqField.of(q)
-        for rows in mats:
-            if not (isinstance(rows, list) and len(rows) == m and all(
-                    isinstance(row, list) and len(row) == m
-                    and all(isinstance(x, int) and 0 <= x < q for x in row)
-                    for row in rows)):
-                raise ConstructionError(
-                    f"each matrix must be {m}x{m} with entries in 0..{q - 1}")
-        return MatrixGroup(family=recipe.get("label", "custom"), m=m, q=q,
-                           field=fld,
-                           matrices=[FqMatrix(fld, rows) for rows in mats],
-                           form=None, abstract_order=0)
-    raise ConstructionError(f"recipe kind {kind!r} does not define matrices")
+    m, q = recipe["m"], recipe["q"]
+    if recipe["kind"] != "matrix-generators":
+        return classical_generators(recipe["family"], m, q)
+    fld, mats = FqField.of(q), recipe["matrices"]
+    if not isinstance(mats, list) or not all(
+            isinstance(rows, list) and len(rows) == m and all(
+                isinstance(row, list) and len(row) == m
+                and all(isinstance(x, int) and 0 <= x < q for x in row)
+                for row in rows)
+            for rows in mats):
+        raise ConstructionError(
+            f"each matrix must be {m}x{m} with entries in 0..{q - 1}")
+    return MatrixGroup(family=recipe.get("label", "custom"), m=m, q=q, field=fld,
+                       matrices=[FqMatrix(fld, rows) for rows in mats],
+                       form=None, abstract_order=0)
 
 
 def _matrix_action(recipe: dict) -> LabeledAction:
     from .classical import scalar_kernel_order
 
     grp = _matrix_group(recipe)
-    space, seed = recipe.get("space", "vector"), recipe.get("seed")
+    space = recipe.get("space", "vector")
+    act = matrix_orbit_action(grp, seed=recipe.get("seed"), kind=space,
+                              flt=recipe.get("filter", "all"), k=recipe.get("k"))
     # matrix-generators know no order (abstract_order 0); scalars act
     # trivially on subspaces
     order = grp.abstract_order or None
-    if space == "vector":
-        return _bounded(matrix_orbit_action(grp, seed=seed, kind="vector"), order)
-    if space == "subspace":
-        if "k" in recipe:
-            require_int("k", recipe["k"])
-        act = matrix_orbit_action(grp, seed=seed,
-                                  kind="subspace", k=recipe.get("k"),
-                                  flt=recipe.get("filter", "all"))
-        return _bounded(act, order and order // scalar_kernel_order(grp))
-    raise ConstructionError(f"unknown space {space!r}")
+    if order and space == "subspace":
+        order //= scalar_kernel_order(grp)
+    return _bounded(act, order)
 
 
 # recipe JSON text -> action built from it, kept only when the build
@@ -159,10 +167,13 @@ _BUILT: ContextVar[dict | None] = ContextVar("_BUILT", default=None)
 def construct_recipe(recipe: dict) -> LabeledAction:
     """Build the labeled permutation action a recipe describes.
 
-    Matrix-flavored kinds accept "space": "vector" or "subspace" (with "k"
-    and "filter"). A coset recipe whose subgroup is also matrix-flavored
-    over the same field embeds the subgroup's matrices through the parent
-    action instead of building a second, unrelated action.
+    KINDS states the keys each kind needs and may also read; any other
+    key, a count that is not an int and a flag that is not a bool raise
+    ValueError. Matrix-flavored kinds accept "space": "vector" or
+    "subspace", "seed", "filter", and "k" on subspaces. A coset recipe
+    whose subgroup is also matrix-flavored over the same field embeds the
+    subgroup's matrices, which take none of those keys, through the
+    parent action instead of building a second, unrelated action.
 
     Every kind but perm-generators and matrix-generators sets the group's
     order_bound, which stops its first chain. The rule that keeps this
@@ -191,14 +202,7 @@ def construct_recipe(recipe: dict) -> LabeledAction:
 
 
 def _build_recipe(recipe: dict) -> LabeledAction:
-    if not isinstance(recipe, dict) or "kind" not in recipe:
-        raise ConstructionError("recipe must be an object with a 'kind'")
-    kind = recipe["kind"]
-
-    if kind in ("symmetric", "alternating", "cyclic"):
-        (m,) = _counts(recipe, "m")
-        if m < 1:
-            raise ConstructionError(f"{kind} needs m >= 1")
+    kind, m = _check_recipe(recipe), recipe.get("m")
     if kind == "symmetric":
         return _bounded(_as_action(PermGroup.symmetric(m)), _sym_order(m, False))
     if kind == "alternating":
@@ -207,17 +211,13 @@ def _build_recipe(recipe: dict) -> LabeledAction:
         g = Perm(list(range(1, m)) + [0])
         return _bounded(_as_action(PermGroup(m, [g], label=f"C{m}")), m)
     if kind == "dihedral":
-        (m,) = _counts(recipe, "m")
         if m < 3:
             raise ConstructionError("dihedral needs m >= 3")
         rot = Perm(list(range(1, m)) + [0])
         ref = Perm([(m - i) % m for i in range(m)])
         return _bounded(_as_action(PermGroup(m, [rot, ref], label=f"D{m}")), 2 * m)
     if kind == "perm-generators":
-        (degree,) = _counts(recipe, "degree")
-        if degree < 1:
-            raise ConstructionError("perm-generators needs degree >= 1")
-        (gens,) = _need(recipe, "generators")
+        degree, gens = recipe["degree"], recipe["generators"]
         if not isinstance(gens, list) or not all(
                 isinstance(images, list) and len(images) == degree for images in gens):
             raise ConstructionError(f"generators must be lists of {degree} images")
@@ -226,18 +226,18 @@ def _build_recipe(recipe: dict) -> LabeledAction:
                 require_int("a generator image", x)
         return _as_action(PermGroup(degree, [Perm(images) for images in gens],
                                     label=recipe.get("label")))
-    if kind in ("classical", "matrix-generators"):
+    if kind in _MATRIX_KINDS:
         return _matrix_action(recipe)
     if kind == "affine":
-        grp = _matrix_group(dict(recipe, kind="classical"))
+        grp = _matrix_group(recipe)
         return _bounded(affine_action(grp), grp.field.q ** grp.m * grp.abstract_order)
     if kind == "coset":
-        parent_recipe, sub_recipe = _need(recipe, "group", "subgroup")
-        if not isinstance(sub_recipe, dict):
-            raise ConstructionError("coset subgroup must be an object")
+        parent_recipe, sub_recipe = recipe["group"], recipe["subgroup"]
         parent = construct_recipe(parent_recipe)
-        if (sub_recipe.get("kind") in ("classical", "matrix-generators")
-                and parent_recipe.get("kind") in ("classical", "matrix-generators")):
+        if (parent_recipe["kind"] in _MATRIX_KINDS and isinstance(sub_recipe, dict)
+                and sub_recipe.get("kind") in _MATRIX_KINDS):
+            # the subgroup's matrices act through the parent's action
+            _check_recipe(sub_recipe, skip=_ACTION)
             sub_mats = _matrix_group(sub_recipe)
             H = PermGroup(parent.degree,
                           [parent.perm_of(M) for M in sub_mats.matrices],
@@ -249,31 +249,29 @@ def _build_recipe(recipe: dict) -> LabeledAction:
         # the action on cosets is an image of the parent
         return _bounded(coset_action(parent.group, H), parent.group.order_bound)
     if kind in ("subsets", "partitions"):
-        m, k = _counts(recipe, "m", "k")
-        alt = _flag(recipe, "alt", False)
+        alt = recipe.get("alt", False)
         build = subsets_action if kind == "subsets" else partitions_action
-        return _bounded(build(m, k, alt=alt), _sym_order(m, alt))
+        return _bounded(build(m, recipe["k"], alt=alt), _sym_order(m, alt))
     if kind == "wreath":
-        inner, outer, act = _need(recipe, "inner", "outer", "action")
-        L = construct_recipe(inner).group
-        P = construct_recipe(outer).group
-        if act == "imprimitive":
+        L = construct_recipe(recipe["inner"]).group
+        P = construct_recipe(recipe["outer"]).group
+        if recipe["action"] == "imprimitive":
             built = wreath_imprimitive(L, P)
-        elif act == "product":
+        elif recipe["action"] == "product":
             built = wreath_product_action(L, P)
         else:
-            raise ConstructionError(f"unknown wreath action {act!r}")
+            raise ConstructionError(f"unknown wreath action {recipe['action']!r}")
         return _bounded(built, L.order() ** P.degree * P.order())
-    if kind == "diagonal":
-        (factor,) = _need(recipe, "factor")
-        T = construct_recipe(factor).group
-        swap, outer = _flag(recipe, "swap", True), recipe.get("outer")
-        outer = Perm(list(outer)) if outer is not None else None
-        built = diagonal_type_group(T, include_swap=swap, outer=outer)
-        # T x T is normal; the swap and the outer map commute modulo it
-        return _bounded(built, T.order() ** 2 * (2 if swap else 1)
-                        * (outer.order() if outer is not None else 1))
-    raise ConstructionError(f"unknown recipe kind {kind!r}")
+    # diagonal
+    T = construct_recipe(recipe["factor"]).group
+    swap, outer = recipe.get("swap", True), recipe.get("outer")
+    if outer is not None and not isinstance(outer, list):
+        raise ConstructionError(f"outer must be a list of images, not {outer!r}")
+    outer = Perm(outer) if outer is not None else None
+    built = diagonal_type_group(T, include_swap=swap, outer=outer)
+    # T x T is normal; the swap and the outer map commute modulo it
+    return _bounded(built, T.order() ** 2 * (2 if swap else 1)
+                    * (outer.order() if outer is not None else 1))
 
 
 # -- shared by the manifest runner and the CLI ------------------------------

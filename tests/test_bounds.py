@@ -437,3 +437,9 @@ def test_bounds_reject_counts_that_are_not_integers(call):
     # the float 630249409.72...
     with pytest.raises(ValueError, match="integer"):
         call()
+
+
+def test_unread_keys_of_mixed_types_are_named():
+    # the unread keys were sorted as they are, and str and int do not compare
+    with pytest.raises(ValueError, match=r"unknown params key 'x', 5 for bounds check"):
+        bounds.evaluate("threshold-m", {5: 1, "x": 2, "eps": "1"})

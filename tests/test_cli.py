@@ -361,15 +361,69 @@ def test_bundled_corpus_is_reachable():
     # built a group of that degree and printed it
     '{"kind": "perm-generators", "degree": -1, "generators": []}',
     '{"kind": "perm-generators", "degree": 0, "generators": []}',
+    # a key the kind does not read was ignored: one per kind
+    '{"kind": "symmetric", "m": 5, "n": 6}',
+    '{"kind": "alternating", "m": 5, "label": "A5"}',
+    '{"kind": "cyclic", "m": 5, "k": 2}',
+    '{"kind": "dihedral", "m": 5, "swap": false}',
+    '{"kind": "perm-generators", "degree": 3, "generators": [[1, 2, 0]], "labels": []}',
+    '{"kind": "classical", "family": "Sp", "m": 4, "q": 2, "spaec": "subspace"}',
+    '{"kind": "matrix-generators", "m": 2, "q": 2, "matrices": [[[0, 1], [1, 0]]],'
+    ' "family": "GL"}',
+    '{"kind": "affine", "family": "Sp", "m": 4, "q": 2, "space": "vector"}',
+    '{"kind": "coset", "group": {"kind": "symmetric", "m": 4},'
+    ' "subgroup": {"kind": "cyclic", "m": 4}, "action": "product"}',
+    '{"kind": "subsets", "m": 5, "k": 2, "swap": true}',
+    '{"kind": "partitions", "m": 6, "k": 2, "altt": true}',
+    '{"kind": "wreath", "inner": {"kind": "symmetric", "m": 3},'
+    ' "outer": {"kind": "symmetric", "m": 2}, "action": "imprimitive", "alt": true}',
+    '{"kind": "diagonal", "factor": {"kind": "alternating", "m": 5}, "inner": []}',
+    # built S5 (order 120), not A5
+    '{"kind": "symmetric", "m": 5, "alt": true}',
+    # the action keys of an embedded subgroup were dropped
+    '{"kind": "coset", "group": {"kind": "classical", "family": "Sp", "m": 6, "q": 2},'
+    ' "subgroup": {"kind": "classical", "family": "GO+", "m": 6, "q": 2,'
+    ' "space": "subspace", "k": 2}}',
+    '{"kind": ["symmetric"], "m": 5}',
+    # the filter of a vector space was dropped: GO+(4,3)'s e_0 is singular,
+    # and the seed [1, 0, 1, 0] is not isotropic
+    '{"kind": "classical", "family": "GO+", "m": 4, "q": 3, "filter": "nonsingular"}',
+    '{"kind": "classical", "family": "GO+", "m": 4, "q": 3, "seed": [1, 0, 1, 0],'
+    ' "filter": "totally-isotropic"}',
 ], ids=["string-m", "entry-out-of-field", "ragged-matrix", "outer-degree",
         "subgroup-not-object", "negative-m", "zero-m", "zero-matrix-m",
         "zero-block-size", "float-degree-and-images", "string-degree",
         "string-image", "bool-m", "bool-k", "float-q",
-        "string-swap", "string-alt", "negative-degree", "zero-degree"])
+        "string-swap", "string-alt", "negative-degree", "zero-degree",
+        "stray-symmetric", "stray-alternating", "stray-cyclic", "stray-dihedral",
+        "stray-perm-generators", "stray-classical", "stray-matrix-generators",
+        "stray-affine", "stray-coset", "stray-subsets", "stray-partitions",
+        "stray-wreath", "stray-diagonal", "symmetric-alt",
+        "coset-subgroup-space", "kind-list", "vector-filter-default-seed",
+        "vector-filter-seed"])
 def test_ill_typed_recipe_exits_three(capsys, recipe):
     code, out, err = run(capsys, "describe", "--recipe", recipe, "--json")
     assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_recipe_key_the_kind_does_not_read_is_named(capsys):
+    code, out, err = run(capsys, "order", "--recipe",
+                         '{"kind": "classical", "family": "Sp", "m": 4, "q": 2,'
+                         ' "spaec": "subspace"}')
+    assert code == 3 and out == ""
+    assert err == ("error: unknown params key 'spaec' for recipe kind 'classical', which "
+                   "reads family, filter, k, kind, m, q, seed, space\n")
+
+
+def test_a_vector_recipe_applies_its_filter(capsys):
+    # GO+(4,3) on the orbit of a nonsingular seed
+    code, out, _ = run(capsys, "describe", "--recipe",
+                       '{"kind": "classical", "family": "GO+", "m": 4, "q": 3,'
+                       ' "seed": [1, 0, 1, 0], "filter": "nonsingular"}', "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["degree"] == 24 and doc["order"] == 1152
 
 
 def test_missing_parameter_names_the_exception(capsys):

@@ -86,6 +86,13 @@ def test_vector_filter_rejects_unknown_name():
         matrix_orbit_action(grp, kind="vector", flt="nondegenerate-plus")
 
 
+def test_vector_kind_refuses_a_k():
+    # k chooses a subspace dimension; on vectors it was ignored
+    grp = classical_generators("GO-odd", 7, 2)
+    with pytest.raises(ConstructionError, match="takes no k"):
+        matrix_orbit_action(grp, kind="vector", k=2)
+
+
 def test_orbit_cap_enforced(monkeypatch):
     grp = classical_generators("SL", 4, 3)
     monkeypatch.setattr(constructions, "DEGREE_CAP", 50)

@@ -363,6 +363,8 @@ def test_ill_typed_recipes_fail_only_their_own_checks():
         {"kind": "alternating", "m": 0},
         {"kind": "matrix-generators", "m": 0, "q": 3, "matrices": [[]]},
         {"kind": "partitions", "m": 6, "k": 0},
+        {"kind": "matrix-generators", "m": 2, "q": 3, "matrices": 7},
+        {"kind": "diagonal", "factor": {"kind": "alternating", "m": 5}, "outer": 5},
     ]
     checks = [{"id": f"bad-{i}", "recipe": recipe,
                "assertions": [{"op": "order", "expect": 1, "tag": "direct"}]}
@@ -375,6 +377,22 @@ def test_ill_typed_recipes_fail_only_their_own_checks():
         assert c.error.startswith("construction: ") and "\n" not in c.error
         assert "Error" not in c.error, c.error
     assert rep.exit_code == 1
+
+
+def test_a_misspelt_recipe_key_fails_only_its_check():
+    # "spaec" once built Sp(4,2) on vectors; the manifest itself is valid
+    doc = {"schema": 1, "checks": [
+        {"id": "typo", "recipe": {"kind": "classical", "family": "Sp", "m": 4,
+                                  "q": 2, "spaec": "subspace", "k": 2},
+         "assertions": [{"op": "order", "expect": 720, "tag": "direct"}]},
+        {"id": "s4", "recipe": {"kind": "symmetric", "m": 4},
+         "assertions": [{"op": "order", "expect": 24, "tag": "direct"}]}]}
+    assert len(validate_manifest(doc)) == 2
+    typo, s4 = run_manifest(doc).checks
+    assert [typo.status, s4.status] == ["fail", "pass"]
+    assert typo.error == ("construction: unknown params key 'spaec' for recipe "
+                          "kind 'classical', which reads family, filter, k, kind, "
+                          "m, q, seed, space")
 
 
 def test_deep_search_passes_beside_other_checks():
@@ -709,7 +727,8 @@ def test_builds_are_fresh_outside_a_run():
 @pytest.mark.parametrize("recipe,cause", [
     ({"kind": "symmetric", "m": {1}}, "m must be an integer"),  # a set
     ({"kind": "symmetric", 5: "m"}, "recipe kind 'symmetric' needs m"),  # int and str keys
-], ids=["set-field", "mixed-keys"])
+    ({"kind": "symmetric", "m": 4, 5: 1, "x": 2}, "unknown params key 'x', 5 for recipe kind"),
+], ids=["set-field", "mixed-keys", "mixed-unread-keys"])
 def test_recipe_json_cannot_encode_fails_only_its_check(recipe, cause):
     rep = run_manifest({"schema": 1, "checks": [
         {"id": "bad", "recipe": recipe,

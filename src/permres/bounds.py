@@ -116,6 +116,8 @@ def formula_suite(name: str, params: dict, measured: int | None = None) -> Bound
         raise ValueError("params must be an object")
     for key, v in params.items():
         require_int(key, v)
+    if measured is not None:
+        require_int("measured", measured)
     value = _FORMULAS[name](**params)
     verdict = None
     if measured is not None:
@@ -229,11 +231,25 @@ def _m_threshold(base: Fraction, power: Fraction) -> int:
     return M
 
 
+def _positive_rational(name: str, value) -> Fraction:
+    """value, an int, a float or a string such as "1/4", as an exact
+    positive Fraction; anything else raises ValueError naming name."""
+    bad = ValueError(f"{name} must be a rational number, not {value!r}")
+    if isinstance(value, bool):  # true is no rational 1
+        raise bad
+    try:
+        r = Fraction(value)
+    except (TypeError, ValueError, ArithmeticError):
+        # a zero denominator is an input error, not a limit of the tool
+        raise bad from None
+    if r <= 0:
+        raise ValueError(f"{name} must be positive")
+    return r
+
+
 def m_epsilon(eps) -> int:
     """Least M >= 14 with m**(3/2) <= (1+eps)**(m/e - 1) for all m >= M."""
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = _positive_rational("eps", eps)
     return _m_threshold(1 + eps, Fraction(1))
 
 
@@ -251,11 +267,9 @@ def n_c_delta(c: int, delta) -> int:
     shrunk parameter stays symbolic as (1+delta) to a rational power, so
     every comparison below is still certified."""
     require_int("c", c)
-    delta = Fraction(delta)
     if c < 0:
         raise ValueError("c must be >= 0")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    delta = _positive_rational("delta", delta)
     return max(c, _m_threshold(1 + delta, Fraction(3, 5) ** c))
 
 
@@ -299,9 +313,7 @@ def thm13_compare(order: int, n: int, d: int, delta) -> BoundReport:
     The comparison multiplies through by e**(n-1): the power of e is the
     only non-rational factor, so its enclosure against an exact rational
     decides the verdict, at escalating precision."""
-    delta = Fraction(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    delta = _positive_rational("delta", delta)
     if order < 1 or n < 1 or d < 2:
         raise ValueError("need order, n >= 1 and d >= 2")
     params = {"d": d, "delta": str(delta), "degree": n}
@@ -329,9 +341,7 @@ def theorem13_check(G: PermGroup, c: int, d: int, delta) -> BoundReport:
     sections of degree >= d, and d clears the recursion threshold. An
     unresolved hypothesis raises ValueError, as a failing one does: an
     unknown section, or a scan that its node budget cut short."""
-    delta = Fraction(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    delta = _positive_rational("delta", delta)
     need = n_c_delta(c, delta)
     if d < need:
         raise ValueError(f"d = {d} is below the recursion threshold {need}")

@@ -2,12 +2,14 @@
 
 Each family comes with its order formula; the formula is the contract and
 the generator recipe is replaceable. Recipes: elementary transvections and
-a signed cycle for SL/GL; symplectic transvections along a small set of
-directions plus a pair cycle for Sp; unitary transvections with trace-zero
-parameters plus a torus element for SU; Eichler transformations along one
-hyperbolic pair plus one or two reflections for GO; and for odd-dimension
-GO in characteristic 2 the unique isometric lifts of the symplectic
-generators.
+a signed cycle for SL/GL; and for the forms one Eichler formula,
+x -> x + B(x, u) v - B(x, v) u + c B(x, u) u, whose v = 0 case is the
+transvection. Sp takes symplectic transvections along a small set of
+directions plus a pair cycle; GO and SU take the Eichler transformations
+along one hyperbolic pair, GO plus one or two reflections, SU plus the
+trace-zero transvections along the pair ((2m - 3) k generators over
+F_{q^2} = F_{p^k}); and odd-dimension GO in characteristic 2 takes the
+unique isometric lifts of the symplectic generators.
 Orders are validated downstream through faithful permutation actions.
 """
 
@@ -79,17 +81,26 @@ def _basis(m: int, i: int) -> tuple[int, ...]:
     return tuple(1 if j == i else 0 for j in range(m))
 
 
-def _transvection(field: FqField, form: FormSpec, v, a) -> FqMatrix:
-    # x -> x + a B(x, v) v ; preserves an alternating form for any v, a
-    # quadratic form when v is nonsingular and a = -Q(v)^-1 (the reflection
-    # in v; in characteristic 2 the orthogonal transvection), and a
-    # hermitian form when h(v, v) = 0 and a + conj(a) = 0
+def _eichler(field: FqField, form: FormSpec, u, v, c) -> FqMatrix:
+    # x -> x + B(x, u) v - B(x, v) u + c B(x, u) u, the one formula behind
+    # every generator that preserves a form. Let u be isotropic and v
+    # orthogonal to u, and write a = B(x, u), conjugation being the identity
+    # off the hermitian case. Then B(Tx, Ty) - B(x, y) =
+    # a conj(B(y, u)) (c + conj(c) + B(v, v)), so T is an isometry of a
+    # hermitian form exactly when c + conj(c) = -B(v, v); for a quadratic
+    # form Q(Tx) - Q(x) = a^2 (c + Q(v)), so c = -Q(v). With v = 0 it is the
+    # transvection x -> x + c B(x, u) u: an isometry of an alternating form
+    # for every c, of a hermitian form for trace-zero c, and for nonsingular
+    # u and c = -Q(u)^-1 the reflection in u (in characteristic 2 the
+    # orthogonal transvection)
     m = form.dim
     rows = []
     for i in range(m):
         e = _basis(m, i)
-        coef = field.mul(a, form.bilinear(e, v))
-        rows.append(field.vec_add(e, field.vec_scale(coef, v)))
+        bu = form.bilinear(e, u)
+        coef = field.sub(field.mul(c, bu), form.bilinear(e, v))
+        rows.append(field.vec_add(field.vec_add(e, field.vec_scale(bu, v)),
+                                  field.vec_scale(coef, u)))
     return FqMatrix(field, rows)
 
 
@@ -111,16 +122,16 @@ def _sl_generators(field: FqField, m: int) -> list[FqMatrix]:
 def _sp_generators(field: FqField, form: FormSpec, m: int) -> list[FqMatrix]:
     n = m // 2
     mu = field.primitive
-    e0, f0 = _basis(m, 0), _basis(m, n)
+    e0, f0, zero = _basis(m, 0), _basis(m, n), (0,) * m
     gens = []
     for s in range(field.k):
         a = field.pow(mu, s)
-        gens.append(_transvection(field, form, e0, a))
-        gens.append(_transvection(field, form, f0, a))
+        gens.append(_eichler(field, form, e0, zero, a))
+        gens.append(_eichler(field, form, f0, zero, a))
     if n >= 2:
         e1, f1 = _basis(m, 1), _basis(m, n + 1)
-        gens.append(_transvection(field, form, field.vec_add(e0, e1), 1))
-        gens.append(_transvection(field, form, field.vec_add(e0, f1), 1))
+        gens.append(_eichler(field, form, field.vec_add(e0, e1), zero, 1))
+        gens.append(_eichler(field, form, field.vec_add(e0, f1), zero, 1))
         images = []
         for i in range(n):
             images.append(_basis(m, (i + 1) % n))
@@ -130,98 +141,45 @@ def _sp_generators(field: FqField, form: FormSpec, m: int) -> list[FqMatrix]:
     return gens
 
 
-def _su_generators(field: FqField, form: FormSpec, m: int, q0: int) -> list[FqMatrix]:
-    # field is F_{q0^2}; trace-zero line located by search
-    kappa = next(a for a in range(1, field.q)
-                 if field.add(a, field.pow(a, q0)) == 0)
-    zeta = field.primitive
-    sigma = field.pow(zeta, q0 + 1)  # generates the subfield units
-    sub_deg = field.k // 2
-    skew = [field.mul(kappa, field.pow(sigma, s)) for s in range(sub_deg)]
-    full_basis = [field.pow(zeta, s) for s in range(field.k)]
-    ell = m // 2
-    e0, f0 = _basis(m, 0), _basis(m, ell)
-    gens = []
-    for a in skew:
-        gens.append(_transvection(field, form, e0, a))
-        gens.append(_transvection(field, form, f0, a))
-    if ell >= 2:
-        # GL(2)-block unipotents mixing the first two pairs carry the full
-        # field into the entries: e0 -> e0 + b e1, f1 -> f1 - conj(b) f0
-        for b in full_basis:
-            rows = [list(_basis(m, i)) for i in range(m)]
-            rows[0][1] = b
-            rows[ell + 1][ell] = field.neg(field.pow(b, q0))
-            gens.append(FqMatrix(field, rows))
-        gens.append(_transvection(field, form, field.vec_add(e0, _basis(m, ell + 1)), skew[0]))
-        images = [_basis(m, (i + 1) % ell) for i in range(ell)]
-        images += [_basis(m, ell + (i + 1) % ell) for i in range(ell)]
-        if m % 2:
-            images.append(_basis(m, m - 1))
-        gens.append(FqMatrix(field, images))
-        # torus with determinant fixed across two pairs:
-        # diag(z, z^q0, z^-q0, z^-1) on (e0, e1, f0, f1)
-        rows = [list(_basis(m, i)) for i in range(m)]
-        rows[0][0] = zeta
-        rows[1][1] = field.pow(zeta, q0)
-        rows[ell][ell] = field.pow(zeta, -q0)
-        rows[ell + 1][ell + 1] = field.pow(zeta, -1)
-        gens.append(FqMatrix(field, rows))
-    if m % 2:
-        # rank-one-pair-plus-tail unipotents u(b, c): f0 -> f0 + b x + c e0,
-        # x -> x - conj(b) e0, with c + conj(c) = -b conj(b); their opposites
-        # act through f0 the same way
-        for b in full_basis:
-            nb = field.neg(field.mul(b, field.pow(b, q0)))
-            c = next(v for v in range(field.q)
-                     if field.add(v, field.pow(v, q0)) == nb)
-            for anchor, other in ((0, ell), (ell, 0)):
-                rows = [list(_basis(m, i)) for i in range(m)]
-                rows[other][m - 1] = b
-                rows[other][anchor] = c
-                rows[m - 1][anchor] = field.neg(field.pow(b, q0))
-                gens.append(FqMatrix(field, rows))
-    if ell == 1:
-        # single-pair torus: odd m spends the determinant on the tail,
-        # even m stays inside the subfield
-        rows = [list(_basis(m, i)) for i in range(m)]
-        lam = zeta if m % 2 else sigma
-        rows[0][0] = lam
-        rows[ell][ell] = field.pow(lam, -q0)
-        if m % 2:
-            rows[m - 1][m - 1] = field.pow(lam, q0 - 1)
-        gens.append(FqMatrix(field, rows))
-    return gens
-
-
-def _eichler(field: FqField, form: FormSpec, u, v) -> FqMatrix:
-    # x -> x + B(x, u) v - (B(x, v) + Q(v) B(x, u)) u ; an isometry of the
-    # quadratic form when u is singular and v is orthogonal to u
+def _pair_eichlers(field: FqField, form: FormSpec, fi: int, c_of) -> list[FqMatrix]:
+    # the Eichler transformations along u in the hyperbolic pair (e_0, e_fi),
+    # with v running over an F_p-basis of <e_0, e_fi>^perp and c = c_of(v);
+    # they generate the opposite unipotent radicals of the pair's parabolics
     m = form.dim
-    qv = form.quad_value(v)
-    rows = []
-    for i in range(m):
-        e = _basis(m, i)
-        bu = form.bilinear(e, u)
-        coef = field.neg(field.add(form.bilinear(e, v), field.mul(qv, bu)))
-        rows.append(field.vec_add(field.vec_add(e, field.vec_scale(bu, v)),
-                                  field.vec_scale(coef, u)))
-    return FqMatrix(field, rows)
+    scalars = [field.pow(field.primitive, s) for s in range(field.k)]
+    vs = [field.vec_scale(a, _basis(m, i)) for i in range(1, m) if i != fi for a in scalars]
+    return [_eichler(field, form, u, v, c_of(v)) for u in (_basis(m, 0), _basis(m, fi)) for v in vs]
+
+
+def _su_generators(field: FqField, form: FormSpec, m: int) -> list[FqMatrix]:
+    # field is F_{q0^2}. The transvections along e and f with trace-zero
+    # parameters kappa sigma^s (an F_p-basis of kappa F_q0) generate SL(2, q0)
+    # on <e, f>, which swaps <e> and <f>; with the Eichler transformations
+    # along e and f (c the least with c + conj(c) = -h(v, v), 0 but at the
+    # odd-dimension tail) they generate SU: (2m - 3) k generators in all
+    ell, zero = m // 2, (0,) * m
+    kappa = next(a for a in range(1, field.q) if field.add(a, form.conj(a)) == 0)
+    sigma = field.pow(field.primitive, form.q0 + 1)  # generates the subfield units
+    gens = []
+    for s in range(field.k // 2):
+        a = field.mul(kappa, field.pow(sigma, s))
+        gens += [_eichler(field, form, _basis(m, i), zero, a) for i in (0, ell)]
+
+    def c_of(v):
+        t = field.neg(form.bilinear(v, v))
+        return next(c for c in range(field.q) if field.add(c, form.conj(c)) == t)
+    return gens + _pair_eichlers(field, form, ell, c_of)
 
 
 def _go_generators(field: FqField, form: FormSpec, m: int) -> list[FqMatrix]:
-    # the Eichler transformations along one hyperbolic pair (e, f), with v
-    # running over an F_p-basis of <e, f>^perp, generate Omega (Taylor 1992,
-    # Ch. 11); the reflections in e + f and, for odd q, in e + zeta f add the
-    # determinant and the spinor norm
+    # the Eichler transformations along one hyperbolic pair (e, f) generate
+    # Omega (Taylor 1992, Ch. 11); the reflections in e + f and, for odd q,
+    # in e + zeta f add the determinant and the spinor norm
     fi = m // 2 - 1 if form.kind == "quadratic-minus" else m // 2
-    e, f = _basis(m, 0), _basis(m, fi)
-    scalars = [field.pow(field.primitive, s) for s in range(field.k)]
-    gens = [_eichler(field, form, u, field.vec_scale(a, _basis(m, i)))
-            for u in (e, f) for i in range(1, m) if i != fi for a in scalars]
+    gens = _pair_eichlers(field, form, fi, lambda v: field.neg(form.quad_value(v)))
     for c in (1,) if field.p == 2 else (1, field.primitive):
-        w = field.vec_add(e, field.vec_scale(c, f))
-        gens.append(_transvection(field, form, w, field.neg(field.inv(form.quad_value(w)))))
+        w = field.vec_add(_basis(m, 0), field.vec_scale(c, _basis(m, fi)))
+        gens.append(_eichler(field, form, w, (0,) * m, field.neg(field.inv(form.quad_value(w)))))
     return gens
 
 
@@ -277,7 +235,7 @@ def classical_generators(family: str, m: int, q: int) -> MatrixGroup:
     if family == "SU":
         field = FqField.of(q * q)
         form = make_hermitian_form(field, m)
-        gens = _su_generators(field, form, m, q)
+        gens = _su_generators(field, form, m)
         _check_form(gens, form)
         _check_det_one(gens)
         return MatrixGroup(family, m, q, field, gens, form, order)

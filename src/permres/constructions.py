@@ -139,7 +139,7 @@ def matrix_orbit_action(grp: MatrixGroup, seed=None, kind: str = "vector",
         rows = [seed] if kind == "vector" else seed
         if not (isinstance(rows, (list, tuple)) and all(
                 isinstance(row, (list, tuple)) and len(row) == m
-                and all(isinstance(x, int) and 0 <= x < field.q for x in row)
+                and all(type(x) is int and 0 <= x < field.q for x in row)
                 for row in rows)):
             shape = "a vector" if kind == "vector" else "a list of vectors"
             raise ConstructionError(

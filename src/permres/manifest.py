@@ -50,7 +50,7 @@ from typing import Any, Callable
 from . import __version__
 from .bounds import CHECKS, evaluate
 from .constructions import LabeledAction
-from .fq import require_keys
+from .fq import require_int, require_keys
 from .recipes import (
     _BUILT,
     ManifestError,
@@ -110,7 +110,9 @@ def _op_orbit_sizes(act: LabeledAction, p: dict):
 
 
 def _op_suborbit_sizes(act: LabeledAction, p: dict):
-    H = act.group.point_stabilizer(p.get("point", 0))
+    point = p.get("point", 0)
+    require_int("point", point)
+    H = act.group.point_stabilizer(point)
     return sorted(len(o) for o in H.orbits())
 
 
@@ -361,9 +363,11 @@ class _Clock:
 def run_check(chk: dict, budget_ms: int | None = None) -> CheckResult:
     """Build the check's recipe and evaluate its assertions in order.
 
-    A ResourceLimit (budget or cap) skips the rest of the check; any other
-    exception fails its assertion, or the whole check at construction, with
-    a one-line cause, and never reaches the caller.
+    A ResourceLimit (budget or cap) skips the rest of the check, as does an
+    assertion's ArithmeticError: a certified enclosure that needs more
+    digits than the precision ladder holds, a limit of the tool, not of the
+    input. Any other exception fails its assertion, or the whole check at
+    construction, with a one-line cause, and never reaches the caller.
     """
     clock = _Clock(chk.get("budget_ms", budget_ms))
     cid = chk["id"]
@@ -385,7 +389,7 @@ def run_check(chk: dict, budget_ms: int | None = None) -> CheckResult:
             run, keys = OPS[op]
             require_keys(params, keys, f"op {op}")
             measured = run(act, params)
-        except ResourceLimit as e:
+        except (ResourceLimit, ArithmeticError) as e:
             results.append(AssertionResult(op, expected, None, None, describe_error(e)))
             skipped = True
             break  # later assertions would blow the same budget

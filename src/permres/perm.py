@@ -31,7 +31,8 @@ class Perm:
         n = len(images)
         seen = [False] * n
         for v in images:
-            if not isinstance(v, int) or not 0 <= v < n or seen[v]:
+            # type, not isinstance: a bool is no image
+            if type(v) is not int or not 0 <= v < n or seen[v]:
                 raise ValueError(f"not a permutation of 0..{n - 1}: {images!r}")
             seen[v] = True
         object.__setattr__(self, "images", images)

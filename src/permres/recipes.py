@@ -134,7 +134,7 @@ def _matrix_group(recipe: dict) -> MatrixGroup:
     if not isinstance(mats, list) or not all(
             isinstance(rows, list) and len(rows) == m and all(
                 isinstance(row, list) and len(row) == m
-                and all(isinstance(x, int) and 0 <= x < q for x in row)
+                and all(type(x) is int and 0 <= x < q for x in row)
                 for row in rows)
             for rows in mats):
         raise ConstructionError(

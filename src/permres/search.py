@@ -498,6 +498,8 @@ def count_regular_tuples(
     branching over it.
     """
     require_int("t", t)
+    if threshold is not None:
+        require_int("threshold", threshold)
     if first_point is not None:
         require_int("first_point", first_point)
     if t < 1:

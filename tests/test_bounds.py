@@ -160,6 +160,17 @@ def test_m_epsilon_rejects_nonpositive():
         m_epsilon(Fraction(-1, 2))
 
 
+@pytest.mark.parametrize("value", [True, False, "1/0", "x", None, [1], float("inf")])
+def test_eps_and_delta_refuse_what_is_no_rational(value):
+    # true read as 1 and "1/0" raised ZeroDivisionError, a tool limit
+    for name, call in (("eps", lambda: m_epsilon(value)),
+                       ("delta", lambda: n_c_delta(1, value)),
+                       ("delta", lambda: thm13_compare(24, 4, 5, value)),
+                       ("delta", lambda: bounds.evaluate("threshold-n", {"c": 1, "delta": value}))):
+        with pytest.raises(ValueError, match=f"^{name} must be a rational number, not "):
+            call()
+
+
 def test_n_base_case_is_m():
     for eps in (Fraction(1, 2), Fraction(1), Fraction(3)):
         assert n_c_delta(0, eps) == m_epsilon(eps)

@@ -4,6 +4,9 @@ The order formula is the contract: each recipe must hit it exactly when
 measured through a faithful permutation action.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from permres.classical import (
@@ -73,6 +76,11 @@ MEASURED = [
     ("SU", 3, 2),
     ("SU", 3, 3),
     ("SU", 4, 2),
+    ("SU", 2, 5),
+    ("SU", 2, 7),
+    ("SU", 2, 8),
+    ("SU", 2, 9),
+    ("SU", 3, 4),
     ("GO+", 4, 2),
     ("GO-", 4, 2),
     ("GO+", 4, 3),
@@ -157,6 +165,34 @@ def test_orthogonal_generator_count_is_linear(family, m, q):
     # two for odd q; q^m is no bound, so GO-(8,9) builds too
     grp = classical_generators(family, m, q)
     assert len(grp.matrices) == 2 * (m - 2) * grp.field.k + (1 if q % 2 == 0 else 2)
+
+
+@pytest.mark.parametrize("m,q", [(2, 4), (2, 8), (3, 9), (4, 9), (5, 2), (12, 2)])
+def test_unitary_generator_count(m, q):
+    # trace-zero transvections along e and f, k in all, and two Eichler
+    # families of (m - 2) k each, over F_{q^2} = F_{p^k}
+    grp = classical_generators("SU", m, q)
+    assert len(grp.matrices) == (2 * m - 3) * grp.field.k
+
+
+# sha256 of each generator list's rows as JSON, for the classical groups the
+# benchmark workloads build: the Eichler formula the families share must not
+# move a workload group
+PINNED_ROWS = {
+    ("Sp", 6, 2): "a43328e62278b876568c8acdc607a5e02e4c099dae27f003bcbc019bc9906e9a",
+    ("Sp", 4, 2): "c25ab98fd7618ed59e96fd1a35bf605a1f992292351b3d21e34aa5505f7a3fdd",
+    ("GO+", 6, 2): "d64a1733c6f783b65dfa0653c4d350d11baf5e7ea6b5f7695d3a21c2df75481f",
+    ("GO-odd", 7, 2): "38ea4e52f041065dd89d03260131da370f4c49e25f8358a88897d174601ff5b4",
+    ("GL", 4, 3): "f1f176955e05f069a98e99b77d902b4f55cb6daa44d089f071b96310f984b1eb",
+    ("SL", 4, 2): "eef1d260326fb17c01ee95f5f242b9328631390c86b8573a14c7d84d1ceb0ee1",
+}
+
+
+@pytest.mark.parametrize("family,m,q", list(PINNED_ROWS))
+def test_workload_generators_are_pinned(family, m, q):
+    grp = classical_generators(family, m, q)
+    rows = json.dumps([[list(r) for r in M.rows] for M in grp.matrices])
+    assert hashlib.sha256(rows.encode()).hexdigest() == PINNED_ROWS[family, m, q]
 
 
 def test_form_identity_bilinear_sampled():

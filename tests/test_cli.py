@@ -301,6 +301,26 @@ def test_unresolved_threshold_exits_two(capsys):
     assert err.startswith("error: ArithmeticError: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("check,params", [
+    ("threshold-m", '{"eps": true}'),         # printed M = 21
+    ("threshold-n", '{"c": 2, "delta": true}'),  # printed N = 39
+    ("threshold-m", '{"eps": "1/0"}'),        # exited 2 on ZeroDivisionError
+    ("threshold-m", '{"eps": "x"}'),
+    ("threshold-m", '{"eps": null}'),
+])
+def test_a_bad_rational_exits_three(capsys, check, params):
+    code, out, err = run(capsys, "bounds", "--check", check, "--params", params)
+    key = "eps" if check == "threshold-m" else "delta"
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: {key} must be a rational number, not ")
+
+
+def test_rationals_read_as_ints_numbers_and_strings(capsys):
+    for params in ('{"eps": 1}', '{"eps": 1.0}', '{"eps": "1"}', '{"eps": "2/2"}'):
+        code, out, _ = run(capsys, "bounds", "--check", "threshold-m", "--params", params)
+        assert code == 0 and "21" in out
+
+
 def test_bad_inputs_exit_three(capsys, tmp_path):
     code, _, err = run(capsys, "order", "--recipe", "{broken")
     assert code == 3 and "JSON" in err
@@ -390,6 +410,12 @@ def test_bundled_corpus_is_reachable():
     '{"kind": "classical", "family": "GO+", "m": 4, "q": 3, "filter": "nonsingular"}',
     '{"kind": "classical", "family": "GO+", "m": 4, "q": 3, "seed": [1, 0, 1, 0],'
     ' "filter": "totally-isotropic"}',
+    # true read as 1 inside a list: built 14400, 48 and 1
+    '{"kind": "diagonal", "factor": {"kind": "alternating", "m": 5},'
+    ' "outer": [true, false, 2, 3, 4]}',
+    '{"kind": "classical", "family": "GL", "m": 2, "q": 3, "seed": [true, false]}',
+    '{"kind": "matrix-generators", "m": 2, "q": 2,'
+    ' "matrices": [[[true, false], [false, true]]]}',
 ], ids=["string-m", "entry-out-of-field", "ragged-matrix", "outer-degree",
         "subgroup-not-object", "negative-m", "zero-m", "zero-matrix-m",
         "zero-block-size", "float-degree-and-images", "string-degree",
@@ -400,7 +426,7 @@ def test_bundled_corpus_is_reachable():
         "stray-affine", "stray-coset", "stray-subsets", "stray-partitions",
         "stray-wreath", "stray-diagonal", "symmetric-alt",
         "coset-subgroup-space", "kind-list", "vector-filter-default-seed",
-        "vector-filter-seed"])
+        "vector-filter-seed", "bool-outer", "bool-seed", "bool-matrix-entries"])
 def test_ill_typed_recipe_exits_three(capsys, recipe):
     code, out, err = run(capsys, "describe", "--recipe", recipe, "--json")
     assert code == 3 and out == ""

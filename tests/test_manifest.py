@@ -395,6 +395,45 @@ def test_a_misspelt_recipe_key_fails_only_its_check():
                           "m, q, seed, space")
 
 
+def test_a_bool_op_param_fails_only_its_check():
+    # true was read as 1: each of these checks passed
+    s4 = {"kind": "symmetric", "m": 4}
+    doc = {"schema": 1, "checks": [
+        {"id": "point", "recipe": s4,
+         "assertions": [{"op": "suborbit-sizes", "params": {"point": True},
+                         "expect": [6], "tag": "direct"}]},
+        {"id": "threshold", "recipe": s4,
+         "assertions": [{"op": "reg-count", "params": {"t": 3, "threshold": True},
+                         "expect": {"reached": True}, "tag": "direct"}]},
+        {"id": "measured", "recipe": {"kind": "cyclic", "m": 1},
+         "assertions": [{"op": "formula", "params": {
+             "name": "faw_bound", "params": {"order": 24, "n": 4}, "measured": True},
+             "expect": {"verdict": "holds"}, "tag": "direct"}]},
+        {"id": "s4", "recipe": s4,
+         "assertions": [{"op": "order", "expect": 24, "tag": "direct"}]}]}
+    rep = run_manifest(doc)
+    assert [c.status for c in rep.checks] == ["fail", "fail", "fail", "pass"]
+    for c, key in zip(rep.checks, ("point", "threshold", "measured")):
+        assert c.assertions[0].error == f"{key} must be an integer, not True"
+    assert rep.exit_code == 1
+
+
+def test_a_precision_ladder_overflow_is_skipped_not_failed():
+    # the enclosure of M(1e-200) needs more digits than the ladder holds: a
+    # limit of the tool, as the bounds verb's exit code 2 says
+    rep = run_manifest({"schema": 1, "checks": [
+        {"id": "tiny-eps", "recipe": {"kind": "cyclic", "m": 1},
+         "assertions": [{"op": "threshold-m", "params": {"eps": "1e-200"},
+                         "expect": 1, "tag": "direct"}]},
+        {"id": "s4", "recipe": {"kind": "symmetric", "m": 4},
+         "assertions": [{"op": "order", "expect": 24, "tag": "direct"}]},
+    ]})
+    assert [c.status for c in rep.checks] == ["skipped-resource", "pass"]
+    tiny = rep.checks[0].assertions[0]
+    assert tiny.ok is None and tiny.error.startswith("ArithmeticError: ")
+    assert rep.exit_code == 2
+
+
 def test_deep_search_passes_beside_other_checks():
     # the rigid-coloring search colors 1200 points before its first rigid
     # coloring; both coloring searches walk explicit stacks, so the depth is

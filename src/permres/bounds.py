@@ -266,9 +266,7 @@ def n_c_delta(c: int, delta) -> int:
     N(c, delta) = max(c, M(e_c)): one threshold search, whatever c is. The
     shrunk parameter stays symbolic as (1+delta) to a rational power, so
     every comparison below is still certified."""
-    require_int("c", c)
-    if c < 0:
-        raise ValueError("c must be >= 0")
+    require_int("c", c, 0)
     delta = _positive_rational("delta", delta)
     return max(c, _m_threshold(1 + delta, Fraction(3, 5) ** c))
 
@@ -281,13 +279,8 @@ def lemma22_check(G: PermGroup, d: int) -> BoundReport:
     section of degree >= d. Exact big-integer comparison.
 
     The hypothesis is checked first and must resolve to a definite yes;
-    d < 5 is rejected because no certificate exists down there (the d = 2
-    class is empty)."""
-    require_int("d", d)
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if d < 5:
-        raise ValueError("no membership certificate available below d = 5")
+    in_gamma rejects d < 5, where no certificate exists (the d = 2 class
+    is empty)."""
     from .structure import NO, UNKNOWN, in_gamma
 
     verdict = in_gamma(G, d)

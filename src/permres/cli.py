@@ -3,7 +3,9 @@
 Verbs take a recipe (inline JSON or @file) and print either an aligned
 text table or, with --json, a machine-readable document. Exit codes:
 0 success, 1 assertion failure, 2 resource budget or numeric precision
-limit hit, 3 bad input (usage errors included).
+limit hit, 3 bad input (usage errors included). Integer flags pass through
+to the function that reads them, which checks their floor: a budget of 0
+exits 3 with an error naming the key.
 
 Most calls are one verb in a fresh process, whose start-up is most of its
 time. So this module imports nothing from permres at module level, and
@@ -53,8 +55,11 @@ def _cmd_construct(args) -> int:
     doc["point-labels"] = [str(lbl) for lbl in act.labels]
     text = json.dumps(doc, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            raise ValueError(f"cannot write --out file: {e}") from None
         print(f"wrote {args.out}")
     else:
         print(text)
@@ -207,14 +212,6 @@ def _cmd_verify(args) -> int:
     return report.exit_code
 
 
-def _positive_int(text: str) -> int:
-    """Budget flags: 0 or less is bad input, not a budget that has run out."""
-    value = int(text) if text.strip().isdigit() else 0
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return value
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors are bad input: exit 3, not argparse's 2, which this
     CLI reserves for a resource budget hit."""
@@ -258,12 +255,12 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("base-size", help="exact minimal base size")
     common(p)
-    p.add_argument("--node-budget", type=_positive_int, default=argparse.SUPPRESS)
+    p.add_argument("--node-budget", type=int, default=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_base_size)
 
     p = sub.add_parser("dist-number", help="exact distinguishing number")
     common(p)
-    p.add_argument("--elem-cap", type=_positive_int, default=argparse.SUPPRESS)
+    p.add_argument("--elem-cap", type=int, default=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_dist_number)
 
     p = sub.add_parser("stab-scan", help="predicate over c-point stabilizers")
@@ -271,7 +268,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--predicate", default="solvable",
                    help="solvable or gamma:<d>")
-    p.add_argument("--node-budget", type=_positive_int, default=argparse.SUPPRESS)
+    p.add_argument("--node-budget", type=int, default=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_stab_scan)
 
     p = sub.add_parser("reg-count", help="count tuples with trivial stabilizer")
@@ -279,7 +276,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--threshold", type=int)
     p.add_argument("--first-point", type=int)
-    p.add_argument("--node-budget", type=_positive_int, default=argparse.SUPPRESS)
+    p.add_argument("--node-budget", type=int, default=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_reg_count)
 
     p = sub.add_parser("bounds", help="closed-form bounds and thresholds")
@@ -292,7 +289,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a check manifest")
     p.add_argument("--manifest", required=True,
                    help="path to a manifest, or 'corpus' for the bundled one")
-    p.add_argument("--budget-ms", type=_positive_int,
+    p.add_argument("--budget-ms", type=int,
                    help="per-check budget in ms, unless a check sets its "
                         "own budget_ms; default: none")
     p.add_argument("--json", action="store_true")

@@ -41,10 +41,13 @@ def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == {n: 1}
 
 
-def require_int(name: str, value) -> None:
-    """Raise ValueError unless value is an int; a bool is not one here."""
+def require_int(name: str, value, least: int | None = None) -> None:
+    """Raise ValueError unless value is an int, and at least least when
+    that is given; a bool is not an int here."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, not {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, not {value}")
 
 
 def require_keys(params, keys, reader: str) -> None:

@@ -80,9 +80,10 @@ VALID_TAGS = ("reported", "direct", "derived")
 # are objects match as subsets: only the listed keys are compared. OPS
 # lists each op's runner with the params keys it reads: its own inputs and
 # the search budgets node_budget and elem_cap. A budget left out takes the
-# library function's own default, and any other key fails the assertion
-# with an error naming it. The five bounds ops take their keys from
-# bounds.CHECKS and need every one but formula's measured.
+# library function's own default, and that function checks one given; any
+# other key fails the assertion with an error naming it. The five bounds
+# ops take their keys from bounds.CHECKS and need every one but formula's
+# measured.
 
 
 def _op_order(act: LabeledAction, p: dict):
@@ -110,9 +111,7 @@ def _op_orbit_sizes(act: LabeledAction, p: dict):
 
 
 def _op_suborbit_sizes(act: LabeledAction, p: dict):
-    point = p.get("point", 0)
-    require_int("point", point)
-    H = act.group.point_stabilizer(point)
+    H = act.group.point_stabilizer(p.get("point", 0))
     return sorted(len(o) for o in H.orbits())
 
 
@@ -153,6 +152,9 @@ def _op_dist_upper(act: LabeledAction, p: dict):
 def _op_stab_scan(act: LabeledAction, p: dict):
     rep = stabilizer_scan(act.group, p["c"], p["predicate"],
                           **pick(p, "node_budget"))
+    if not rep.exhaustive:
+        raise ResourceLimit(f"stabilizer scan stopped at its node budget after "
+                            f"{rep.classes} classes")
     out = {"verdict": rep.verdict, "classes": rep.classes,
            "exhaustive": rep.exhaustive}
     if rep.worst_witness is not None:
@@ -232,11 +234,6 @@ OPS: dict[str, tuple[Callable, tuple[str, ...]]] = {
 # -- validation ------------------------------------------------------------
 
 
-def _positive_int(value: Any) -> bool:
-    # a bool is an int to Python, but true is no budget of 1 ms
-    return isinstance(value, int) and not isinstance(value, bool) and value > 0
-
-
 def validate_manifest(doc: Any) -> list[dict]:
     if not isinstance(doc, dict):
         raise ManifestError("manifest root must be an object")
@@ -274,15 +271,8 @@ def validate_manifest(doc: Any) -> list[dict]:
             if a.get("tag") not in VALID_TAGS:
                 raise ManifestError(f"{aw}: tag must be one of "
                                     f"{', '.join(VALID_TAGS)}")
-            params = a.get("params", {})
-            if not isinstance(params, dict):
+            if not isinstance(a.get("params", {}), dict):
                 raise ManifestError(f"{aw}: params must be an object")
-            for key in ("node_budget", "elem_cap"):
-                if key in params and not _positive_int(params[key]):
-                    raise ManifestError(f"{aw}: {key} must be a positive integer")
-        if "budget_ms" in chk and not _positive_int(chk["budget_ms"]):
-            raise ManifestError(f"{where} ({cid}): budget_ms must be a "
-                                "positive integer")
     return checks
 
 
@@ -367,11 +357,15 @@ def run_check(chk: dict, budget_ms: int | None = None) -> CheckResult:
     assertion's ArithmeticError: a certified enclosure that needs more
     digits than the precision ladder holds, a limit of the tool, not of the
     input. Any other exception fails its assertion, or the whole check at
-    construction, with a one-line cause, and never reaches the caller.
+    construction, with a one-line cause, and never reaches the caller. The
+    check's budget_ms is read first, at construction, so a bad one fails
+    only this check.
     """
     clock = _Clock(chk.get("budget_ms", budget_ms))
     cid = chk["id"]
     try:
+        if clock.budget_ms is not None:
+            require_int("budget_ms", clock.budget_ms, 1)
         act = construct_recipe(chk["recipe"])
     except ResourceLimit as e:
         return CheckResult(cid, "skipped-resource", clock.elapsed_ms(),
@@ -446,14 +440,15 @@ def run_manifest(source: str | Path | dict,
 
     source may be a path or an already-parsed document. budget_ms is the
     per-check default (None: no budget), and a check's own budget_ms field
-    overrides it. Like that field, it must be a positive integer.
+    overrides it. Like that field, it must be an integer >= 1; a bad field
+    fails only its own check.
 
     Each distinct recipe is built once per run, by the first check that
     needs it and inside that check's budget; later checks share the built
     group, its cached chain and factor list included, and only read it.
     """
-    if budget_ms is not None and not _positive_int(budget_ms):
-        raise ManifestError("budget_ms must be a positive integer")
+    if budget_ms is not None:
+        require_int("budget_ms", budget_ms, 1)
     if isinstance(source, dict):
         doc = source
         try:

@@ -90,6 +90,7 @@ def base_size_exact(G: PermGroup, node_budget: int = 2_000_000) -> BaseWitness:
     Budget exhaustion returns a partial witness bracketing the answer
     instead of raising.
     """
+    require_int("node_budget", node_budget, 1)
     if G.order() == 1:
         return BaseWitness((), 0, "exact", "order-bound", 0, 0, 0)
     lb = base_lower_bound(G)
@@ -179,9 +180,9 @@ def _structure_summary(H: PermGroup) -> str:
 def _parse_predicate(predicate: str):
     if predicate == "solvable":
         return lambda H: YES if is_solvable(H) else NO
-    if predicate.startswith("gamma:"):
-        d = int(predicate[len("gamma:"):])
-        return lambda H: in_gamma(H, d)
+    head, _, d = predicate.partition(":")
+    if head == "gamma" and d.isdecimal():
+        return lambda H: in_gamma(H, int(d))
     raise ValueError(f"unknown predicate {predicate!r}")
 
 
@@ -201,9 +202,8 @@ def stabilizer_scan(
     the verdict is fail whenever one was reached; otherwise it is
     inconclusive if a class was unknown or the walk was cut short.
     """
-    require_int("c", c)
-    if c < 1:
-        raise ValueError("scan needs c >= 1")
+    require_int("c", c, 1)
+    require_int("node_budget", node_budget, 1)
     test = _parse_predicate(predicate)
 
     def children(prefix: tuple[int, ...], H: PermGroup) -> list[list[int]]:
@@ -398,6 +398,7 @@ def distinguishing_number(G: PermGroup, elem_cap: int = _ELEM_CAP) -> Distinguis
     degree many colors; dropping to even permutations saves exactly one).
     Everything else is exhaustive search, so the group order is capped.
     """
+    require_int("elem_cap", elem_cap, 1)
     n = G.degree
     order = G.order()
     if order == 1:
@@ -431,9 +432,7 @@ def distinguishing_witness(G: PermGroup, r: int) -> tuple[int, ...] | None:
     Establishes an upper bound only; None does not prove impossibility.
     """
     n = G.degree
-    require_int("r", r)
-    if r < 1:
-        raise ValueError("need at least one color")
+    require_int("r", r, 1)
     if G.order() == 1:
         return tuple([0] * n)
     if r == 1:
@@ -497,13 +496,10 @@ def count_regular_tuples(
     value >= threshold. first_point pins the first coordinate instead of
     branching over it.
     """
-    require_int("t", t)
+    require_int("t", t, 1)
+    require_int("node_budget", node_budget, 1)
     if threshold is not None:
         require_int("threshold", threshold)
-    if first_point is not None:
-        require_int("first_point", first_point)
-    if t < 1:
-        raise ValueError("tuple length must be >= 1")
     n = L.degree
 
     def children(prefix: tuple[int, ...], H: PermGroup) -> list[list[int]]:

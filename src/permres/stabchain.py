@@ -31,7 +31,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .fq import is_prime
+from .fq import is_prime, require_int
 from .perm import Perm, _from_images, iter_alt_gens, iter_sym_gens
 
 
@@ -573,10 +573,11 @@ class PermGroup:
         points that are left, stopped at the current group's known order.
         The returned group keeps the chain so reached, so its order and
         membership tests run no second Schreier-Sims."""
-        pts = list(dict.fromkeys(points))  # first occurrences, in order
-        for p in pts:
+        for p in points:
+            require_int("point", p)
             if not 0 <= p < self.degree:
-                raise ValueError(f"base hint point {p} out of range")
+                raise ValueError(f"point {p} out of range for degree {self.degree}")
+        pts = list(dict.fromkeys(points))  # first occurrences, in order
         chain, gens = self.chain(), self.gens
         for i, p in enumerate(pts):
             if not chain.levels:

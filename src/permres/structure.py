@@ -420,9 +420,7 @@ def in_gamma(G: PermGroup, d: int) -> str:
     question to the factor multiset; that reduction is this library's own
     bookkeeping, not a quoted result.
     """
-    require_int("d", d)
-    if d < 5:
-        raise ValueError("the restricted classes are defined for d >= 5 only")
+    require_int("d", d, 5)  # the restricted classes start at d = 5
     verdicts = [_factor_in_gamma(f, d) for f in composition_factors(G)]
     if any(v == NO for v in verdicts):
         return NO

@@ -341,17 +341,73 @@ def test_usage_errors_exit_three(capsys):
                  ["verify", "--manifest", "corpus", "--threads", "2"],
                  # options the CLI does not have
                  ["describe", "--recipe", S5, "--order-cap", "100"],
-                 ["base-size", "--recipe", S5, "--max-b", "6"],
-                 # a budget of 0 or less, not a budget that ran out (exit 2)
-                 ["verify", "--manifest", "corpus", "--budget-ms", "-5"],
-                 ["base-size", "--recipe", S5, "--node-budget", "-1"],
-                 ["stab-scan", "--recipe", S5, "--c", "1", "--node-budget", "-3"],
-                 ["reg-count", "--recipe", S5, "--t", "2", "--node-budget", "0"],
-                 ["dist-number", "--recipe", S5, "--elem-cap", "-1"]):
+                 ["base-size", "--recipe", S5, "--max-b", "6"]):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 3
         assert "usage:" in capsys.readouterr().err
+    # a budget of 0 or less is bad input, not a budget that ran out (exit 2);
+    # the function that reads it refuses it by name
+    for key, argv in (
+            ("budget_ms", ["verify", "--manifest", "corpus", "--budget-ms", "-5"]),
+            ("node_budget", ["base-size", "--recipe", S5, "--node-budget", "-1"]),
+            ("node_budget", ["stab-scan", "--recipe", S5, "--c", "1", "--node-budget", "-3"]),
+            ("node_budget", ["reg-count", "--recipe", S5, "--t", "2", "--node-budget", "0"]),
+            ("elem_cap", ["dist-number", "--recipe", S5, "--elem-cap", "-1"])):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and f"{key} must be >= 1" in err
+
+
+def test_an_unwritable_out_file_exits_three(capsys, tmp_path):
+    dest = tmp_path / "no-such-dir" / "group.json"
+    code, out, err = run(capsys, "construct", "--recipe", S5, "--out", str(dest))
+    assert code == 3 and out == "" and err.startswith("error: cannot write --out file")
+
+
+def test_a_malformed_predicate_is_named(capsys):
+    code, out, err = run(capsys, "stab-scan", "--recipe", S5, "--c", "1",
+                         "--predicate", "gamma:x")
+    assert code == 3 and out == "" and err == "error: unknown predicate 'gamma:x'\n"
+
+
+# each verb that takes --recipe: the argv it needs, then its value flags
+_VERBS = {
+    "construct": ([], ()),
+    "describe": ([], ()),
+    "order": ([], ()),
+    "base-size": ([], ("--node-budget",)),
+    "dist-number": ([], ("--elem-cap",)),
+    "stab-scan": (["--c", "1"], ("--c", "--node-budget")),
+    "reg-count": (["--t", "2"], ("--t", "--threshold", "--first-point", "--node-budget")),
+    "bounds": (["--check", "lemma22", "--params", '{"d": 5}'], ("--params",)),
+}
+
+
+def _bad_argv(tmp_path):
+    missing = tmp_path / "missing.json"
+    for verb, (needs, flags) in _VERBS.items():
+        yield [verb, "--recipe", f"@{missing}", *needs]
+        for bad in ("x", "0", "-1", "true"):
+            yield [verb, "--recipe", bad, *needs]
+            for flag in flags:  # a flag given twice: argparse keeps the last
+                yield [verb, "--recipe", S5, *needs, flag, bad]
+    yield ["construct", "--recipe", S5, "--out", str(tmp_path / "no-such-dir" / "x.json")]
+    yield ["verify", "--manifest", str(missing)]
+    for bad in ("x", "0", "-1", "true"):
+        yield ["verify", "--manifest", bad]
+        yield ["verify", "--manifest", "corpus", "--budget-ms", bad]
+
+
+def test_bad_values_exit_with_a_code_and_never_raise(capsys, tmp_path):
+    for argv in _bad_argv(tmp_path):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        except Exception as e:
+            pytest.fail(f"{argv} raised {e!r}")
+        capsys.readouterr()
+        assert code in (0, 1, 2, 3), argv
 
 
 def test_bundled_corpus_is_reachable():

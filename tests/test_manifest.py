@@ -273,6 +273,14 @@ def test_validate_accepts_minimal_manifest():
       for bad in (0, -1, True, 1.5)],
 ])
 def test_validate_rejects_bad_shapes(doc, msg):
+    if msg in ("budget", "node_budget", "elem_cap"):
+        # a budget is checked where it is read: the document is valid, and
+        # the bad value fails its own check with an error naming the key
+        validate_manifest(doc)
+        [chk] = run_manifest(doc).checks
+        error = chk.error or chk.assertions[0].error
+        assert chk.status == "fail" and msg in error, error
+        return
     with pytest.raises(ManifestError, match=msg):
         validate_manifest(doc)
 
@@ -434,6 +442,50 @@ def test_a_precision_ladder_overflow_is_skipped_not_failed():
     assert rep.exit_code == 2
 
 
+def test_a_bad_budget_fails_only_its_own_check():
+    # each budget is checked by the function that reads it, so a bad one
+    # fails its check with an error naming the key, and the next check runs
+    s5 = {"kind": "symmetric", "m": 5}
+    order = {"op": "order", "expect": 120, "tag": "direct"}
+    ops = {"node_budget": ("base-size", "stab-scan", "reg-count"),
+           "elem_cap": ("dist-number",)}
+    extra = {"stab-scan": {"c": 1, "predicate": "solvable"}, "reg-count": {"t": 2}}
+    checks, keys = [], []
+    for key, names in ops.items():
+        for op in names:
+            for bad in (0, True, "x", 1.5):
+                checks.append({"id": f"{op}-{bad!r}", "recipe": s5, "assertions": [
+                    {"op": op, "params": {key: bad, **extra.get(op, {})},
+                     "expect": 1, "tag": "direct"}]})
+                keys.append(key)
+    for bad in (0, True):
+        checks.append({"id": f"budget_ms-{bad!r}", "recipe": s5,
+                       "budget_ms": bad, "assertions": [order]})
+        keys.append("budget_ms")
+    checks.append({"id": "s5", "recipe": s5, "assertions": [order]})
+    rep = run_manifest({"schema": 1, "checks": checks})
+    assert [c.status for c in rep.checks] == ["fail"] * len(keys) + ["pass"]
+    for c, key in zip(rep.checks, keys):
+        error = c.error or c.assertions[0].error
+        assert f"{key} must be " in error, (c.id, error)
+    assert rep.exit_code == 1
+
+
+def test_a_stab_scan_cut_short_is_skipped_not_failed():
+    # its budget stops the scan before every class is seen: no answer, as
+    # base-size and reg-count report under the same budget
+    rep = run_manifest({"schema": 1, "checks": [
+        {"id": "scan", "recipe": {"kind": "symmetric", "m": 6},
+         "assertions": [{"op": "stab-scan",
+                         "params": {"c": 2, "predicate": "solvable", "node_budget": 2},
+                         "expect": {"verdict": "inconclusive"}, "tag": "direct"}]},
+        {"id": "s4", "recipe": {"kind": "symmetric", "m": 4},
+         "assertions": [{"op": "order", "expect": 24, "tag": "direct"}]},
+    ]})
+    assert [c.status for c in rep.checks] == ["skipped-resource", "pass"]
+    assert rep.checks[0].assertions[0].error.startswith("stabilizer scan stopped")
+    assert rep.exit_code == 2
+
 def test_deep_search_passes_beside_other_checks():
     # the rigid-coloring search colors 1200 points before its first rigid
     # coloring; both coloring searches walk explicit stacks, so the depth is
@@ -536,7 +588,7 @@ def test_run_manifest_budget_default():
 @pytest.mark.parametrize("budget_ms", [0, -5, True, 1.5])
 def test_run_manifest_rejects_a_non_positive_budget(budget_ms):
     # the rule a check's own budget_ms follows, not a budget that ran out
-    with pytest.raises(ManifestError, match="budget_ms"):
+    with pytest.raises(ValueError, match="budget_ms"):
         run_manifest(_one_check(), budget_ms=budget_ms)
 
 

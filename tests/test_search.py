@@ -929,3 +929,17 @@ def test_counts_that_are_not_integers_are_rejected(call):
     # c = 1.5 once counted every node at depth 2 or more as a class
     with pytest.raises(ValueError, match="integer"):
         call(PermGroup.symmetric(5))
+
+
+@pytest.mark.parametrize("bad", [0, True, "x", 1.5])
+@pytest.mark.parametrize("key,call", [
+    ("node_budget", lambda G, v: base_size_exact(G, node_budget=v)),
+    ("node_budget", lambda G, v: stabilizer_scan(G, 1, "solvable", node_budget=v)),
+    ("node_budget", lambda G, v: count_regular_tuples(G, 2, node_budget=v)),
+    ("elem_cap", lambda G, v: distinguishing_number(G, elem_cap=v)),
+], ids=["base-size", "stab-scan", "reg-count", "dist-number"])
+def test_searches_refuse_a_budget_that_is_no_positive_integer(key, call, bad):
+    # the search that reads a budget checks it: "x" once ended in a
+    # TypeError, 0 in a partial witness, and true ran as a budget of 1
+    with pytest.raises(ValueError, match=f"^{key} must be "):
+        call(PermGroup.symmetric(5), bad)

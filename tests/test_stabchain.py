@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -873,3 +874,14 @@ def test_only_stabchain_reads_chain_levels():
             if isinstance(node, ast.Attribute) and node.attr in ("levels", "transversal"):
                 readers.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert not readers, readers
+
+
+@pytest.mark.parametrize("points,msg", [
+    ((9,), "point 9 out of range for degree 6"),
+    ((0, -1), "point -1 out of range for degree 6"),
+    ((True,), "point must be an integer, not True"),
+    ((2.0,), "point must be an integer, not 2.0"),
+])
+def test_pointwise_stabilizer_names_a_bad_point_and_the_degree(points, msg):
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        PermGroup.symmetric(6).pointwise_stabilizer(points)

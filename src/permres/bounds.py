@@ -306,9 +306,10 @@ def thm13_compare(order: int, n: int, d: int, delta) -> BoundReport:
     The comparison multiplies through by e**(n-1): the power of e is the
     only non-rational factor, so its enclosure against an exact rational
     decides the verdict, at escalating precision."""
+    require_int("d", d, 2)
     delta = _positive_rational("delta", delta)
-    if order < 1 or n < 1 or d < 2:
-        raise ValueError("need order, n >= 1 and d >= 2")
+    if order < 1 or n < 1:
+        raise ValueError("need order, n >= 1")
     params = {"d": d, "delta": str(delta), "degree": n}
     rhs = (Fraction(d) * (1 + delta)) ** (n - 1)  # bound times e**(n-1), exact
     verdict = None
@@ -329,12 +330,14 @@ def thm13_compare(order: int, n: int, d: int, delta) -> BoundReport:
 
 
 def theorem13_check(G: PermGroup, c: int, d: int, delta) -> BoundReport:
-    """thm13_compare after verifying the hypothesis: every c-point
-    stabilizer class (the whole group for c = 0) avoids alternating
-    sections of degree >= d, and d clears the recursion threshold. An
-    unresolved hypothesis raises ValueError, as a failing one does: an
-    unknown section, or a scan that its node budget cut short."""
-    delta = _positive_rational("delta", delta)
+    """thm13_compare's report, returned after verifying the hypothesis:
+    every c-point stabilizer class (the whole group for c = 0) avoids
+    alternating sections of degree >= d, and d clears the recursion
+    threshold. thm13_compare runs first, so d and delta are checked before
+    d is compared with anything. An unresolved hypothesis raises
+    ValueError, as a failing one does: an unknown section, or a scan that
+    its node budget cut short."""
+    out = thm13_compare(G.order(), G.degree, d, delta)
     need = n_c_delta(c, delta)
     if d < need:
         raise ValueError(f"d = {d} is below the recursion threshold {need}")
@@ -348,7 +351,6 @@ def theorem13_check(G: PermGroup, c: int, d: int, delta) -> BoundReport:
         rep = stabilizer_scan(G, c, f"gamma:{d}")
         if rep.verdict != "all-pass":
             raise ValueError(f"stabilizer scan came back {rep.verdict}")
-    out = thm13_compare(G.order(), G.degree, d, delta)
     params = dict(out.parameters)
     params["c"] = c
     return BoundReport(out.bound_name, params, out.bound_value, out.measured_value, out.verdict)

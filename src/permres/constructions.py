@@ -208,11 +208,12 @@ def coset_action(G: PermGroup, H: PermGroup) -> LabeledAction:
         raise ConstructionError(f"index {index_bound} exceeds cap {DEGREE_CAP}")
     hchain = H.chain()
 
-    # a coset is labeled by the images of its canonical representative
+    # a coset is labeled by the images of its canonical representative,
+    # as a tuple: labels print the same at every degree
     def act(lbl, g: Perm):
-        return hchain.canonical_coset_rep(_from_images(lbl) * g).images
+        return tuple(hchain.canonical_coset_rep(_from_images(lbl) * g).images)
 
-    seed = hchain.canonical_coset_rep(Perm.identity(G.degree)).images
+    seed = tuple(hchain.canonical_coset_rep(Perm.identity(G.degree)).images)
     return _orbit_action(seed, G.gens, act, label=f"[{G.label or 'G'}:{H.label or 'H'}]")
 
 
@@ -335,7 +336,7 @@ def diagonal_type_group(T: PermGroup, include_swap: bool = True,
             raise ConstructionError("outer map is not an automorphism of T")
 
     def doubled(g: Perm) -> Perm:
-        return Perm(g.images + tuple(d + x for x in g.images))
+        return Perm([*g.images, *(d + x for x in g.images)])
 
     top = PermGroup(2, [Perm([1, 0])] if include_swap else [])
     wreath = wreath_imprimitive(T, top).group.gens  # T on each copy, then the swap

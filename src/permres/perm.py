@@ -3,6 +3,15 @@
 Points are 0-based internally and 1-based in printed output.
 Composition uses the right-action convention throughout: (p * q) means
 "apply p, then q", so the image of x is q(p(x)).
+
+A permutation stores its images as bytes when its degree is at most 256,
+since a byte holds the points 0..255, and as a tuple above that. On bytes,
+p * q is one bytes.translate call, through q's images padded to a 256-byte
+table, the inverse one bytes.maketrans call and the identity test one
+compare; on a tuple, p * q is one itemgetter call. _pack alone makes that
+choice. left and table carry it to the walks elsewhere that compose raw
+images without building a Perm: left(a)(table(b)) is the images of a * b
+in either storage.
 """
 
 from __future__ import annotations
@@ -13,16 +22,41 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 
+_IDENT = bytes(range(256))
+# _PAD[n] fills n images out to a 256-byte translate table
+_PAD = [_IDENT[n:] for n in range(257)]
+
+
+def _pack(images: Sequence[int]) -> Sequence[int]:
+    """The stored form of an image sequence: bytes up to degree 256, a
+    tuple above. Each is returned as is when already in that form."""
+    if type(images) is bytes:  # no permutation has more than 256 bytes
+        return images
+    return bytes(images) if len(images) <= 256 else tuple(images)
+
+
 @lru_cache(maxsize=None)
-def _identity_images(degree: int) -> tuple[int, ...]:
-    return tuple(range(degree))
+def _identity_images(degree: int) -> Sequence[int]:
+    return _pack(range(degree))
+
+
+def left(a: Sequence[int]):
+    """The map t -> a * b, for t = table(b): a's images composed with b's."""
+    return a.translate if type(a) is bytes else itemgetter(*a)
+
+
+def table(b: Sequence[int]) -> Sequence[int]:
+    """b's images as the right operand of left: padded to 256 for bytes."""
+    return b + _PAD[len(b)] if type(b) is bytes else b
 
 
 _new = object.__new__
 
 
 class Perm:
-    """Immutable permutation of {0, ..., degree-1}, stored as an image tuple."""
+    """Immutable permutation of {0, ..., degree-1}. images is a read-only
+    sequence of ints, the image of each point: bytes up to degree 256 and
+    a tuple above. Build a tuple or list from it to concatenate it."""
 
     __slots__ = ("images",)
 
@@ -35,7 +69,7 @@ class Perm:
             if type(v) is not int or not 0 <= v < n or seen[v]:
                 raise ValueError(f"not a permutation of 0..{n - 1}: {images!r}")
             seen[v] = True
-        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "images", _pack(images))
 
     @classmethod
     def identity(cls, degree: int) -> "Perm":
@@ -60,23 +94,29 @@ class Perm:
 
     def __mul__(self, other: "Perm") -> "Perm":
         # right action: x^(self*other) = (x^self)^other
-        images = self.images
+        a, b = self.images, other.images
         # _from_images, inlined: this is the hottest call in the package
         p = _new(Perm)
-        if len(images) > 1:
-            p.images = itemgetter(*images)(other.images)
+        if type(a) is bytes:
+            # padded for self's degree, the table is 256 bytes long only
+            # when other's degree is the same; translate refuses any other
+            p.images = a.translate(b + _PAD[len(a)])
         else:
-            # itemgetter() cannot be built from no indices, and from one
-            # index it returns a bare item instead of a tuple
-            p.images = tuple(other.images[v] for v in images)
+            p.images = itemgetter(*a)(b)
         return p
 
     def inv(self) -> "Perm":
         images = self.images
+        p = _new(Perm)
+        if type(images) is bytes:
+            # maketrans maps each image back to its point
+            p.images = bytes.maketrans(images, _IDENT[:len(images)])[:len(images)]
+            return p
         out = [0] * len(images)
         for i, v in enumerate(images):
             out[v] = i
-        return _from_images(tuple(out))
+        p.images = tuple(out)
+        return p
 
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Disjoint cycles, 0-based, each starting at its least point."""
@@ -115,11 +155,11 @@ class Perm:
         return format_permutation(self)
 
 
-def _from_images(images: tuple[int, ...]) -> Perm:
-    """A Perm on an image tuple already known to be a permutation, built
-    without __init__'s copy and check; Perm(images) is the public entry."""
+def _from_images(images: Sequence[int]) -> Perm:
+    """A Perm on images already known to be a permutation, built without
+    __init__'s check; Perm(images) is the public entry."""
     p = _new(Perm)
-    p.images = images
+    p.images = _pack(images)
     return p
 
 

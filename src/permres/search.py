@@ -17,6 +17,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import Sequence
 
 from .fq import ceil_log, require_int
 from .stabchain import PermGroup, ResourceLimit, _has_preserving_element, orbit_leaders
@@ -267,7 +268,7 @@ def verify_distinguishing(G: PermGroup, coloring) -> bool:
     return not _has_preserving_element(G, coloring)
 
 
-def _prime_order_elements(G: PermGroup, cap: int) -> list[tuple[tuple[int, ...], int]]:
+def _prime_order_elements(G: PermGroup, cap: int) -> list[tuple[Sequence[int], int]]:
     """(images, largest moved point) of one generator of each subgroup of
     prime order, sorted by largest moved point. The generators come from
     StabilizerChain.prime_order_generators, which scans one coset per

@@ -28,11 +28,10 @@ finish.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .fq import is_prime, require_int
-from .perm import Perm, _from_images, iter_alt_gens, iter_sym_gens
+from .perm import Perm, _from_images, _identity_images, iter_alt_gens, iter_sym_gens, left, table
 
 
 class ResourceLimit(RuntimeError):
@@ -264,16 +263,18 @@ class StabilizerChain:
                 g = lvl.transversal[best] * g
         return g
 
-    def image_tuples(self) -> Iterator[tuple[int, ...]]:
-        """Image tuples of all elements, lazily: u_(k-1) * ... * u_0 with one
+    def image_tuples(self) -> Iterator[Sequence[int]]:
+        """Images of all elements, lazily: u_(k-1) * ... * u_0 with one
         transversal element u_i per level, the deepest level's choice
         varying slowest and every level's in orbit order. Each level's
         prefix product is composed once and shared by all its extensions,
-        and each product is one itemgetter call."""
+        and each product is one left call on a table built once."""
         rows = [[lvl.transversal[b].images for b in lvl.orbit] for lvl in self.levels]
         if len(rows) <= 1:
             yield from rows[0] if rows else (self.identity.images,)
             return
+        # every level but the deepest is only ever a right operand
+        tables = [list(map(table, row)) for row in rows[:-1]]
         # one iterator per level, over that level's prefix products
         stack = [iter(rows[-1])]
         while stack:
@@ -282,16 +283,16 @@ class StabilizerChain:
                 stack.pop()
                 continue
             i = len(rows) - len(stack)
-            step = map(itemgetter(*prefix), rows[i - 1])
+            step = map(left(prefix), tables[i - 1])
             if i == 1:
                 yield from step
             else:
                 stack.append(step)
 
-    def prime_order_generators(self) -> list[tuple[int, ...]]:
-        """Image tuples of one generator of each subgroup of prime order,
-        found level by level from one coset per suborbit. No Perm is
-        composed: every product is one itemgetter call on image tuples.
+    def prime_order_generators(self) -> list[Sequence[int]]:
+        """Images of one generator of each subgroup of prime order, found
+        level by level from one coset per suborbit. No Perm is composed:
+        every product is one left call on raw images.
 
         At level i, with base point b, basic orbit O and H = G^(i+1) the
         stabilizer of b in G^(i), the elements of G^(i) that move b map it
@@ -313,24 +314,24 @@ class StabilizerChain:
         p - 1 generators of K maps b to the least point of that orbit other
         than b. For y = h^-1 x h, b^y = r^h and b's y-cycle is the h-image
         of its x-cycle, so y is kept exactly when r^h is below the h-images
-        of the other points of b's x-cycle besides b. One tuple per subgroup
-        of prime order comes back, in a fixed order.
+        of the other points of b's x-cycle besides b. One image sequence per
+        subgroup of prime order comes back, in a fixed order.
         """
-        n = self.degree
-        identity = tuple(range(n))
-        out: list[tuple[int, ...]] = []
+        identity = _identity_images(self.degree)
+        out: list[Sequence[int]] = []
         for i, lvl in enumerate(self.levels):
             b = lvl.point
             if len(lvl.orbit) == 1:
                 continue
             # b's cycle lies in O, so no prime above |O| is a cycle length
             primes = {p for p in range(2, len(lvl.orbit) + 1) if is_prime(p)}
-            # per suborbit: r, u_r, and each h with a getter applying h^-1 first
-            cosets = [(r, lvl.transversal[r].images,
-                       [(h, itemgetter(*h_inv)) for h, h_inv in reached])
+            # per suborbit: r, u_r's table, and each h with its table and
+            # a map applying h^-1 first
+            cosets = [(r, table(lvl.transversal[r].images),
+                       [(h, table(h), left(h_inv)) for h, h_inv in reached])
                       for r, reached in self._suborbit_transversals(i)]
             for s in self.tail(i + 1).image_tuples():
-                times_s = itemgetter(*s)
+                times_s = left(s)
                 for r, u, reached in cosets:
                     x = times_s(u)
                     rest = []  # the points of b's x-cycle after r
@@ -341,24 +342,25 @@ class StabilizerChain:
                     p = len(rest) + 2
                     if p not in primes:
                         continue
-                    power, z = itemgetter(*x), x
+                    power, z = left(x), x
                     for _ in range(p - 1):
-                        z = power(z)
+                        z = power(table(z))
                     if z != identity:
                         continue
-                    for h, after_h_inv in reached:
+                    for h, h_table, after_h_inv in reached:
                         if not rest or min(map(h.__getitem__, rest)) > h[r]:
-                            out.append(after_h_inv(power(h)))  # h^-1 x h
+                            out.append(after_h_inv(table(power(h_table))))  # h^-1 x h
         return out
 
     def _suborbit_transversals(self, i: int) -> list[tuple[int, list]]:
         """One (r, reached) per orbit of H = G^(i+1) on level i's basic
         orbit minus its point, in orbit order: r is the orbit's first point,
-        and reached holds (h, h^-1) as image tuples, one h in H for each
-        point of the orbit, with r^h that point; r's own h is the identity."""
+        and reached holds (h, h^-1) as images, one h in H for each point of
+        the orbit, with r^h that point; r's own h is the identity."""
         lvl = self.levels[i]
-        identity = tuple(range(self.degree))
-        gens = [(g.images, g.inv().images) for g in self.gens_fixing_prefix(i + 1)]
+        identity = _identity_images(self.degree)
+        # each generator as a right operand, its inverse as a left one
+        gens = [(table(g.images), left(g.inv().images)) for g in self.gens_fixing_prefix(i + 1)]
         out = []
         seen = {lvl.point}
         for r in lvl.orbit:
@@ -367,11 +369,11 @@ class StabilizerChain:
             seen.add(r)
             reached = [(identity, identity)]
             for h, h_inv in reached:  # grows while it is walked
-                for g, g_inv in gens:
+                for g, after_g_inv in gens:
                     w = g[h[r]]
                     if w not in seen:
                         seen.add(w)
-                        reached.append((itemgetter(*h)(g), itemgetter(*g_inv)(h_inv)))
+                        reached.append((left(h)(g), after_g_inv(table(h_inv))))
             out.append((r, reached))
         return out
 
@@ -745,7 +747,7 @@ def action_on_blocks(G: PermGroup, blocks: Sequence[Sequence[int]]) -> tuple[Per
     n, nblocks = G.degree, len(blocks)
     where = {x: bi for bi, blk in enumerate(blocks) for x in blk}
     label_images = [tuple(where[g.images[blk[0]]] for blk in blocks) for g in G.gens]
-    big_gens = [Perm(g.images + tuple(n + v for v in limg))
+    big_gens = [Perm([*g.images, *(n + v for v in limg)])
                 for g, limg in zip(G.gens, label_images)]
     chain = StabilizerChain(n + nblocks, big_gens, base_hint=list(range(n, n + nblocks)),
                             order=G.order())

@@ -31,10 +31,9 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from operator import itemgetter
 
 from .fq import factorize, is_prime, require_int
-from .perm import Perm
+from .perm import Perm, _identity_images, left, table
 from .stabchain import (
     PermGroup,
     action_on_blocks,
@@ -169,21 +168,21 @@ def identify_simple(order: int, spectrum_probe=None) -> str | None:
 
 
 def _has_element_of_order(G: PermGroup, k: int) -> bool:
-    """Whether some element of G has order k, by a scan of the chain's image
-    tuples that stops at the first one; no Perm is built.
+    """Whether some element of G has order k, by a scan of the chain's
+    element images that stops at the first one; no Perm is built.
 
     g has order k exactly when g^k = 1 and g^j != 1 for 0 < j < k. The
-    powers g^2, g^3, ... are itemgetter compositions of the image tuple, and
+    powers g^2, g^3, ... are left compositions of the raw images, and
     the walk stops at the first power that is 1, so an element of order
     below k costs only its order in compositions.
     """
-    identity = tuple(range(G.degree))
+    identity = _identity_images(G.degree)
     for images in G.chain().image_tuples():
-        power, h = itemgetter(*images), images
+        power, h = left(images), images
         for _ in range(k - 1):
             if h == identity:
                 break
-            h = power(h)
+            h = power(table(h))
         else:
             if h == identity:
                 return True

@@ -1,5 +1,6 @@
 """Command line verbs, output shapes, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -84,6 +85,21 @@ def test_construct_roundtrips_through_file(capsys, tmp_path):
     # the written file is a recipe the other verbs read
     code, out, _ = run(capsys, "order", "--recipe", f"@{dest}", "--json")
     assert code == 0 and json.loads(out)["order"] == 120
+
+
+def test_construct_prints_coset_labels_as_tuples(capsys):
+    # a coset label is the images of its coset's canonical representative,
+    # kept as a tuple whatever a Perm stores them as
+    recipe = ('{"kind": "diagonal", "factor": {"kind": "alternating", "m": 5},'
+              ' "swap": true, "outer": [0, 1, 2, 4, 3]}')
+    code, out, _ = run(capsys, "construct", "--recipe", recipe)
+    assert code == 0
+    labels = json.loads(out)["point-labels"]
+    assert labels[0] == "(0, 3, 1, 2, 4, 5, 6, 7, 8, 9)"
+    assert not any(lbl.startswith("b") for lbl in labels)
+    # the whole output, as printed before images were stored as bytes
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1d6e7533c27bd6a4a1f1cbdc01500994352b08ca337bc23a1dc9a231e8671d6a")
 
 
 def test_recipe_from_file(capsys, tmp_path):
@@ -313,6 +329,15 @@ def test_a_bad_rational_exits_three(capsys, check, params):
     key = "eps" if check == "threshold-m" else "delta"
     assert code == 3 and out == ""
     assert err.startswith(f"error: {key} must be a rational number, not ")
+
+
+@pytest.mark.parametrize("d", ['"x"', "60.0", "true"], ids=["str", "float", "bool"])
+def test_thm13_checks_d_before_comparing_it(capsys, d):
+    # d was compared with the recursion threshold first: a string raised
+    # TypeError, 60.0 reached the scan as gamma:60.0 and true read as 1
+    code, out, err = run(capsys, "bounds", "--check", "thm13", "--recipe", S5,
+                         "--params", f'{{"c": 1, "d": {d}, "delta": 1}}')
+    assert code == 3 and out == "" and "d must be" in err
 
 
 def test_rationals_read_as_ints_numbers_and_strings(capsys):

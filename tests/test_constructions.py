@@ -166,7 +166,7 @@ def test_seed_stabilizer_is_h():
     act = coset_action(G, H)
     assert act.degree * h_order == 120
     seed = H.chain().canonical_coset_rep(Perm.identity(5))
-    pt = act.index[seed.images]
+    pt = act.index[tuple(seed.images)]
     stab = act.group.point_stabilizer(pt)
     assert stab.chain().order() == h_order
 
@@ -282,7 +282,7 @@ def test_affine_over_an_extension_field_translates_by_all_of_the_space():
 
 
 def _gens_digest(act) -> str:
-    return hashlib.sha256(repr([g.images for g in act.group.gens]).encode()).hexdigest()
+    return hashlib.sha256(repr([tuple(g.images) for g in act.group.gens]).encode()).hexdigest()
 
 
 # sha256 of the generator image tuples: over a prime field the F_p-basis of
@@ -372,7 +372,7 @@ def test_diagonal_a5_orders():
 def _doubled(t: Perm) -> Perm:
     # (t, t) on two copies of t's points
     d = t.degree
-    return Perm(t.images + tuple(d + x for x in t.images))
+    return Perm(tuple(t.images) + tuple(d + x for x in t.images))
 
 
 def test_diagonal_identity_stabilizer():

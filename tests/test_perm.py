@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permres.perm import Perm, format_permutation, iter_alt_gens, iter_sym_gens
+from permres.perm import Perm, _from_images, format_permutation, iter_alt_gens, iter_sym_gens, left, table
 
 
 def test_identity_and_apply():
@@ -24,9 +24,10 @@ def test_inverse_and_pow():
     assert (p * p.inv()).is_identity()
 
 
-# degrees 0 and 1 are the edge cases of the itemgetter kernel; 36 and 360
-# are the degrees the benchmark times
-KERNEL_DEGREES = (0, 1, 2, 36, 360)
+# degrees 0 and 1 are the edge cases of the bytes kernel, 256 its last
+# degree and 257 the first on tuples and itemgetter; 36 and 360 are the
+# degrees the benchmark times
+KERNEL_DEGREES = (0, 1, 2, 36, 255, 256, 257, 360)
 
 
 @st.composite
@@ -41,14 +42,36 @@ def perm_pairs(draw):
 def test_kernel_matches_reference(pair):
     p, q = pair
     n = p.degree
-    assert (p * q).images == tuple(q.images[p.images[i]] for i in range(n))
+    assert tuple((p * q).images) == tuple(q.images[p.images[i]] for i in range(n))
+    assert left(p.images)(table(q.images)) == (p * q).images
     inv = [0] * n
     for i in range(n):
         inv[p.images[i]] = i
-    assert p.inv().images == tuple(inv)
+    assert tuple(p.inv().images) == tuple(inv)
     assert p.is_identity() == all(p.images[i] == i for i in range(n))
     assert (p * p.inv()).is_identity()
     assert Perm.identity(n) * Perm.identity(n) == Perm.identity(n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(KERNEL_DEGREES).flatmap(lambda n: st.permutations(range(n))))
+def test_every_constructor_stores_the_same_perm(images):
+    built = [Perm(images), Perm(tuple(images)), _from_images(tuple(images))]
+    if len(images) <= 256:
+        built.append(Perm(bytes(images)))
+    assert all(p == built[0] and hash(p) == hash(built[0]) for p in built)
+    assert tuple(built[0].images) == tuple(images)
+
+
+@pytest.mark.parametrize("m,n", [(3, 4), (4, 3), (36, 35)])
+def test_composing_across_degrees_raises(m, n):
+    with pytest.raises(ValueError):
+        Perm.identity(m) * Perm.identity(n)
+
+
+def test_a_bool_is_no_image():
+    with pytest.raises(ValueError):
+        Perm([True, 0])
 
 
 def test_conj():
@@ -118,3 +141,21 @@ def test_alt_gens(m):
     # a cycle of length k is a product of k - 1 transpositions
     assert all(sum(len(c) - 1 for c in g.cycles()) % 2 == 0 for g in gens)
     assert _closure_size(m, gens) == math.factorial(m) // 2
+
+
+def test_only_perm_chooses_the_image_storage():
+    # the bytes-or-tuple choice, and the kernels on each, live in perm.py
+    # alone: other modules compose raw images through left and table
+    from pathlib import Path
+
+    import permres.perm
+
+    found = []
+    for path in sorted(Path(permres.perm.__file__).parent.glob("*.py")):
+        if path.name == "perm.py":
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            for word in ("itemgetter(*", ".translate(", "maketrans", "is bytes", "is tuple"):
+                if word in line:
+                    found.append(f"{path.name}:{lineno} {word}")
+    assert not found, found

@@ -384,7 +384,7 @@ PRIME_ORDER_GROUPS = {
     "intransitive": lambda: PermGroup(9, [Perm.from_cycles([(0, 1, 2)], 9),
                                           Perm.from_cycles([(0, 1)], 9),
                                           Perm.from_cycles([(3, 4), (5, 6, 7)], 9)]),
-    # every image tuple has two entries, so no itemgetter takes one index
+    # the least degree with an element of prime order
     "degree 2": lambda: PermGroup(2, [Perm([1, 0])]),
     **{name: (lambda recipe=recipe: construct_recipe(recipe).group)
        for name, recipe in ORACLE_RECIPES.items()},
@@ -628,8 +628,8 @@ def test_coloring_tables_mark_pairs_and_last_points(G):
 
 
 def test_prime_order_filter_composes_no_perm(monkeypatch, affine16):
-    # the filter reads image tuples from the chain and powers them with
-    # itemgetter; the enumeration keeps the order of the product
+    # the filter reads raw images from the chain and powers them with
+    # perm.left and perm.table; the enumeration keeps the order of the product
     # u_(k-1) * ... * u_0 over the chain's levels, the deepest slowest
     chain = affine16.chain()
     expected = []

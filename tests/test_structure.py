@@ -35,7 +35,7 @@ def cyc(cycles, degree):
 def a5_wr_c2():
     gens = []
     for g in iter_alt_gens(5):
-        gens.append(Perm(g.images + tuple(range(5, 10))))
+        gens.append(Perm(tuple(g.images) + tuple(range(5, 10))))
         gens.append(Perm(tuple(range(5)) + tuple(x + 5 for x in g.images)))
     gens.append(cyc([(0, 5), (1, 6), (2, 7), (3, 8), (4, 9)], 10))
     return PermGroup(10, gens)
@@ -122,7 +122,7 @@ def test_restriction_keeps_the_derived_subgroup_only_when_faithful():
     assert H.restriction([0, 1, 2, 3])._derived is None
     # a perfect group with a chain is its own derived subgroup, and so is
     # its restriction
-    A5 = PermGroup(7, [Perm(g.images + (5, 6)) for g in iter_alt_gens(5)])
+    A5 = PermGroup(7, [Perm(tuple(g.images) + (5, 6)) for g in iter_alt_gens(5)])
     assert A5.order() == 60 and derived_subgroup(A5) is A5
     B = A5.restriction(range(5))
     assert B._derived is B
@@ -650,7 +650,7 @@ def test_descent_handles_regular_product_with_mixed_generators():
     from permres.stabchain import StabilizerChain
 
     base = PermGroup.alternating(4)
-    elems = [p.images for p in base.elements()]
+    elems = [tuple(p.images) for p in base.elements()]
     index = {imgs: i for i, imgs in enumerate(elems)}
     n = len(elems)
 

@@ -132,6 +132,10 @@ def matrix_orbit_action(grp: MatrixGroup, seed=None, kind: str = "vector",
     a seed must span neither 0 nor all of F_q^m.
     flt restricts the seed (all / totally-isotropic / nondegenerate-plus /
     nondegenerate-minus / nonsingular); the orbit inherits the property.
+
+    The group's order_bound, which stops its first chain, is the matrix
+    group's abstract order, less its scalars on subspaces, where they act
+    trivially; a group of unknown order (abstract_order 0) gets none.
     """
     field, m = grp.field, grp.m
     if seed is not None and not isinstance(seed, SubspaceFq):
@@ -171,7 +175,14 @@ def matrix_orbit_action(grp: MatrixGroup, seed=None, kind: str = "vector",
     else:
         raise ConstructionError(f"unknown space {kind!r}")
     _check_seed_filter(grp, seed, kind, flt)
-    return _orbit_action(seed, grp.matrices, act, label=grp.label)
+    action = _orbit_action(seed, grp.matrices, act, label=grp.label)
+    order = grp.abstract_order or None
+    if order and kind == "subspace":
+        from .classical import scalar_kernel_order
+
+        order //= scalar_kernel_order(grp)
+    action.group.order_bound = order
+    return action
 
 
 def affine_action(grp: MatrixGroup) -> LabeledAction:

@@ -77,7 +77,7 @@ def _sym_order(m: int, alt: bool) -> int:
 
 
 # kind -> (keys it needs, keys it may also read); any other key is bad
-# input. A matrix kind's action keys are read by _matrix_action only.
+# input. A matrix kind's action keys are read by matrix_orbit_action only.
 _ACTION = ("space", "seed", "k", "filter")
 KINDS = {
     "symmetric": (("m",), ()),
@@ -142,21 +142,6 @@ def _matrix_group(recipe: dict) -> MatrixGroup:
     return MatrixGroup(family=recipe.get("label", "custom"), m=m, q=q, field=fld,
                        matrices=[FqMatrix(fld, rows) for rows in mats],
                        form=None, abstract_order=0)
-
-
-def _matrix_action(recipe: dict) -> LabeledAction:
-    from .classical import scalar_kernel_order
-
-    grp = _matrix_group(recipe)
-    space = recipe.get("space", "vector")
-    act = matrix_orbit_action(grp, seed=recipe.get("seed"), kind=space,
-                              flt=recipe.get("filter", "all"), k=recipe.get("k"))
-    # matrix-generators know no order (abstract_order 0); scalars act
-    # trivially on subspaces
-    order = grp.abstract_order or None
-    if order and space == "subspace":
-        order //= scalar_kernel_order(grp)
-    return _bounded(act, order)
 
 
 # recipe JSON text -> action built from it, kept only when the build
@@ -227,7 +212,10 @@ def _build_recipe(recipe: dict) -> LabeledAction:
         return _as_action(PermGroup(degree, [Perm(images) for images in gens],
                                     label=recipe.get("label")))
     if kind in _MATRIX_KINDS:
-        return _matrix_action(recipe)
+        # the action bounds its order by the matrices'
+        return matrix_orbit_action(_matrix_group(recipe), seed=recipe.get("seed"),
+                                   kind=recipe.get("space", "vector"),
+                                   flt=recipe.get("filter", "all"), k=recipe.get("k"))
     if kind == "affine":
         grp = _matrix_group(recipe)
         return _bounded(affine_action(grp), grp.field.q ** grp.m * grp.abstract_order)

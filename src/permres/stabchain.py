@@ -16,8 +16,7 @@ with the points still to stabilize and stopped at the known order: a base
 and strong generating set whose basic orbits multiply to the group order
 is complete (Seress, Ch. 4). A normal closure in a group with a chain
 stops the same way once it reaches the group's order, and is then the
-group itself; normal_closure_is_group certifies that case with a seeded
-random walk and no Schreier generators at all.
+group itself.
 
 Schreier-Sims is one sweep, _close, over one counter per orbit point
 (see _Level). Each level's orbit is closed under that level's generators
@@ -795,47 +794,6 @@ def normal_closure(G: PermGroup, seeds: Sequence[Perm]) -> PermGroup:
     closure = PermGroup(G.degree, gens)
     closure._chain = chain
     return closure
-
-
-# identity sifts in a row after which normal_closure_is_group gives up
-_WALK_PATIENCE = 12
-
-
-def normal_closure_is_group(G: PermGroup, z: Perm, rng) -> bool:
-    """True only if the normal closure of z in G is G itself, certified.
-
-    A random walk x <- x * g^-1 z g, with g a uniform element of G drawn
-    from rng, sifts every x into a chain on G's base and installs each
-    non-identity residue; no Schreier generator is ever sifted. Every
-    installed residue lies in the closure and fixes the base points above
-    its level, so each basic orbit lies in the true basic orbit of the
-    closure, and the orbits multiply to at most |closure| <= |G|. Once they
-    multiply to |G|, the closure is G, whatever rng drew; the randomness
-    decides only how soon that is seen (a Las Vegas test, Seress,
-    Permutation Group Algorithms, 2003, Sec. 4.3).
-
-    After _WALK_PATIENCE identity sifts in a row the answer is False, which
-    means only "not certified": the closure may still be G. Each install
-    strictly grows one level's orbit, since G's base is a base of every
-    subgroup, so a walk makes at most (base length) * degree installs and
-    always ends.
-    """
-    full = G.chain()
-    target = full.order()
-    walk = StabilizerChain(G.degree, base_hint=full.base)
-    x, idle = z, 0
-    while idle < _WALK_PATIENCE:
-        residue, j = walk._sift(x, 0)
-        if residue.is_identity():
-            idle += 1
-        else:
-            idle = 0
-            walk._install(residue, j)
-            if walk.order() == target:
-                return True
-        g = full.random_element(rng)
-        x = x * (g.inv() * z * g)
-    return False
 
 
 def derived_subgroup(G: PermGroup) -> PermGroup:

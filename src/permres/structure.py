@@ -8,14 +8,16 @@ Every step strictly reduces (degree, order). A perfect primitive G is
 certified simple by its order and degree when they rule out both kinds
 of minimal normal subgroup a proper N would contain (Dixon-Mortimer 1996,
 Ch. 4, with Schreier's conjecture by CFSG and Burnside's p^a q^b
-theorem): this settles Sp(6,2) on 36 or 63 points, A_m on m < 25
-points, L3(4) and the Mathieu groups. Only the rest, affine-compatible
-prime-power degrees and, from degree 25 on, orders with three primes
-squared such as a diagonal T x T, go to the probe, whose choice of
-elements is sampled. Simple factors are identified by order against a
-generated table; the one documented order collision, at 20160, is
-settled by a scan of every element for one of order 15, which A8 has and
-L3(4) lacks. Anything unresolved is reported as unknown, never guessed.
+theorem): this settles A_n on n points, Sp(6,2) on 36 or 63 points,
+L2(31) on 32 points, L3(4) and the Mathieu groups. Only the rest go to
+the probe, whose choice of elements is sampled: prime-power degrees p^d
+where the point stabilizer could be a perfect subgroup of GL(d, p), and
+orders with three primes squared on a degree that is a proper power or
+could be the order of a simple group, such as a diagonal T x T. Simple
+factors are identified by order against a generated table; the one
+documented order collision, at 20160, is settled by a scan of every
+element for one of order 15, which A8 has and L3(4) lacks. Anything
+unresolved is reported as unknown, never guessed.
 
 Each factor carries one bracket [alt_lower, alt_upper] on its largest
 alternating section, and the restricted classes Gamma_d are read from the
@@ -31,16 +33,11 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from typing import Iterator
 
 from .fq import factorize, is_prime, require_int
-from .perm import Perm, _identity_images, left, table
-from .stabchain import (
-    PermGroup,
-    action_on_blocks,
-    derived_subgroup,
-    normal_closure,
-    normal_closure_is_group,
-)
+from .perm import Perm, _from_images, _identity_images, left, table
+from .stabchain import PermGroup, action_on_blocks, derived_subgroup, normal_closure
 
 YES = "yes"
 NO = "no"
@@ -222,8 +219,6 @@ def is_solvable(G: PermGroup) -> bool:
 # _find_proper_normal's random probes: how many, and their seed
 _PROBE_SAMPLES = 64
 _PROBE_SEED = 97
-# seed of the walks that certify full normal closures in _find_proper_normal
-_WALK_SEED = 1913
 
 
 def composition_factors(G: PermGroup) -> list[FactorDescriptor]:
@@ -309,70 +304,102 @@ def _descend(G: PermGroup, out: list[FactorDescriptor]) -> None:
     out.extend(rest)
 
 
+def _could_be_simple_order(n: int) -> bool:
+    """Whether n could be a multiple of |T| for a nonabelian simple group
+    T; False proves it is not. |T| is at least 60, has three prime divisors
+    (Burnside's p^a q^b theorem), and is divisible by 4: it is even
+    (Feit-Thompson), and a cyclic Sylow 2-subgroup would give T a normal
+    2-complement (Burnside's transfer theorem). So is every multiple."""
+    return n >= 60 and n % 4 == 0 and len(factorize(n)) >= 3
+
+
 def _simple_by_order(order: int, degree: int) -> bool:
     """Whether every perfect primitive group of this order and degree is
     simple; False decides nothing (Dixon-Mortimer 1996, Ch. 4).
 
-    A proper nontrivial normal subgroup of such a G contains a minimal
-    normal subgroup M of G, and M is transitive. If M is abelian, it is
-    regular, so degree = p^d and G_a = G/M is a nontrivial perfect subgroup
-    of GL(d, p): d >= 2, |G_a| >= 60 and |G_a| divides |GL(d, p)|. If M = T^k
-    with T nonabelian simple, k = 1 and C_G(M) = 1 would put G inside Aut(T)
-    with G/T solvable (Schreier's conjecture, by CFSG) and perfect, so
-    G = M. Otherwise T^k with k >= 2, or M x C_G(M) with both factors
-    regular, makes |T|^2 divide |G|; |T| has at least three prime divisors
-    (Burnside's p^a q^b theorem), so three primes divide |G| squared. Such
-    a G has degree at least 25 (O'Nan-Scott, Liebeck-Praeger-Saxl 1988):
-    5^2 in product action, |T| >= 60 for the diagonal, twisted wreath and
-    two-minimal-normal types. So below degree 25 the squares decide nothing.
+    A group of order n!/2 on n >= 5 points is A_n, the only subgroup of
+    index 2 in S_n. Otherwise a proper nontrivial normal subgroup of such a
+    G contains a minimal normal subgroup M of G, and M is transitive.
+    (a) If M is abelian, it is regular, so degree = p^d and G_a = G/M is a
+    nontrivial perfect subgroup of GL(d, p): d >= 2, |G_a| divides
+    |GL(d, p)|, and some nonabelian simple order divides |G_a|, which
+    _could_be_simple_order then admits. (b) If M = T^k with T nonabelian
+    simple, k = 1 and C_G(M) = 1 would put G inside Aut(T) with G/T
+    solvable (Schreier's conjecture, by CFSG) and perfect, so G = M.
+    Otherwise G has O'Nan-Scott type HS, HC, SD, CD, PA or TW (Liebeck-
+    Praeger-Saxl 1988), and:
+    - |T|^2 divides |G|, and |T| has three prime divisors (Burnside's
+      p^a q^b theorem), so three primes divide |G| squared;
+    - the degree is |T| (HS, and SD with two factors) or a proper power:
+      m^l with l >= 2 for PA, |T|^j with j >= 2 for the others.
     """
-    if degree >= 25 and sum(e >= 2 for e in factorize(order).values()) >= 3:
-        return False
+    if _alt_degree(order) == degree:
+        return True
     powers = factorize(degree)
+    if ((math.gcd(*powers.values()) >= 2 or _could_be_simple_order(degree))
+            and sum(e >= 2 for e in factorize(order).values()) >= 3):
+        return False
     if len(powers) == 1:
         ((p, d),) = powers.items()
         stabilizer = order // degree
         gl_order = math.prod(p**d - p**i for i in range(d))
-        if d >= 2 and stabilizer >= 60 and gl_order % stabilizer == 0:
+        if d >= 2 and _could_be_simple_order(stabilizer) and gl_order % stabilizer == 0:
             return False
     return True
+
+
+def _prime_order_powers(g: Perm) -> list[Perm]:
+    """g^(o/p) for each prime p dividing the order o of g, read off its
+    cycles: a cycle of length l sends its i-th point to its (i + k mod l)-th
+    under g^k."""
+    cycles = g.cycles()
+    order = math.lcm(*map(len, cycles))
+    out = []
+    for p in sorted(factorize(order)):
+        k = order // p
+        images = list(range(g.degree))
+        for c in cycles:
+            for i, x in enumerate(c):
+                images[x] = c[(i + k) % len(c)]
+        out.append(_from_images(images))
+    return out
+
+
+def _probes(G: PermGroup) -> Iterator[Perm]:
+    # built only as far as _find_proper_normal reads them
+    yield from G.gens
+    for i, a in enumerate(G.gens):
+        for b in G.gens[i + 1:]:
+            yield a * b
+    rng, chain = random.Random(_PROBE_SEED), G.chain()
+    for _ in range(_PROBE_SAMPLES):
+        g = chain.random_element(rng)
+        yield g
+        yield from _prime_order_powers(g)
 
 
 def _find_proper_normal(G: PermGroup) -> PermGroup | None:
     """A proper nontrivial normal subgroup, or None if none was found.
 
     The descent calls it only on the perfect primitive groups that
-    _simple_by_order refuses: degree p^d with |G_a| >= 60 dividing
-    |GL(d, p)|, or degree at least 25 with three primes squared in |G|,
-    such as ASL(3,2), A25 or a diagonal T x T. Probes every generator, pairwise generator products,
-    and seeded random elements. Before a probe's normal closure is built, a seeded random
-    walk (normal_closure_is_group) tries to certify that the closure is
-    full, that is, that its basic orbits multiply to |G|. The walk decides
-    nothing on its own: a certified probe is skipped, and every other probe
-    gets the deterministic closure, so each N returned is the one
-    normal_closure builds. All closures full is strong evidence of
+    _simple_by_order refuses: degree p^d with |G_a| dividing |GL(d, p)|,
+    such as ASL(3,2) or 2^4:A6, or a degree that is a proper power or could
+    be a simple order, with three primes squared in |G|, such as a diagonal
+    T x T. The probes are every generator, pairwise generator products, and
+    seeded random elements, each followed by its powers of prime order: a
+    power of (a, b) in T x T lands in T x 1 when some prime divides the
+    order of a to a higher power than that of b. Each probe's normal_closure stops, and is G itself,
+    once its chain reaches |G|. All closures full is strong evidence of
     simplicity but not a proof for adversarial generating sets; a wrong
     survivor is caught later when its order matches nothing and it reports
     as unknown.
     """
     order = G.order()
-    probes: list[Perm] = list(G.gens)
-    for i in range(len(G.gens)):
-        for j in range(i + 1, len(G.gens)):
-            probes.append(G.gens[i] * G.gens[j])
-    rng = random.Random(_PROBE_SEED)
-    chain = G.chain()
-    for _ in range(_PROBE_SAMPLES):
-        probes.append(chain.random_element(rng))
-    # a generator of its own, so the walks leave the probe list unchanged
-    walk_rng = random.Random(_WALK_SEED)
     seen = set()
-    for z in probes:
+    for z in _probes(G):
         if z.is_identity() or z.images in seen:
             continue
         seen.add(z.images)
-        if normal_closure_is_group(G, z, walk_rng):
-            continue
         N = normal_closure(G, [z])
         if 1 < N.order() < order:
             return N

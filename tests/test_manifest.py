@@ -203,9 +203,12 @@ def test_generator_recipes_carry_no_bound():
                              "matrices": [[[1, 1], [0, 1]]], "space": "subspace",
                              "k": 1})
     assert perm.group.order_bound is None and mats.group.order_bound is None
-    # the classical order-formula tests build this way, so they stay unbounded
+    # a direct call on a classical group is bounded as its recipe is: the
+    # abstract order, less the scalars on subspaces
     grp = classical_generators("GL", 3, 2)
-    assert matrix_orbit_action(grp, kind="vector").group.order_bound is None
+    assert matrix_orbit_action(grp, kind="vector").group.order_bound == 168
+    grp = classical_generators("SL", 3, 4)
+    assert matrix_orbit_action(grp, kind="subspace", k=1).group.order_bound == 60480 // 3
 
 
 @pytest.mark.parametrize("check_id", [

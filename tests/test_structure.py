@@ -213,13 +213,12 @@ def deg36():
 
 def test_descent_pins_closure_extends(monkeypatch):
     # Sp(6,2) on 36 points is simple by its order and degree, so no probe
-    # runs: no walk (79 walks, each certifying its probe full, before the
-    # order test) and no probe closure (444 extends and 79 closures when
-    # each probe built its closure to |G|)
+    # runs and builds no closure (444 extends and 79 closures when each
+    # probe built its closure to |G|)
     G = deg36()
-    extends, closures, walks = [0], [0], []
+    extends, closures = [0], [0]
     inner = StabilizerChain.extend
-    closure, walk = structure.normal_closure, structure.normal_closure_is_group
+    closure = structure.normal_closure
 
     def counted(self, *args, **kwargs):
         extends[0] += 1
@@ -229,17 +228,11 @@ def test_descent_pins_closure_extends(monkeypatch):
         closures[0] += 1
         return closure(*args)
 
-    def counted_walk(*args):
-        walks.append(walk(*args))
-        return walks[-1]
-
     monkeypatch.setattr(StabilizerChain, "extend", counted)
     monkeypatch.setattr(structure, "normal_closure", counted_closure)
-    monkeypatch.setattr(structure, "normal_closure_is_group", counted_walk)
     assert names(composition_factors(G)) == ["S6(2)"]
     assert extends[0] == 10
     assert closures[0] == 0
-    assert walks == []
 
 
 # perfect primitive groups that are not simple: the probe finds a proper N,
@@ -253,32 +246,6 @@ PERFECT_NOT_SIMPLE = {
          "swap": True, "outer": [0, 1, 2, 4, 3]}).group),
     "ASL(2,5)": lambda: construct_recipe({"kind": "affine", "family": "SL", "m": 2, "q": 5}).group,
 }
-
-
-def _probe_and_factors(G):
-    N = structure._find_proper_normal(G)
-    return N.order(), [g.images for g in N.gens], names(composition_factors(G))
-
-
-@pytest.mark.parametrize("name", sorted(PERFECT_NOT_SIMPLE))
-def test_walk_leaves_the_proper_normal_subgroup_as_it_was(monkeypatch, name):
-    walked = _probe_and_factors(PERFECT_NOT_SIMPLE[name]())
-    # with every walk failing, each probe builds its closure
-    monkeypatch.setattr(structure, "normal_closure_is_group", lambda G, z, rng: False)
-    assert walked == _probe_and_factors(PERFECT_NOT_SIMPLE[name]())
-
-
-@pytest.mark.parametrize("seed", [1, 2012, 777777])
-def test_factors_do_not_depend_on_the_walk_seed(monkeypatch, seed):
-    monkeypatch.setattr(structure, "_WALK_SEED", seed)
-    expected = {"ASL(3,2)": ["C2", "C2", "C2", "L2(7)"],
-                "2^4:A6": ["A6", "C2", "C2", "C2", "C2"],
-                "diag60'": ["A5", "A5"],
-                "ASL(2,5)": ["A5", "C2", "C5", "C5"]}
-    for name, factors in expected.items():
-        assert names(composition_factors(PERFECT_NOT_SIMPLE[name]())) == factors
-    assert names(composition_factors(psl27())) == ["L2(7)"]
-    assert names(composition_factors(PermGroup.alternating(7))) == ["A7"]
 
 
 def test_split_subtracts_the_factors_of_a_point_stabilizer_of_n(monkeypatch):
@@ -325,21 +292,16 @@ def linear_on_points(m, q):
 
 
 def _count_probes(monkeypatch):
-    # the groups handed to _find_proper_normal, and how many walks ran
-    probed, walks = [], [0]
-    find, walk = structure._find_proper_normal, structure.normal_closure_is_group
+    # the groups handed to _find_proper_normal
+    probed = []
+    find = structure._find_proper_normal
 
     def counted_find(G):
         probed.append(G)
         return find(G)
 
-    def counted_walk(*args):
-        walks[0] += 1
-        return walk(*args)
-
     monkeypatch.setattr(structure, "_find_proper_normal", counted_find)
-    monkeypatch.setattr(structure, "normal_closure_is_group", counted_walk)
-    return probed, walks
+    return probed
 
 
 # simple primitive groups that the order test certifies: no probe runs
@@ -350,8 +312,11 @@ SIMPLE_BY_ORDER = {
     "A6 on 15": (lambda: construct_recipe(
         {"kind": "subsets", "m": 6, "k": 2, "alt": True}).group, "A6"),
     **{f"A{m}": (lambda m=m: PermGroup.alternating(m), f"A{m}")
-       for m in (*range(5, 11), 16, 20)},
+       for m in (*range(5, 11), 16, 20, 30, 36)},
     "L2(7)": (psl27, "L2(7)"),
+    # 2^5 and 2^7 points, and an odd point stabilizer
+    "L2(31) on 32": (lambda: psl2(31), "L2(31)"),
+    "L2(127) on 128": (lambda: psl2(127), "L2(127)"),
     "L2(8)": (lambda: linear_on_points(2, 8), "L2(8)"),
     "L3(4)": (lambda: linear_on_points(3, 4), "L3(4)"),
     "U4(2) on 40": (lambda: matrix_orbit_action(
@@ -364,9 +329,9 @@ def test_simple_by_order_runs_no_probe(monkeypatch, name):
     build, factor = SIMPLE_BY_ORDER[name]
     G = build()
     assert structure._simple_by_order(G.order(), G.degree)
-    probed, walks = _count_probes(monkeypatch)
+    probed = _count_probes(monkeypatch)
     assert names(composition_factors(G)) == [factor]
-    assert (probed, walks[0]) == ([], 0)
+    assert probed == []
 
 
 @pytest.mark.parametrize("order,degree", [
@@ -374,6 +339,65 @@ def test_simple_by_order_runs_no_probe(monkeypatch, name):
 ], ids=["M11", "M11 on 12", "M12", "M22", "M23", "M24"])
 def test_mathieu_groups_are_simple_by_order(order, degree):
     assert structure._simple_by_order(order, degree)
+
+
+def test_symmetric_group_on_26_points_runs_no_probe(monkeypatch):
+    # A26 has order 26!/2 on 26 points, so it is A26 by its order alone
+    probed = _count_probes(monkeypatch)
+    assert names(composition_factors(PermGroup.symmetric(26))) == ["A26", "C2"]
+    assert probed == []
+
+
+@pytest.mark.parametrize("order,degree", [
+    (60 ** 2, 60), (660 ** 2, 660), (60 ** 6, 5 ** 5), (2 ** 4 * 360, 16),
+], ids=["A5xA5 on 60", "diag(L2(11)) on 660", "A5 wr A5 on 3125", "2^4:A6 on 16"])
+def test_groups_with_a_proper_normal_subgroup_are_refused_by_order(order, degree):
+    assert not structure._simple_by_order(order, degree)
+
+
+# orders below 10^10 of the sporadic and exceptional simple groups, from the
+# ATLAS: the generated table holds the classical families only
+ATLAS_ORDERS = {
+    "M11": 7920, "M12": 95040, "J1": 175560, "M22": 443520, "J2": 604800,
+    "M23": 10200960, "HS": 44352000, "J3": 50232960, "M24": 244823040,
+    "McL": 898128000, "He": 4030387200,
+    "Sz(8)": 29120, "Sz(32)": 32537600, "G2(3)": 4245696, "G2(4)": 251596800,
+    "G2(5)": 5859000000, "3D4(2)": 211341312, "2F4(2)'": 17971200,
+}
+
+
+def test_every_simple_order_could_be_simple():
+    orders = [row["order"] for rows in structure._table().values() for row in rows]
+    orders += [math.factorial(m) // 2 for m in range(5, 14)]  # 14!/2 > 10^10
+    orders += ATLAS_ORDERS.values()
+    assert all(structure._could_be_simple_order(n) for n in orders)
+    # 26 and 30 points, and the odd point stabilizers of L2(31) and L2(127)
+    assert not any(map(structure._could_be_simple_order, (26, 30, 465, 8001)))
+
+
+def test_prime_order_powers_read_off_the_cycles():
+    g = cyc([(0, 1, 2, 3, 4, 5), (6, 7, 8, 9)], 11)  # order 12
+    powers = [Perm.identity(11)]
+    for _ in range(12):
+        powers.append(powers[-1] * g)
+    assert structure._prime_order_powers(g) == [powers[6], powers[4]]
+    assert structure._prime_order_powers(Perm.identity(3)) == []
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_prime_order_powers_split_a_diagonal_from_random_generators(seed):
+    # diag(A6) without the swap on 360 points, generated by two random
+    # elements of its chain: every sampled probe's closure is the whole
+    # group, and the factor came back ?129600 until the probe also took
+    # each sample's powers of prime order, some of which lie in T x 1
+    G = construct_recipe({"kind": "diagonal", "factor": {"kind": "alternating", "m": 6},
+                          "swap": False}).group
+    rng, chain = random.Random(seed), G.chain()
+    while True:
+        H = PermGroup(G.degree, [chain.random_element(rng), chain.random_element(rng)])
+        if H.order() == G.order():
+            break
+    assert names(composition_factors(H)) == ["A6", "A6"]
 
 
 # perfect primitive groups that the order test refuses, with their factors:
@@ -392,14 +416,13 @@ def test_refused_groups_are_still_probed(monkeypatch, name):
     build = {**PERFECT_NOT_SIMPLE, "diag(L2(11))": diag_l2_11}[name]
     G = build()
     assert not structure._simple_by_order(G.order(), G.degree)
-    probed, walks = _count_probes(monkeypatch)
+    probed = _count_probes(monkeypatch)
     assert names(composition_factors(G)) == REFUSED_BY_ORDER[name]
     assert probed[0] is G
 
 
 # every perfect primitive group of order at most 20,160 built here, simple
-# or not; PSL(2,31) on 32 points is simple but refused (2^5 points, and 465
-# divides |GL(5,2)|)
+# or not
 SMALL_PERFECT_PRIMITIVE = {
     **{f"A{m}": lambda m=m: PermGroup.alternating(m) for m in range(5, 9)},
     **{f"A{m} on {k}-sets": lambda m=m, k=k: construct_recipe(

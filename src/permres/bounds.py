@@ -275,8 +275,8 @@ def n_c_delta(c: int, delta) -> int:
 
 
 def lemma22_check(G: PermGroup, d: int) -> BoundReport:
-    """Certified |G| < d**(degree-1) for a group with no alternating
-    section of degree >= d. Exact big-integer comparison.
+    """Certified |G| <= d**(degree-1), bcp_order_bound, for a group with
+    no alternating section of degree >= d. Exact big-integer comparison.
 
     The hypothesis is checked first and must resolve to a definite yes;
     in_gamma rejects d < 5, where no certificate exists (the d = 2 class
@@ -289,13 +289,13 @@ def lemma22_check(G: PermGroup, d: int) -> BoundReport:
     if verdict == UNKNOWN:
         raise ValueError("section certificate unresolved; cannot apply the bound")
     order = G.order()
-    bound = d ** (G.degree - 1)
+    bound = bcp_order_bound(d, G.degree)
     return BoundReport(
         "lemma22",
         {"d": d, "degree": G.degree},
         bound,
         order,
-        "holds" if order < bound else "fails",
+        "holds" if order <= bound else "fails",
     )
 
 

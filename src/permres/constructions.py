@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from .fq import FqField, FqMatrix, SubspaceFq, subspace_type
+from .fq import FqField, FqMatrix, SubspaceFq, subspace_filter
 from .perm import Perm, _from_images, iter_alt_gens, iter_sym_gens
 from .stabchain import PermGroup
 
@@ -93,6 +93,8 @@ def _subspace_act(field: FqField):
 
 
 def _check_seed_filter(grp: MatrixGroup, seed, kind: str, flt: str) -> None:
+    # a vector is checked as the line it spans: it is nonsingular exactly
+    # when that line is not totally isotropic
     if flt == "all":
         return
     form = grp.form
@@ -101,24 +103,16 @@ def _check_seed_filter(grp: MatrixGroup, seed, kind: str, flt: str) -> None:
     if kind == "vector":
         if flt not in ("nonsingular", "totally-isotropic"):
             raise ConstructionError(f"unknown vector filter {flt!r}")
-        val = form.quad_value(seed) if form.quad is not None \
-            else form.bilinear(seed, seed)
-        if flt == "nonsingular" and val == 0:
+        isotropic = subspace_filter(form, [seed]) == "totally-isotropic"
+        if isotropic and flt == "nonsingular":
             raise ConstructionError("seed vector is singular")
-        if flt == "totally-isotropic" and val != 0:
+        if not isotropic and flt == "totally-isotropic":
             raise ConstructionError("seed vector is not isotropic")
         return
-    cls = subspace_type(form, seed.basis)
-    if flt == "totally-isotropic":
-        ok = cls.totally_singular if form.quad is not None else cls.totally_isotropic
-        if not ok:
-            raise ConstructionError("seed subspace is not totally isotropic")
-    elif flt in ("nondegenerate-plus", "nondegenerate-minus"):
-        want = "+" if flt.endswith("plus") else "-"
-        if cls.degenerate or cls.eps != want:
-            raise ConstructionError(f"seed subspace is not nondegenerate of type {want}")
-    else:
+    if flt not in ("totally-isotropic", "nondegenerate-plus", "nondegenerate-minus"):
         raise ConstructionError(f"unknown subspace filter {flt!r}")
+    if subspace_filter(form, seed.basis) != flt:
+        raise ConstructionError(f"seed subspace is not {flt}")
 
 
 def matrix_orbit_action(grp: MatrixGroup, seed=None, kind: str = "vector",

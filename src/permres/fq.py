@@ -10,6 +10,10 @@ mod p.
 
 Vectors are rows and matrices act on the right, x -> x*M, so matrix
 products compose left to right like permutations.
+
+Under a classical form, subspace_filter names the one seed filter a
+subspace passes (totally isotropic, or nondegenerate of plus or minus
+type), deciding plus from minus by the number of singular vectors.
 """
 
 from __future__ import annotations
@@ -287,10 +291,6 @@ class FqMatrix:
     def identity(cls, field: FqField, n: int) -> "FqMatrix":
         return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, FqMatrix) and self.rows == other.rows and self.field.q == other.field.q
 
@@ -542,21 +542,10 @@ def make_hermitian_form(field: FqField, m: int) -> FormSpec:
     return FormSpec("hermitian", field.q, m, tuple(tuple(r) for r in g), None, q0)
 
 
-# -- subspace classification ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class SubspaceClass:
-    dim: int
-    degenerate: bool
-    totally_isotropic: bool
-    totally_singular: bool | None
-    witt_index: int | None
-    eps: str | None
+# -- subspace filters ------------------------------------------------------
 
 
 def _restricted_quad(form: FormSpec, basis: Sequence[Sequence[int]]):
-    F = form.field
     ell = len(basis)
     gram = [[form.bilinear(basis[i], basis[j]) for j in range(ell)] for i in range(ell)]
     quad = None
@@ -569,21 +558,8 @@ def _restricted_quad(form: FormSpec, basis: Sequence[Sequence[int]]):
     return gram, quad
 
 
-def _gram_rank(field: FqField, gram: Sequence[Sequence[int]]) -> int:
-    if not gram:
-        return 0
-    rows, _ = rref(field, gram)
-    return len(rows)
-
-
-# the most vectors _enumerate_vectors lists
+# the most vectors _count_singular lists
 _ENUMERATE_CAP = 1 << 16
-
-
-def _enumerate_vectors(q: int, ell: int):
-    if q ** ell > _ENUMERATE_CAP:
-        raise ValueError("subspace too large to enumerate")
-    return itertools.product(range(q), repeat=ell)
 
 
 def _quad_eval(field: FqField, quad, v) -> int:
@@ -598,48 +574,34 @@ def _quad_eval(field: FqField, quad, v) -> int:
 
 
 def _count_singular(field: FqField, quad, ell: int) -> int:
-    return sum(1 for v in _enumerate_vectors(field.q, ell)
+    # nonzero coordinate vectors v of F_q^ell with quad(v) = 0
+    if field.q ** ell > _ENUMERATE_CAP:
+        from .stabchain import ResourceLimit  # stabchain imports this module
+
+        raise ResourceLimit(f"subspace of {field.q ** ell} vectors exceeds "
+                            f"the enumeration cap {_ENUMERATE_CAP}")
+    return sum(1 for v in itertools.product(range(field.q), repeat=ell)
                if any(v) and _quad_eval(field, quad, v) == 0)
 
 
-def subspace_type(form: FormSpec, basis: Sequence[Sequence[int]]) -> SubspaceClass:
-    """Classify a subspace under the restricted form.
+def subspace_filter(form: FormSpec, basis: Sequence[Sequence[int]]) -> str | None:
+    """The one seed filter that the span W of basis passes, or None.
 
-    Witt index and plus/minus type are computed only for nondegenerate
-    quadratic restrictions: odd dimension 2n+1 has witt index n, and even
-    dimension 2n is of plus type (witt index n) exactly when it holds
-    (q^n - 1)(q^(n-1) + 1) nonzero singular vectors, of minus type
-    (witt index n - 1) otherwise. Symplectic restrictions get
-    witt = dim/2 when nondegenerate. For hermitian forms only the
-    degeneracy and isotropy flags are filled in.
+    "totally-isotropic": the form, and Q for a quadratic form, vanishes on
+    W. "nondegenerate-plus" / "nondegenerate-minus": a quadratic form whose
+    restriction to W, of even dimension 2n, is nondegenerate; W is of plus
+    type exactly when it holds (q^n - 1)(q^(n-1) + 1) nonzero singular
+    vectors (Taylor, The Geometry of the Classical Groups, 1992), counted on
+    coordinates over the restricted form. A count over more than
+    _ENUMERATE_CAP vectors raises ResourceLimit.
     """
     F = form.field
     ell = len(basis)
     gram, quad = _restricted_quad(form, basis)
-    rank = _gram_rank(F, gram)
-    degenerate = rank < ell
-    tot_iso = all(gram[i][j] == 0 for i in range(ell) for j in range(ell))
-    tot_sing = None
-    if quad is not None:
-        tot_sing = tot_iso and all(quad[i][i] == 0 for i in range(ell))
-    witt = None
-    eps = None
-    if quad is not None and not degenerate:
-        n = ell // 2
-        if ell % 2:
-            witt, eps = n, "o"
-        elif n == 0 or _count_singular(F, quad, ell) == (F.q ** n - 1) * (F.q ** (n - 1) + 1):
-            witt, eps = n, "+"
-        else:
-            witt, eps = n - 1, "-"
-    elif form.kind == "symplectic" and not degenerate:
-        witt = ell // 2
-    return SubspaceClass(ell, degenerate, tot_iso, tot_sing, witt, eps)
-
-
-def count_singular(form: FormSpec, basis: Sequence[Sequence[int]]) -> int:
-    """Nonzero vectors of the subspace on which the quadratic form vanishes."""
-    _, quad = _restricted_quad(form, basis)
-    if quad is None:
-        raise ValueError("count_singular needs a quadratic form")
-    return _count_singular(form.field, quad, len(basis))
+    if not any(map(any, gram)) and (quad is None or not any(quad[i][i] for i in range(ell))):
+        return "totally-isotropic"
+    if quad is None or ell % 2 or len(rref(F, gram)[0]) < ell:
+        return None
+    n = ell // 2
+    plus = (F.q ** n - 1) * (F.q ** (n - 1) + 1)
+    return "nondegenerate-plus" if _count_singular(F, quad, ell) == plus else "nondegenerate-minus"

@@ -252,6 +252,28 @@ def test_bounds_verb_and_manifest_op_agree(capsys, monkeypatch, name):
     assert calls == [name, name]
 
 
+DEG36 = ('{"kind": "classical", "family": "GO-odd", "m": 7, "q": 2,'
+         ' "space": "subspace", "k": 6, "filter": "nondegenerate-plus"}')
+
+
+@pytest.mark.parametrize("recipe,d", [('{"kind": "cyclic", "m": 1}', 5), (S5, 6),
+                                      (DEG36, 9)], ids=["C1", "S5", "deg36"])
+def test_lemma22_reads_the_bound_as_formula_does(capsys, recipe, d):
+    # the paper's bound is |G| <= d^(n-1); C1 meets it with equality
+    _, out, _ = run(capsys, "describe", "--recipe", recipe, "--json")
+    doc = json.loads(out)
+    code, out, _ = run(capsys, "bounds", "--check", "lemma22", "--recipe", recipe,
+                       "--params", json.dumps({"d": d}), "--json")
+    lemma = json.loads(out)
+    params = {"name": "bcp_order_bound", "params": {"d": d, "n": doc["degree"]},
+              "measured": doc["order"]}
+    fcode, out, _ = run(capsys, "bounds", "--check", "formula",
+                        "--params", json.dumps(params), "--json")
+    formula = json.loads(out)
+    assert (code, lemma["bound"], lemma["verdict"]) == (fcode, formula["bound"], "holds")
+    assert formula["verdict"] == "holds"
+
+
 def test_bounds_rejects_a_c_that_is_not_an_integer(capsys):
     # the threshold once came out as 53 from a float power of 3/5
     code, out, err = run(capsys, "bounds", "--check", "threshold-n",
@@ -531,6 +553,16 @@ def test_a_vector_recipe_applies_its_filter(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["degree"] == 24 and doc["order"] == 1152
+
+
+def test_a_seed_past_the_enumeration_cap_is_a_resource_limit(capsys):
+    # GO-odd(7,7)'s plus-type 6-space is a valid seed; telling plus from
+    # minus would list its 7^6 vectors, past the cap of 2^16
+    code, out, err = run(capsys, "order", "--recipe",
+                         '{"kind": "classical", "family": "GO-odd", "m": 7, "q": 7,'
+                         ' "space": "subspace", "k": 6, "filter": "nondegenerate-plus"}')
+    assert code == 2 and out == ""
+    assert err.startswith("resource limit: ") and "enumeration cap" in err
 
 
 def test_missing_parameter_names_the_exception(capsys):

@@ -9,14 +9,15 @@ from permres.fq import (
     FqField,
     FqMatrix,
     SubspaceFq,
-    count_singular,
+    _count_singular,
+    _restricted_quad,
     factorize,
     is_prime,
     make_hermitian_form,
     make_quadratic_form,
     make_symplectic_form,
     rref,
-    subspace_type,
+    subspace_filter,
 )
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27]
@@ -210,35 +211,33 @@ def test_singular_counts(q, m, eps, count):
     F = FqField.of(q)
     form = make_quadratic_form(F, m, eps)
     basis = [tuple(1 if j == i else 0 for j in range(m)) for i in range(m)]
-    assert count_singular(form, basis) == count
+    _, quad = _restricted_quad(form, basis)
+    assert _count_singular(F, quad, m) == count
 
 
-@pytest.mark.parametrize("q,m,eps,witt", [(2, 6, 1, 3), (2, 6, -1, 2), (3, 4, 1, 2),
-                                          (3, 4, -1, 1), (3, 5, 0, 2), (2, 7, 0, None)])
-def test_witt_index_full_space(q, m, eps, witt):
-    F = FqField.of(q)
-    form = make_quadratic_form(F, m, eps)
+@pytest.mark.parametrize("q,m,eps,flt", [
+    (2, 6, 1, "nondegenerate-plus"), (2, 6, -1, "nondegenerate-minus"),
+    (3, 4, 1, "nondegenerate-plus"), (3, 4, -1, "nondegenerate-minus"),
+    (3, 5, 0, None), (2, 7, 0, None)])
+def test_full_space_filter(q, m, eps, flt):
+    # the whole space has the form's own type; odd dimension passes no
+    # filter, nondegenerate (q odd) or not (q even: the polar form has a
+    # radical line)
+    form = make_quadratic_form(FqField.of(q), m, eps)
     basis = [tuple(1 if j == i else 0 for j in range(m)) for i in range(m)]
-    cls = subspace_type(form, basis)
-    if witt is None:
-        # odd characteristic-2 dimension: the polar form is degenerate
-        assert cls.degenerate
-    else:
-        assert not cls.degenerate
-        assert cls.witt_index == witt
-        if m % 2 == 0:
-            assert cls.eps == ("+" if eps == 1 else "-")
+    assert subspace_filter(form, basis) == flt
 
 
-def test_subspace_type_flags():
-    F = FqField.of(2)
-    form = make_quadratic_form(F, 6, 1)
+def test_subspace_filter_examples():
+    form = make_quadratic_form(FqField.of(2), 6, 1)
     # e_0 and e_1 span a totally singular 2-space in the plus-type layout
-    cls = subspace_type(form, [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)])
-    assert cls.totally_isotropic and cls.totally_singular and cls.degenerate
-    # a hyperbolic pair is nondegenerate of witt index 1
-    cls2 = subspace_type(form, [(1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0)])
-    assert not cls2.degenerate and cls2.witt_index == 1 and cls2.eps == "+"
+    assert subspace_filter(form, [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)]) == "totally-isotropic"
+    # a hyperbolic pair spans a nondegenerate 2-space of plus type
+    assert subspace_filter(form, [(1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0)]) == "nondegenerate-plus"
+    # e_0 + e_3, e_0 + e_1 + e_4 and their sum are all nonsingular: minus type
+    assert subspace_filter(form, [(1, 0, 0, 1, 0, 0), (1, 1, 0, 0, 1, 0)]) == "nondegenerate-minus"
+    # a line is never of plus or minus type
+    assert subspace_filter(form, [(1, 0, 0, 1, 0, 0)]) is None
 
 
 def test_char2_odd_radical():
@@ -359,29 +358,35 @@ def _all_subspaces(q, m):
                 yield rows
 
 
-# (dim, degenerate, witt_index, eps) -> number of subspaces in that class
+# (dim, subspace_filter) -> number of subspaces of F_q^m, the zero space and
+# F_q^m included, that pass that filter; None passes none. The
+# nondegenerate counts sum the classes of Witt index n and n - 1; the
+# totally singular k-spaces number prod_{i<k} (q^(n-i) - eps)(q^(n-i-1) + eps)
+# / (q^(i+1) - 1) in dimension 2n.
 SUBSPACE_CLASS_COUNTS = {
     (2, 6, 1): {
-        (0, False, 0, "+"): 1, (1, True, None, None): 63, (2, False, 0, "-"): 56,
-        (2, False, 1, "+"): 280, (2, True, None, None): 315, (3, True, None, None): 1395,
-        (4, False, 1, "-"): 56, (4, False, 2, "+"): 280, (4, True, None, None): 315,
-        (5, True, None, None): 63, (6, False, 3, "+"): 1,
+        (0, "totally-isotropic"): 1, (1, None): 28, (1, "totally-isotropic"): 35,
+        (2, None): 210, (2, "nondegenerate-minus"): 56, (2, "nondegenerate-plus"): 280,
+        (2, "totally-isotropic"): 105, (3, None): 1365, (3, "totally-isotropic"): 30,
+        (4, None): 315, (4, "nondegenerate-minus"): 56, (4, "nondegenerate-plus"): 280,
+        (5, None): 63, (6, "nondegenerate-plus"): 1,
     },
     (2, 6, -1): {
-        (0, False, 0, "+"): 1, (1, True, None, None): 63, (2, False, 0, "-"): 120,
-        (2, False, 1, "+"): 216, (2, True, None, None): 315, (3, True, None, None): 1395,
-        (4, False, 1, "-"): 216, (4, False, 2, "+"): 120, (4, True, None, None): 315,
-        (5, True, None, None): 63, (6, False, 2, "-"): 1,
+        (0, "totally-isotropic"): 1, (1, None): 36, (1, "totally-isotropic"): 27,
+        (2, None): 270, (2, "nondegenerate-minus"): 120, (2, "nondegenerate-plus"): 216,
+        (2, "totally-isotropic"): 45, (3, None): 1395,
+        (4, None): 315, (4, "nondegenerate-minus"): 216, (4, "nondegenerate-plus"): 120,
+        (5, None): 63, (6, "nondegenerate-minus"): 1,
     },
     (3, 4, 1): {
-        (0, False, 0, "+"): 1, (1, False, 0, "o"): 24, (1, True, None, None): 16,
-        (2, False, 0, "-"): 18, (2, False, 1, "+"): 72, (2, True, None, None): 40,
-        (3, False, 1, "o"): 24, (3, True, None, None): 16, (4, False, 2, "+"): 1,
+        (0, "totally-isotropic"): 1, (1, None): 24, (1, "totally-isotropic"): 16,
+        (2, None): 32, (2, "nondegenerate-minus"): 18, (2, "nondegenerate-plus"): 72,
+        (2, "totally-isotropic"): 8, (3, None): 40, (4, "nondegenerate-plus"): 1,
     },
     (3, 4, -1): {
-        (0, False, 0, "+"): 1, (1, False, 0, "o"): 30, (1, True, None, None): 10,
-        (2, False, 0, "-"): 45, (2, False, 1, "+"): 45, (2, True, None, None): 40,
-        (3, False, 1, "o"): 30, (3, True, None, None): 10, (4, False, 1, "-"): 1,
+        (0, "totally-isotropic"): 1, (1, None): 30, (1, "totally-isotropic"): 10,
+        (2, None): 40, (2, "nondegenerate-minus"): 45, (2, "nondegenerate-plus"): 45,
+        (3, None): 40, (4, "nondegenerate-minus"): 1,
     },
 }
 
@@ -391,7 +396,68 @@ def test_subspace_class_counts(q, m, eps):
     form = make_quadratic_form(FqField.of(q), m, eps)
     counts = {}
     for basis in _all_subspaces(q, m):
-        cls = subspace_type(form, basis)
-        key = (cls.dim, cls.degenerate, cls.witt_index, cls.eps)
+        key = (len(basis), subspace_filter(form, basis))
         counts[key] = counts.get(key, 0) + 1
     assert counts == SUBSPACE_CLASS_COUNTS[(q, m, eps)]
+
+
+def _span(F, rows):
+    # every vector of the row space, each once
+    m = len(rows[0])
+    out = set()
+    for coeffs in itertools.product(range(F.q), repeat=len(rows)):
+        v = (0,) * m
+        for c, row in zip(coeffs, rows):
+            v = F.vec_add(v, F.vec_scale(c, row))
+        out.add(v)
+    return out
+
+
+def _oracle_filter(form, rows):
+    # the filter by its definition, on the vectors of W: no Gram rank, no
+    # singular count
+    F = form.field
+    W = _span(F, rows)
+    Q = form.quad_value if form.quad is not None else (lambda v: 0)
+    if all(Q(u) == 0 and all(form.bilinear(u, w) == 0 for w in W) for u in W):
+        return "totally-isotropic"
+    radical = any(any(w) and all(form.bilinear(w, u) == 0 for u in W) for w in W)
+    if form.quad is None or len(rows) % 2 or radical:
+        return None
+    # plus type: W holds a totally singular n-space
+    n = len(rows) // 2
+    singular = [w for w in W if any(w) and Q(w) == 0]
+    for cand in itertools.combinations(singular, n):
+        span = _span(F, cand)
+        if len(span) == F.q ** n and all(Q(v) == 0 for v in span):
+            return "nondegenerate-plus"
+    return "nondegenerate-minus"
+
+
+ORACLE_FORMS = [
+    ("quadratic", 2, 4, 1), ("quadratic", 2, 4, -1), ("quadratic", 2, 6, 1),
+    ("quadratic", 2, 6, -1), ("quadratic", 3, 4, 1), ("quadratic", 3, 4, -1),
+    ("quadratic", 2, 5, 0), ("quadratic", 3, 3, 0), ("quadratic", 4, 3, 0),
+    ("symplectic", 2, 4, None), ("symplectic", 2, 6, None), ("symplectic", 3, 4, None),
+    ("hermitian", 4, 2, None), ("hermitian", 4, 3, None),
+    ("hermitian", 9, 2, None),
+]
+
+
+@pytest.mark.parametrize("kind,q,m,eps", ORACLE_FORMS)
+def test_subspace_filter_matches_brute_force(kind, q, m, eps):
+    F = FqField.of(q)
+    form = (make_quadratic_form(F, m, eps) if kind == "quadratic"
+            else make_symplectic_form(F, m) if kind == "symplectic"
+            else make_hermitian_form(F, m))
+    seen = set()
+    for basis in _all_subspaces(q, m):
+        if 0 < len(basis) < m:
+            flt = subspace_filter(form, basis)
+            assert flt == _oracle_filter(form, basis), basis
+            seen.add(flt)
+    # each form's proper subspaces reach the filters its kind has
+    want = {None, "totally-isotropic"}
+    if kind == "quadratic":
+        want |= {"nondegenerate-plus", "nondegenerate-minus"}
+    assert seen == want

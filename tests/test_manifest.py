@@ -577,6 +577,17 @@ def test_run_check_budget_exhaustion():
     assert res.status == "skipped-resource"
 
 
+def test_run_check_skips_a_seed_past_the_enumeration_cap():
+    # a cap hit while checking the seed's filter is a resource skip, not a
+    # construction failure
+    res = run_check({"id": "cap", "recipe": {"kind": "classical", "family": "GO-odd",
+                                             "m": 7, "q": 7, "space": "subspace", "k": 6,
+                                             "filter": "nondegenerate-plus"},
+                     "assertions": [{"op": "primitive", "expect": True, "tag": "derived"}]})
+    assert res.status == "skipped-resource"
+    assert "enumeration cap" in res.error
+
+
 def test_run_manifest_budget_default():
     rep = run_manifest({"schema": 1, "checks": [
         {"id": "slow", "recipe": {"kind": "classical", "family": "GO-odd",

@@ -282,8 +282,7 @@ def scalar_kernel_order(grp: MatrixGroup) -> int:
         if grp.family in ("SL", "SU") and field.pow(lam, grp.m) != 1:
             continue
         if grp.form is not None:
-            lam_i = FqMatrix.identity(field, grp.m).map_entries(
-                lambda a: field.mul(lam, a))
+            lam_i = FqMatrix(field, [field.vec_scale(lam, _basis(grp.m, i)) for i in range(grp.m)])
             if not grp.form.is_isometry(lam_i):
                 continue
         count += 1

@@ -122,8 +122,9 @@ def matrix_orbit_action(grp: MatrixGroup, seed=None, kind: str = "vector",
     kind "vector": labels are row vectors, seed defaults to e_0 and may
     not be the zero vector; a k is refused.
     kind "subspace": labels are canonical subspaces, seed defaults to the
-    span of the first k standard basis vectors; k must lie in 1..m-1 and
-    a seed must span neither 0 nor all of F_q^m.
+    span of the first k standard basis vectors; k must lie in 1..m-1, a
+    seed must span neither 0 nor all of F_q^m, and a k given with a seed
+    must be the seed's dimension.
     flt restricts the seed (all / totally-isotropic / nondegenerate-plus /
     nondegenerate-minus / nonsingular); the orbit inherits the property.
 
@@ -165,6 +166,8 @@ def matrix_orbit_action(grp: MatrixGroup, seed=None, kind: str = "vector",
         if not 0 < seed.dim < m:
             raise ConstructionError(
                 f"subspace seed spans dimension {seed.dim}, not one in 1..{m - 1}")
+        if k not in (None, seed.dim):
+            raise ConstructionError(f"subspace k is {k}, but the seed spans dimension {seed.dim}")
         act = _subspace_act(field)
     else:
         raise ConstructionError(f"unknown space {kind!r}")

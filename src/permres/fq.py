@@ -2,11 +2,15 @@
 
 Fields cover q = p^k up to 512. Elements are ints in 0..q-1 encoding
 base-p digit vectors, so 0 and 1 are the field zero and one. The defining
-polynomial is the lexicographically least primitive one: the first monic
-candidate modulo which x has order exactly q - 1, which makes it
-irreducible as well. Multiplication runs on exp/log tables, addition on a
-precomputed table; dot products over a prime field reduce one integer sum
-mod p.
+polynomial is a primitive one: a monic candidate of degree k modulo which
+x has order exactly q - 1, which makes it irreducible as well
+(Lidl-Niederreiter, Finite Fields, 1997, Ch. 3). Extension fields take the
+lexicographically least; a prime field tries x - g for g = 1, 2, ..., so
+its primitive element is the least primitive root mod p. One loop walks
+each candidate by multiplication by x, and the first walk to return to 1
+at step q - 1 is the exp table. Multiplication runs on exp/log tables,
+addition on a precomputed table; dot products over a prime field reduce
+one integer sum mod p.
 
 Vectors are rows and matrices act on the right, x -> x*M, so matrix
 products compose left to right like permutations.
@@ -97,44 +101,49 @@ class FqField:
         fac = factorize(q)
         if len(fac) != 1:
             raise ValueError(f"{q} is not a prime power")
-        (self.p, self.k), = fac.items()
-        self.q = q
-        if self.k == 1:
-            self._init_prime()
+        (p, k), = fac.items()
+        self.p, self.k, self.q = p, k, q
+        # addition on digit vectors; flat table indexed a*q + b
+        add = [0] * (q * q)
+        if k == 1:
+            for a in range(q):
+                row = a * q
+                for b in range(q):
+                    add[row + b] = (a + b) % p
         else:
-            self._init_extension()
-        self._build_tables()
-
-    def _init_prime(self) -> None:
-        p = self.p
-        self.poly = None
-        for g in range(2, p):
-            if all(pow(g, (p - 1) // r, p) != 1 for r in factorize(p - 1)):
-                self.primitive = g
-                break
-        else:
-            self.primitive = 1  # only p == 2 reaches here
-        self._exp = [1] * (p - 1)
-        for i in range(1, p - 1):
-            self._exp[i] = self._exp[i - 1] * self.primitive % p
-
-    def _init_extension(self) -> None:
-        p, k, q = self.p, self.k, self.q
-        rad = list(factorize(q - 1))
-        for low in range(p ** k):
-            f = self._digits(low, k) + (1,)
-            if self._is_primitive_poly(f, rad):
-                self.poly = f
+            digs = [self._digits(a, k) for a in range(q)]
+            for a in range(q):
+                da = digs[a]
+                row = a * q
+                for b in range(q):
+                    add[row + b] = self._undigits([(x + y) % p for x, y in zip(da, digs[b])])
+        # candidates f = x^k + lower, lower encoded as an int: x - g for
+        # g = 1, 2, ... over a prime field, else every lower in order. Times
+        # x shifts the digits up and folds the top digit t back in as
+        # t x^k = -t lower, encoded as minus_tf[t]
+        shift = p ** (k - 1)
+        for lower in range(q - 1, 0, -1) if k == 1 else range(q):
+            minus_tf = [self._undigits([-t * d % p for d in self._digits(lower, k)])
+                        for t in range(p)]
+            exp, cur = [], 1
+            while len(exp) < q - 1:
+                exp.append(cur)
+                top, rest = divmod(cur, shift)
+                cur = add[rest * p * q + minus_tf[top]]
+                if cur == 1:
+                    break
+            if cur == 1 and len(exp) == q - 1:
                 break
         else:
             raise AssertionError("no primitive polynomial found")
-        self.primitive = p  # the element x, digits (0, 1, 0, ...)
-        x = (0, 1)
-        self._exp = [1]
-        cur = (1,)
-        for _ in range(q - 2):
-            cur = self._poly_mulmod(cur, x, self.poly)
-            self._exp.append(self._undigits(cur))
+        self.poly = None if k == 1 else self._digits(lower, k) + (1,)
+        self.primitive = exp[1 % (q - 1)]
+        self._exp = exp
+        self._log = [0] * q
+        for i, v in enumerate(exp):
+            self._log[v] = i
+        self._add = add
+        self._neg = [add.index(0, a * q) - a * q for a in range(q)]
 
     def _digits(self, n: int, width: int) -> tuple[int, ...]:
         p = self.p
@@ -149,78 +158,6 @@ class FqField:
         for d in reversed(digits):
             n = n * self.p + d
         return n
-
-    # polynomial helpers over F_p, little-endian coefficient tuples
-
-    def _poly_mulmod(self, a, b, f):
-        p = self.p
-        res = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    res[i + j] = (res[i + j] + ai * bj) % p
-        return self._poly_rem(res, f)
-
-    def _poly_rem(self, a, f):
-        p = self.p
-        a = list(a)
-        df = len(f) - 1
-        while len(a) > df:
-            lead = a[-1]
-            if lead:
-                shift = len(a) - 1 - df
-                for i, fi in enumerate(f):
-                    a[shift + i] = (a[shift + i] - lead * fi) % p
-            a.pop()
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-        return tuple(a)
-
-    def _is_primitive_poly(self, f, rad) -> bool:
-        q = self.q
-        x = (0, 1)
-        for r in rad:
-            if self._poly_pow(x, (q - 1) // r, f) == (1,):
-                return False
-        return self._poly_pow(x, q - 1, f) == (1,)
-
-    def _poly_pow(self, a, e, f):
-        res = (1,)
-        while e:
-            if e & 1:
-                res = self._poly_mulmod(res, a, f)
-            a = self._poly_mulmod(a, a, f)
-            e >>= 1
-        return res
-
-    def _build_tables(self) -> None:
-        p, q = self.p, self.q
-        self._log = [0] * q
-        for i, v in enumerate(self._exp):
-            self._log[v] = i
-        # addition on digit vectors; flat table indexed a*q + b
-        add = [0] * (q * q)
-        if self.k == 1:
-            for a in range(q):
-                row = a * q
-                for b in range(q):
-                    add[row + b] = (a + b) % p
-        else:
-            digs = [self._digits(a, self.k) for a in range(q)]
-            for a in range(q):
-                da = digs[a]
-                row = a * q
-                for b in range(q):
-                    db = digs[b]
-                    add[row + b] = self._undigits(tuple((x + y) % p for x, y in zip(da, db)))
-        self._add = add
-        self._neg = [0] * q
-        for a in range(q):
-            if self.k == 1:
-                self._neg[a] = (-a) % p
-            else:
-                da = self._digits(a, self.k)
-                self._neg[a] = self._undigits(tuple((-x) % p for x in da))
 
     # -- public arithmetic -------------------------------------------------
 
@@ -287,10 +224,6 @@ class FqMatrix:
         self.rows = tuple(tuple(r) for r in rows)
         self.cols = tuple(zip(*self.rows))
 
-    @classmethod
-    def identity(cls, field: FqField, n: int) -> "FqMatrix":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, FqMatrix) and self.rows == other.rows and self.field.q == other.field.q
 
@@ -310,44 +243,30 @@ class FqMatrix:
         dot = self.field.dot
         return tuple(dot(v, col) for col in self.cols)
 
-    def map_entries(self, fn) -> "FqMatrix":
-        return FqMatrix(self.field, [[fn(x) for x in row] for row in self.rows])
-
     def det(self) -> int:
-        F = self.field
-        a = [list(r) for r in self.rows]
-        n = len(a)
-        d = 1
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col]), None)
-            if piv is None:
-                return 0
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                d = F.neg(d)
-            d = F.mul(d, a[col][col])
-            inv = F.inv(a[col][col])
-            for r in range(col + 1, n):
-                if a[r][col]:
-                    c = F.mul(a[r][col], inv)
-                    for j in range(col, n):
-                        a[r][j] = F.sub(a[r][j], F.mul(c, a[col][j]))
-        return d
+        _, pivots, d = _eliminate(self.field, self.rows)
+        return d if len(pivots) == len(self.rows) else 0
 
 
-def rref(field: FqField, rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns; canonical per row space."""
+def _eliminate(field: FqField, rows: Sequence[Sequence[int]]):
+    # Gauss-Jordan: the nonzero rows of the reduced row echelon form, the
+    # pivot columns, and d, the product of the pivots with the sign of the
+    # row swaps (the determinant when every row of a square matrix pivots)
     F = field
     a = [list(r) for r in rows]
     nrows = len(a)
     ncols = len(a[0]) if a else 0
     pivots = []
+    d = 1
     r = 0
     for col in range(ncols):
         piv = next((i for i in range(r, nrows) if a[i][col]), None)
         if piv is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            d = F.neg(d)
+        d = F.mul(d, a[r][col])
         inv = F.inv(a[r][col])
         a[r] = [F.mul(inv, x) for x in a[r]]
         for i in range(nrows):
@@ -358,7 +277,12 @@ def rref(field: FqField, rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int
         r += 1
         if r == nrows:
             break
-    return tuple(tuple(row) for row in a[:r]), tuple(pivots)
+    return tuple(tuple(row) for row in a[:r]), tuple(pivots), d
+
+
+def rref(field: FqField, rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Reduced row echelon form and pivot columns; canonical per row space."""
+    return _eliminate(field, rows)[:2]
 
 
 @dataclass(frozen=True, order=True)
@@ -466,24 +390,10 @@ def make_symplectic_form(field: FqField, m: int) -> FormSpec:
 
 def _anisotropic_pair(field: FqField) -> tuple[int, int, int]:
     # lex-least (a, b, c) with a x^2 + b xy + c y^2 nonzero off the origin
-    for a in range(field.q):
-        for b in range(field.q):
-            for c in range(field.q):
-                ok = True
-                for x in range(field.q):
-                    for y in range(field.q):
-                        if x == 0 and y == 0:
-                            continue
-                        val = field.add(
-                            field.add(field.mul(a, field.mul(x, x)), field.mul(b, field.mul(x, y))),
-                            field.mul(c, field.mul(y, y)))
-                        if val == 0:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    return a, b, c
+    plane = list(itertools.product(range(field.q), repeat=2))[1:]
+    for a, b, c in itertools.product(range(field.q), repeat=3):
+        if all(_quad_eval(field, ((a, b), (0, c)), v) for v in plane):
+            return a, b, c
     raise AssertionError("no anisotropic binary form found")
 
 

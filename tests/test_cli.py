@@ -42,6 +42,20 @@ def test_subspace_recipe_outside_proper_dimensions_is_bad_input(capsys, m, extra
 
 
 
+def test_a_subspace_k_must_be_the_seed_dimension(capsys):
+    # Sp(4,2) on lines and on 3-spaces both have order 720, so only the
+    # exit code tells a refused k from one that was ignored
+    line = {"kind": "classical", "family": "Sp", "m": 4, "q": 2,
+            "space": "subspace", "seed": [[1, 0, 0, 0]]}
+    code, out, err = run(capsys, "order", "--recipe", json.dumps({**line, "k": 3}))
+    assert code == 3 and out == ""
+    assert "subspace k is 3, but the seed spans dimension 1" in err
+    plane3 = {**line, "seed": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], "k": 3}
+    for recipe in ({**line, "k": 1}, plane3):
+        code, out, _ = run(capsys, "order", "--recipe", json.dumps(recipe), "--json")
+        assert code == 0 and json.loads(out)["order"] == 720
+
+
 def test_zero_vector_seed_is_bad_input(capsys):
     recipe = '{"kind": "classical", "family": "GL", "m": 2, "q": 3, "seed": [0, 0]}'
     code, out, err = run(capsys, "order", "--recipe", recipe)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -9,6 +10,7 @@ from permres.fq import (
     FqField,
     FqMatrix,
     SubspaceFq,
+    _anisotropic_pair,
     _count_singular,
     _restricted_quad,
     factorize,
@@ -64,6 +66,10 @@ def test_primitive_element_order(q):
         seen.add(x)
     assert len(seen) == q - 1
     assert x == 1
+    if F.k == 1:
+        # a prime field's primitive is the least primitive root mod p
+        orders = {a: next(e for e in range(1, q) if pow(a, e, q) == 1) for a in range(1, q)}
+        assert g == min(a for a, e in orders.items() if e == q - 1)
 
 
 @pytest.mark.parametrize("q", SMALL_Q)
@@ -126,6 +132,19 @@ def test_pow_negative_and_zero():
 # -- matrices --------------------------------------------------------------
 
 
+def _leibniz_det(F, rows):
+    # sum over permutations s of sign(s) * prod_i rows[i][s(i)]
+    n = len(rows)
+    total = 0
+    for s in itertools.permutations(range(n)):
+        term = 1
+        for i in range(n):
+            term = F.mul(term, rows[i][s[i]])
+        inversions = sum(s[i] > s[j] for i in range(n) for j in range(i + 1, n))
+        total = F.add(total, F.neg(term) if inversions % 2 else term)
+    return total
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_matrix_inverse_and_det(q):
     F = FqField.of(q)
@@ -138,6 +157,21 @@ def test_matrix_inverse_and_det(q):
         found += 1
         N = FqMatrix(F, [[rng.randrange(q) for _ in range(4)] for _ in range(4)])
         assert (M * N).det() == F.mul(M.det(), N.det())
+    singular = swapped = 0
+    for n in range(1, 5):
+        for _ in range(40):
+            rows = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+            shape = rng.randrange(3)
+            if shape == 1:  # the first pivot needs a row swap
+                rows[0][0] = 0
+            elif shape == 2 and n > 1:  # a repeated row scaled
+                c = rng.randrange(q)
+                rows[-1] = [F.mul(c, x) for x in rows[0]]
+            want = _leibniz_det(F, rows)
+            assert FqMatrix(F, rows).det() == want
+            singular += want == 0
+            swapped += n > 1 and rows[0][0] == 0 and any(r[0] for r in rows)
+    assert singular >= 10 and swapped >= 10
 
 
 def test_matrix_apply_right_action():
@@ -196,6 +230,27 @@ def test_polar_identity(q, m, eps):
         rhs = F.sub(F.sub(form.quad_value(F.vec_add(x, y)), form.quad_value(x)),
                     form.quad_value(y))
         assert lhs == rhs
+
+
+def _anisotropic_oracle(F):
+    # the lex-least (a, b, c) whose a x^2 + b xy + c y^2 has no zero off
+    # the origin, evaluated term by term
+    q = F.q
+    plane = [(x, y) for x in range(q) for y in range(q) if x or y]
+    for a, b, c in itertools.product(range(q), repeat=3):
+        if all(F.add(F.add(F.mul(a, F.mul(x, x)), F.mul(b, F.mul(x, y))),
+                     F.mul(c, F.mul(y, y))) for x, y in plane):
+            return a, b, c
+    return None
+
+
+@pytest.mark.parametrize("q", SMALL_Q)
+def test_anisotropic_pair_is_lex_least(q):
+    F = FqField.of(q)
+    a, b, c = _anisotropic_pair(F)
+    assert (a, b, c) == _anisotropic_oracle(F)
+    quad = make_quadratic_form(F, 4, -1).quad
+    assert (quad[2][2], quad[2][3], quad[3][3]) == (a, b, c)
 
 
 @pytest.mark.parametrize(
@@ -344,6 +399,59 @@ def test_extension_polys():
     extensions = [q for q in range(2, 513)
                   if len(factorize(q)) == 1 and FqField.of(q).k > 1]
     assert {q: FqField.of(q).poly for q in extensions} == EXTENSION_POLYS
+
+
+# sha256 of repr((poly, primitive, _exp, _log, _add, _neg)), first 16 hex
+# digits, of every field up to MAX_Q
+FIELD_PINS = {
+    2: "9f2ed417b9236d02", 3: "a27c5aa02d9d1d58", 4: "9ddebfd10ee94166",
+    5: "26df661fd9b97d7b", 7: "9c7f161b0140e2e8", 8: "eba4a7182f98a3d6",
+    9: "88d0babd7ec8e8a4", 11: "a6e94a6e883768fa", 13: "a80d86d652f89a45",
+    16: "e115fcebcc0184fa", 17: "3601e73985188cd9", 19: "87a1b61b8ee05156",
+    23: "e9ee817ff405b8d3", 25: "4b4fe0498b8d96a7", 27: "378df56e2d82cd3b",
+    29: "8014caf734ef5e0a", 31: "1e236b8464649a05", 32: "abebbf2a897f4114",
+    37: "561589cccd9ae878", 41: "b6176781d22cb999", 43: "99fc56afc4582b7b",
+    47: "d8dc4dfb5b3a7869", 49: "ea6715abc23c4912", 53: "ddfec7163952441d",
+    59: "3bb2795c55057561", 61: "a7f77a41d8aea370", 64: "fb1d7c073f846d64",
+    67: "7404acfe4959596a", 71: "a1f34b352711ac95", 73: "e0533a6d55cace3b",
+    79: "d5ae0e1d44b5db1c", 81: "45cf05f16a148042", 83: "ec076f976d8133cc",
+    89: "18b0c73674386da0", 97: "1a000dac4372264f", 101: "72c157b7d59e64ee",
+    103: "872ace1551fd7c5e", 107: "a269ecf2ffa198e9", 109: "0c08754084374050",
+    113: "e66085d427be5973", 121: "861dd96caf8de689", 125: "bef0ef7f6c00195b",
+    127: "7af2b380872d08b1", 128: "10b69dce48993030", 131: "199631d95823f56a",
+    137: "1179d35a391be3a1", 139: "f2d132f8116fe7e2", 149: "7db35b6cb8748331",
+    151: "97e6bb7d85351b5d", 157: "7c02072f799a8fc5", 163: "7a357c0db528d3d9",
+    167: "788abbe8ebc84184", 169: "745b605b7e51b459", 173: "37212f982afca136",
+    179: "bdefb6820386cf9b", 181: "71d314ee9952f2ce", 191: "59d25d88620f4c5e",
+    193: "f9581d5533b6958f", 197: "c7a3659a28f7614f", 199: "a8d58b46bd8e3743",
+    211: "c9446f2de6c73cfb", 223: "ce30b109785e7934", 227: "7c939fdc80466a98",
+    229: "c4b0ef474e64202e", 233: "4eea1d6d125fa501", 239: "04675843fff1fddb",
+    241: "ad1ce537b979fdad", 243: "3b32a0bf2198ce6e", 251: "6bff3a2d203e59e7",
+    256: "ccb983376e45ef0f", 257: "db47edc7b15c7163", 263: "ee1d5368ad735aa1",
+    269: "8138617cfadc40c3", 271: "a354991653ab5d84", 277: "5d2c826cc4773f9b",
+    281: "e5d57f7a94321a2a", 283: "255fd0a9a79f070e", 289: "c3ea07315776823c",
+    293: "3fda2e49c895fa73", 307: "5f1a30aab50e7823", 311: "7163d05626680910",
+    313: "02b8a672eb8aa62a", 317: "198ef44c6a0f0a86", 331: "fe56cdf7ffc8bfd9",
+    337: "95c8eb483c06c019", 343: "4f7d93a1f551c186", 347: "7cd46d211a2dd878",
+    349: "3842c86e27b16fee", 353: "6eb5518ad7d0a1fa", 359: "7ac722eb5b8a4787",
+    361: "952888dc343b5efb", 367: "dc896dc93af3fce8", 373: "407017f740c16473",
+    379: "13370a9028bbb006", 383: "8c96ce63921d70eb", 389: "36a0e1f3f48399df",
+    397: "3bcf9608b40d99a7", 401: "913285188a1d5c1c", 409: "4e1e6b16807e3446",
+    419: "0a152f8f227134c0", 421: "7e4f0eb2e0dda8bc", 431: "869f7c9380a0cf58",
+    433: "e65e89ccd700f1a5", 439: "3dc9f5339846bf9c", 443: "967ec7aad6ad1660",
+    449: "c2a55f12d31d5951", 457: "6c0b3bfafc8563c4", 461: "78be5c7707ca8d2c",
+    463: "6d4277deada4e6a3", 467: "68ec7901afe3461d", 479: "b62acf7acccd58b6",
+    487: "56744ad19d3d611b", 491: "35fbc05d39719fb2", 499: "bb07b00d758d141c",
+    503: "505d9a31c7ed4783", 509: "afb6d6dfe635d8be", 512: "fe3c31c25184bb6f",
+}
+
+
+def test_field_tables_are_pinned():
+    fields = [FqField.of(q) for q in range(2, 513) if len(factorize(q)) == 1]
+    got = {F.q: hashlib.sha256(repr((F.poly, F.primitive, F._exp, F._log, F._add,
+                                     F._neg)).encode()).hexdigest()[:16]
+           for F in fields}
+    assert got == FIELD_PINS
 
 
 def _all_subspaces(q, m):

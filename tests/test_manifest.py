@@ -342,6 +342,18 @@ def test_run_check_construction_failure():
     assert res.status == "fail" and "construction" in res.error
 
 
+def test_run_check_refuses_a_k_that_is_not_the_seed_dimension():
+    recipe = {"kind": "classical", "family": "Sp", "m": 4, "q": 2, "space": "subspace",
+              "k": 3, "seed": [[1, 0, 0, 0]]}
+    check = {"id": "k", "recipe": recipe,
+             "assertions": [{"op": "order", "expect": 720, "tag": "direct"}]}
+    res = run_check(check)
+    assert res.status == "fail"
+    assert res.error == ("construction: subspace k is 3, "
+                         "but the seed spans dimension 1")
+    assert run_check({**check, "recipe": {**recipe, "k": 1}}).status == "pass"
+
+
 def test_ill_typed_checks_fail_alone():
     # a string where an int belongs and a missing op parameter each fail
     # their own check with a one-line cause; the next check still runs

@@ -10,9 +10,13 @@ escalates through a fixed ladder until the sign of the margin is certain.
 
 The threshold M(eps) needs the margin's sign at only a few m. The margin is
 nondecreasing from a certified point cap on, so the search starts at
-max(14, cap), gallops up to the first success and bisects back to the last
-failure; when the margin already holds there, it walks down to the first
-failure, which assumes nothing about the margin below cap.
+max(14, cap, guess - 1), gallops up to the first success and bisects back
+to the last failure; when the margin already holds there, it walks down to
+the first failure, which assumes nothing about the margin below cap. The
+guess is the margin's root in floats: a float only chooses where the
+certified search starts, every start at or above cap gives the same M, and
+every verdict still comes from an enclosure. Each side of an enclosure is
+compared with zero as one cross-multiplied integer inequality.
 
 lemma22_check and theorem13_check import the structure and search layers
 when they are called, so the formulas and thresholds load no group code.
@@ -20,6 +24,7 @@ when they are called, so the formulas and thresholds load no group code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, Context, Inexact
 from fractions import Fraction
@@ -165,15 +170,19 @@ def _margin_sign(m: int, base: Fraction, power: Fraction) -> int:
     zero. With m > e and ln(base) > 0 each product grows with its factors,
     so the low endpoints give the low end; a low ln endpoint below zero only
     makes lo negative, never a false positive."""
+    pn, pd = power.numerator, power.denominator
     for dps in _DPS_LADDER:
         e_lo, e_hi = _exp(1, dps)
         l_lo, l_hi = _ln(base, dps)
         g_lo, g_hi = _ln(Fraction(m), dps)
-        lo = (m / e_hi - 1) * l_lo * power - Fraction(3, 2) * g_hi
-        hi = (m / e_lo - 1) * l_hi * power - Fraction(3, 2) * g_lo
-        if lo > 0:
+        # lo = (m/e_hi - 1) l_lo power - (3/2) g_hi and hi likewise from the
+        # other endpoints; times the positive denominators, lo > 0 reads
+        # 2 (m e.den - e.num) l.num power.num g.den > 3 g.num e.num l.den power.den
+        if (2 * (m * e_hi.denominator - e_hi.numerator) * l_lo.numerator * pn * g_hi.denominator
+                > 3 * g_hi.numerator * e_hi.numerator * l_lo.denominator * pd):
             return 1
-        if hi < 0:
+        if (2 * (m * e_lo.denominator - e_lo.numerator) * l_hi.numerator * pn * g_lo.denominator
+                < 3 * g_lo.numerator * e_lo.numerator * l_hi.denominator * pd):
             return -1
     raise ArithmeticError(f"margin sign at m={m} unresolved at dps {_DPS_LADDER[-1]}")
 
@@ -192,12 +201,39 @@ def _mstar_cap(base: Fraction, power: Fraction) -> int:
     raise ArithmeticError(f"ln of {base} unresolved at dps {_DPS_LADDER[-1]}")
 
 
+def _root_guess(base: Fraction, power: Fraction) -> float:
+    """Float root of (m/e - 1) ln(base) power - (3/2) ln m on [cap, oo),
+    where the margin rises, by bisection; nan when floats cannot place it
+    (ln(base) rounds to 0, or a bracket overflows). Only a start point."""
+    try:
+        slope = math.log(base) * float(power)
+    except (OverflowError, ValueError):
+        return math.nan
+    if not 0 < slope < math.inf:
+        return math.nan
+
+    def margin(m: float) -> float:
+        return (m / math.e - 1) * slope - 1.5 * math.log(m)
+
+    lo = max(float(_SCAN_FLOOR), 1.5 * math.e / slope)
+    hi = 2 * lo
+    while margin(hi) < 0:
+        lo, hi = hi, 2 * hi
+        if not hi < math.inf:
+            return math.nan
+    for _ in range(64):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if margin(mid) < 0 else (lo, mid)
+    return hi
+
+
 @lru_cache(maxsize=None)
 def _m_threshold(base: Fraction, power: Fraction) -> int:
     """Minimal M >= 14 such that the defining inequality holds for every
     m >= M, where 1 + eps = base**power > 1.
 
-    The search starts at m1 = max(14, cap), cap from _mstar_cap. If the
+    The search starts at m1 = max(14, cap, guess - 1), cap from
+    _mstar_cap and guess from _root_guess when that is finite. If the
     margin fails at m1, it gallops up (m1+1, m1+2, m1+4, ...) to the first
     success and bisects between the last failure and that success; this
     needs the margin nondecreasing, which holds on [cap, oo). If the margin
@@ -206,6 +242,9 @@ def _m_threshold(base: Fraction, power: Fraction) -> int:
     nothing. Either way M is one past the last failure, or 14 if there is
     none."""
     m1 = max(_SCAN_FLOOR, _mstar_cap(base, power))
+    guess = _root_guess(base, power)
+    if math.isfinite(guess):
+        m1 = max(m1, math.ceil(guess) - 1)
     if _margin_sign(m1, base, power) < 0:
         fail, step = m1, 1
         while _margin_sign(m1 + step, base, power) < 0:

@@ -2,9 +2,15 @@
 
 Every construction returns a LabeledAction: a permutation group together
 with the list of objects its points stand for. Orbits are enumerated by
-one breadth-first closure over canonical labels, which keeps the image of
-every (label, generator) pair as it goes; the labels are then sorted so
-that point numbering is deterministic across runs.
+one breadth-first closure over canonical keys, which keeps the image of
+every (key, generator) pair as it goes; the keys are then sorted so that
+point numbering is deterministic across runs.
+
+A matrix action runs on fq.PackedSpace: its keys are packed vectors, or
+tuples of the packed rows of a reduced echelon basis, and each matrix is
+turned into its tables once per action. Packed ints sort as the tuples
+they pack, so the labels (vector tuples or SubspaceFq), built once per
+point after the orbit closes, sort as their keys do.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from .fq import FqField, FqMatrix, SubspaceFq, subspace_filter
+from .fq import FqMatrix, PackedSpace, SubspaceFq, subspace_filter
 from .perm import Perm, _from_images, iter_alt_gens, iter_sym_gens
 from .stabchain import PermGroup
 
@@ -33,7 +39,8 @@ class LabeledAction:
     group: PermGroup
     labels: list
     index: dict
-    act: Callable | None = None  # (label, generator object) -> label
+    act: Callable | None = None  # generator object -> the map it induces on keys
+    keys: dict | None = None  # point of each key act maps, in point order; index when None
 
     @property
     def degree(self) -> int:
@@ -43,8 +50,9 @@ class LabeledAction:
         """Permutation induced by any object the stored action understands."""
         if self.act is None:
             raise ConstructionError("action does not support external objects")
+        move, where = self.act(obj), self.index if self.keys is None else self.keys
         try:
-            images = [self.index[self.act(lbl, obj)] for lbl in self.labels]
+            images = [where[move(key)] for key in where]
         except KeyError:
             raise ConstructionError("object maps a label outside the orbit") from None
         if len(set(images)) != len(images):
@@ -52,16 +60,18 @@ class LabeledAction:
         return Perm(images)
 
 
-def _orbit_action(seed, gens, act, label=None) -> LabeledAction:
-    # one breadth-first pass: each (label, generator) image is computed
-    # once, kept as the index of its label in discovery order, and every
-    # index is renumbered once the orbit is closed so that labels are sorted
+def _orbit_action(seed, gens, act, label=None, unpack=None) -> LabeledAction:
+    # one breadth-first pass: each (key, generator) image is computed
+    # once, kept as the index of its key in discovery order, and every
+    # index is renumbered once the orbit is closed so that keys are sorted;
+    # unpack, when given, makes each key's label
+    moves = [act(g) for g in gens]
     found = [seed]
     where = {seed: 0}
     rows = [[] for _ in gens]
-    for lbl in found:  # found grows as the orbit closes
-        for row, g in zip(rows, gens):
-            img = act(lbl, g)
+    for key in found:  # found grows as the orbit closes
+        for row, move in zip(rows, moves):
+            img = move(key)
             t = where.get(img)
             if t is None:
                 if len(found) >= DEGREE_CAP:
@@ -73,23 +83,15 @@ def _orbit_action(seed, gens, act, label=None) -> LabeledAction:
     new = [0] * len(found)
     for i, t in enumerate(order):
         new[t] = i
-    labels = [found[t] for t in order]
+    keys = [found[t] for t in order]
+    labels = keys if unpack is None else list(map(unpack, keys))
     perms = [Perm([new[row[t]] for t in order]) for row in rows]
     index = {lbl: i for i, lbl in enumerate(labels)}
-    return LabeledAction(PermGroup(len(labels), perms, label=label), labels, index, act)
+    return LabeledAction(PermGroup(len(labels), perms, label=label), labels, index, act,
+                         None if unpack is None else {key: i for i, key in enumerate(keys)})
 
 
 # -- matrix orbit actions --------------------------------------------------
-
-
-def _vector_act(v, M: FqMatrix):
-    return M.apply(v)
-
-
-def _subspace_act(field: FqField):
-    def act(W: SubspaceFq, M: FqMatrix):
-        return SubspaceFq.from_vectors(field, [M.apply(row) for row in W.basis])
-    return act
 
 
 def _check_seed_filter(grp: MatrixGroup, seed, kind: str, flt: str) -> None:
@@ -152,7 +154,6 @@ def matrix_orbit_action(grp: MatrixGroup, seed=None, kind: str = "vector",
             seed = tuple(seed)
             if not any(seed):
                 raise ConstructionError("seed vector is zero")
-        act = _vector_act
     elif kind == "subspace":
         if seed is None:
             if k is None:
@@ -168,11 +169,29 @@ def matrix_orbit_action(grp: MatrixGroup, seed=None, kind: str = "vector",
                 f"subspace seed spans dimension {seed.dim}, not one in 1..{m - 1}")
         if k not in (None, seed.dim):
             raise ConstructionError(f"subspace k is {k}, but the seed spans dimension {seed.dim}")
-        act = _subspace_act(field)
     else:
         raise ConstructionError(f"unknown space {kind!r}")
     _check_seed_filter(grp, seed, kind, flt)
-    action = _orbit_action(seed, grp.matrices, act, label=grp.label)
+    space = PackedSpace.of(field, m)
+    apply, tables = space.apply, space.tables
+    if kind == "vector":
+        def act(M: FqMatrix):
+            T = tables(M)
+            return lambda v: apply(v, T)
+
+        key, unpack = space.pack(seed), space.unpack
+    else:
+        span_key = space.span_key
+
+        def act(M: FqMatrix):
+            T = tables(M)
+            return lambda W: span_key([apply(row, T) for row in W])
+
+        key = tuple(map(space.pack, seed.basis))
+
+        def unpack(W):
+            return SubspaceFq(field.q, tuple(map(space.unpack, W)))
+    action = _orbit_action(key, grp.matrices, act, label=grp.label, unpack=unpack)
     order = grp.abstract_order or None
     if order and kind == "subspace":
         from .classical import scalar_kernel_order
@@ -193,13 +212,19 @@ def affine_action(grp: MatrixGroup) -> LabeledAction:
     # elements p^s; over a prime field that is e_i alone
     shifts = [tuple(field.p ** s if j == i else 0 for j in range(m))
               for i in range(m) for s in range(field.k)]
+    space = PackedSpace.of(field, m)
+    add, apply = space.add, space.apply
 
-    def act(v, g):
+    def act(g):
         # a translation is a vector, a linear part a matrix
-        return field.vec_add(v, g) if isinstance(g, tuple) else g.apply(v)
+        if isinstance(g, tuple):
+            t = space.pack(g)
+            return lambda v: add(v, t)
+        T = space.tables(g)
+        return lambda v: apply(v, T)
 
-    return _orbit_action(tuple([0] * m), grp.matrices + shifts, act,
-                         label=f"{field.q}^{m}:{grp.label}")
+    return _orbit_action(0, grp.matrices + shifts, act,
+                         label=f"{field.q}^{m}:{grp.label}", unpack=space.unpack)
 
 
 # -- coset actions ---------------------------------------------------------
@@ -218,8 +243,8 @@ def coset_action(G: PermGroup, H: PermGroup) -> LabeledAction:
 
     # a coset is labeled by the images of its canonical representative,
     # as a tuple: labels print the same at every degree
-    def act(lbl, g: Perm):
-        return tuple(hchain.canonical_coset_rep(_from_images(lbl) * g).images)
+    def act(g: Perm):
+        return lambda lbl: tuple(hchain.canonical_coset_rep(_from_images(lbl) * g).images)
 
     seed = tuple(hchain.canonical_coset_rep(Perm.identity(G.degree)).images)
     return _orbit_action(seed, G.gens, act, label=f"[{G.label or 'G'}:{H.label or 'H'}]")
@@ -246,8 +271,9 @@ def subsets_action(m: int, k: int, alt: bool = False) -> LabeledAction:
     if degree > DEGREE_CAP:
         raise ConstructionError("degree exceeds cap")
 
-    def act(lbl, g: Perm):
-        return tuple(sorted(g.images[x] for x in lbl))
+    def act(g: Perm):
+        images = g.images
+        return lambda lbl: tuple(sorted(images[x] for x in lbl))
 
     return _orbit_of_all(tuple(range(k)), m, alt, act, degree,
                          f"{'A' if alt else 'S'}{m} on {k}-sets")
@@ -262,9 +288,9 @@ def partitions_action(m: int, k: int, alt: bool = False) -> LabeledAction:
     if degree > DEGREE_CAP:
         raise ConstructionError("degree exceeds cap")
 
-    def act(lbl, g: Perm):
-        blocks = [tuple(sorted(g.images[x] for x in blk)) for blk in lbl]
-        return tuple(sorted(blocks))
+    def act(g: Perm):
+        images = g.images
+        return lambda lbl: tuple(sorted(tuple(sorted(images[x] for x in blk)) for blk in lbl))
 
     seed = tuple(tuple(range(i, i + k)) for i in range(0, m, k))
     return _orbit_of_all(seed, m, alt, act, degree,

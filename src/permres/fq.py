@@ -15,6 +15,14 @@ one integer sum mod p.
 Vectors are rows and matrices act on the right, x -> x*M, so matrix
 products compose left to right like permutations.
 
+PackedSpace holds F_q^m with each vector one int, for the inner loops of
+the matrix actions (Parker's MeatAxe packs rows the same way). Each base-p
+digit of a coordinate gets a slot: one bit when p = 2, where addition is
+xor, and otherwise enough bits for p plus a guard bit, which a slot sum of
+p or more sets. Coordinate 0 sits in the top slots and a digit of higher
+weight above one of lower weight, so packed ints sort as the coordinate
+tuples they pack, and the top nonzero slot of a row is its pivot.
+
 Under a classical form, subspace_filter names the one seed filter a
 subspace passes (totally isotropic, or nondegenerate of plus or minus
 type), deciding plus from minus by the number of singular vectors.
@@ -25,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import mul
+from operator import mul, xor
 from typing import Iterable, Sequence
 
 MAX_Q = 512
@@ -285,6 +293,140 @@ def rref(field: FqField, rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int
     return _eliminate(field, rows)[:2]
 
 
+class PackedSpace:
+    """F_q^m with each vector one int; see the module docstring for the
+    layout. Use PackedSpace.of(field, m); instances are cached.
+
+    add adds two packed vectors. apply(x, T) is x * M, for T = tables(M):
+    per row i of M, the packed c * row_i keyed by the slots of c.
+    span_key(rows) is the reduced echelon basis of the span of packed
+    rows, sorted descending: the rows of rref, packed.
+    """
+
+    _cache: dict[tuple[int, int], "PackedSpace"] = {}
+
+    @classmethod
+    def of(cls, field: FqField, m: int) -> "PackedSpace":
+        if (field.q, m) not in cls._cache:
+            cls._cache[field.q, m] = cls(field, m)
+        return cls._cache[field.q, m]
+
+    def __init__(self, field: FqField, m: int):
+        p, k = field.p, field.k
+        w = 1 if p == 2 else p.bit_length() + 1  # slot bits, guard included
+        self.field = field
+        self.width = k * w  # bits per coordinate
+        self.mask = (1 << self.width) - 1
+        self.shifts = tuple(self.width * (m - 1 - i) for i in range(m))
+        # the slots of each field element, digit j in slot j, and back
+        self.chunk = [sum(d << (j * w) for j, d in enumerate(field._digits(a, k)))
+                      for a in range(field.q)]
+        self.elem = {c: a for a, c in enumerate(self.chunk)}
+        self._scales: dict[int, dict[int, int]] = {}
+        # slots of a nonzero element -> its inverse and its negative
+        self._inverse = {self.chunk[a]: field.inv(a) for a in range(1, field.q)}
+        self._minus = {self.chunk[a]: field.neg(a) for a in range(1, field.q)}
+        if p == 2:
+            self.add, self.apply, self.span_key = xor, self._apply_xor, self._span_key_xor
+        else:
+            # s + bias sets the guard bit of each slot where s holds p or more
+            guards = sum(1 << (s * w + w - 1) for s in range(k * m))
+            self._carry = (guards - sum(p << (s * w) for s in range(k * m)), guards, w - 1, p)
+            self.add, self.apply, self.span_key = self._add_odd, self._apply_odd, self._span_key_odd
+
+    def pack(self, v: Sequence[int]) -> int:
+        chunk = self.chunk
+        return sum(chunk[a] << sh for a, sh in zip(v, self.shifts))
+
+    def unpack(self, x: int) -> tuple[int, ...]:
+        elem, mask = self.elem, self.mask
+        return tuple(elem[(x >> sh) & mask] for sh in self.shifts)
+
+    def _add_odd(self, a: int, b: int) -> int:
+        bias, guards, shift, p = self._carry
+        s = a + b
+        return s - (((s + bias) & guards) >> shift) * p
+
+    def scale(self, c: int, x: int) -> int:
+        """c * x for a field element c."""
+        if c == 1:
+            return x
+        tab = self._scales.get(c)
+        if tab is None:
+            mul, chunk = self.field.mul, self.chunk
+            tab = self._scales[c] = {chunk[a]: chunk[mul(c, a)] for a in range(self.field.q)}
+        mask = self.mask
+        return sum(tab[(x >> sh) & mask] << sh for sh in self.shifts)
+
+    def tables(self, M: FqMatrix) -> list[dict[int, int]]:
+        out = []
+        for row in M.rows:
+            r = self.pack(row)
+            out.append({self.chunk[c]: self.scale(c, r) for c in range(self.field.q)})
+        return out
+
+    def _apply_xor(self, x: int, T: list[dict[int, int]]) -> int:
+        acc, mask = 0, self.mask
+        for sh, t in zip(self.shifts, T):
+            acc ^= t[(x >> sh) & mask]
+        return acc
+
+    def _apply_odd(self, x: int, T: list[dict[int, int]]) -> int:
+        bias, guards, shift, p = self._carry
+        acc, mask = 0, self.mask
+        for sh, t in zip(self.shifts, T):
+            c = (x >> sh) & mask
+            if c:
+                s = acc + t[c]
+                acc = s - (((s + bias) & guards) >> shift) * p
+        return acc
+
+    # span_key is Gauss-Jordan: basis maps each pivot's shift to its row,
+    # with pivot entry 1 and zeros at every other pivot. A new row is
+    # reduced by the basis, pivots at its top nonzero slot, is scaled to
+    # pivot entry 1 and is cleared from the rows before it. In
+    # characteristic 2 a slot is the element itself and -c = c.
+
+    def _span_key_xor(self, rows: Iterable[int]) -> tuple[int, ...]:
+        scale, inverse, mask, width = self.scale, self._inverse, self.mask, self.width
+        basis: dict[int, int] = {}
+        for r in rows:
+            for sh, b in basis.items():
+                c = r >> sh & mask
+                if c:
+                    r ^= b if c == 1 else scale(c, b)
+            if r:
+                piv = (r.bit_length() - 1) // width * width
+                c = r >> piv & mask
+                if c != 1:
+                    r = scale(inverse[c], r)
+                for sh, b in basis.items():
+                    c = b >> piv & mask
+                    if c:
+                        basis[sh] = b ^ (r if c == 1 else scale(c, r))
+                basis[piv] = r
+        return tuple(sorted(basis.values(), reverse=True))
+
+    def _span_key_odd(self, rows: Iterable[int]) -> tuple[int, ...]:
+        add, scale, mask, width = self.add, self.scale, self.mask, self.width
+        minus, inverse = self._minus, self._inverse
+        basis: dict[int, int] = {}
+        for r in rows:
+            for sh, b in basis.items():
+                c = r >> sh & mask
+                if c:
+                    r = add(r, scale(minus[c], b))
+            if r:
+                piv = (r.bit_length() - 1) // width * width
+                r = scale(inverse[r >> piv & mask], r)
+                for sh, b in basis.items():
+                    c = b >> piv & mask
+                    if c:
+                        basis[sh] = add(b, scale(minus[c], r))
+                basis[piv] = r
+        return tuple(sorted(basis.values(), reverse=True))
+
+
 @dataclass(frozen=True, order=True)
 class SubspaceFq:
     """A subspace keyed by its reduced-echelon basis; hashable and canonical."""
@@ -347,19 +489,15 @@ class FormSpec:
         return _quad_eval(self.field, self.quad, v)
 
     def is_isometry(self, M: FqMatrix) -> bool:
-        # compares Q(e_i M) with Q(e_i) = quad[i][i] and B(e_i M, e_j M)
-        # with B(e_i, e_j) = gram[i][j]
-        n = self.dim
-        rows = M.rows
-        if self.quad is not None:
-            for i in range(n):
-                if self.quad_value(rows[i]) != self.quad[i][i]:
-                    return False
-        for i in range(n):
-            for j in range(n):
-                if self.bilinear(rows[i], rows[j]) != self.gram[i][j]:
-                    return False
-        return True
+        # compares Q(e_i M) with Q(e_i) = quad[i][i], then the matrix of
+        # B(e_i M, e_j M), which is M G conj(M)^T, with G in one product
+        if self.quad is not None and any(
+                self.quad_value(row) != self.quad[i][i] for i, row in enumerate(M.rows)):
+            return False
+        F, rows = self.field, M.rows
+        if self.kind == "hermitian":
+            rows = [[self.conj(a) for a in row] for row in rows]
+        return (M * FqMatrix(F, self.gram) * FqMatrix(F, zip(*rows))).rows == self.gram
 
 
 def _polar_from_quad(field: FqField, quad: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

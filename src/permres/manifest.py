@@ -353,6 +353,9 @@ class _Clock:
 def run_check(chk: dict, budget_ms: int | None = None) -> CheckResult:
     """Build the check's recipe and evaluate its assertions in order.
 
+    An assertion that repeats an earlier one's op and params reuses its
+    answer, when that answer was not an error, instead of asking again.
+
     A ResourceLimit (budget or cap) skips the rest of the check, as does an
     assertion's ArithmeticError: a certified enclosure that needs more
     digits than the precision ladder holds, a limit of the tool, not of the
@@ -376,13 +379,23 @@ def run_check(chk: dict, budget_ms: int | None = None) -> CheckResult:
 
     results: list[AssertionResult] = []
     failed = skipped = False
+    answers: dict = {}  # (op, params as JSON) -> a successful answer
     for a in chk["assertions"]:
         op, params, expected = a["op"], a.get("params", {}), a["expect"]
         try:
             clock.check()
             run, keys = OPS[op]
             require_keys(params, keys, f"op {op}")
-            measured = run(act, params)
+            try:
+                asked = (op, json.dumps(params, sort_keys=True))
+            except (TypeError, ValueError):  # params JSON cannot encode are asked afresh
+                asked = None
+            if asked in answers:
+                measured = answers[asked]
+            else:
+                measured = run(act, params)
+                if asked is not None:
+                    answers[asked] = measured
         except (ResourceLimit, ArithmeticError) as e:
             results.append(AssertionResult(op, expected, None, None, describe_error(e)))
             skipped = True

@@ -164,7 +164,9 @@ def construct_recipe(recipe: dict) -> LabeledAction:
     order_bound, which stops its first chain. The rule that keeps this
     sound: a bound is the order of a group known to contain every
     generator (S_m for an action of S_m, the classical group for its
-    matrices, the parent for a coset action), never an estimate.
+    matrices, the parent for a coset action), never an estimate. The
+    subgroup a matrix coset embeds is bounded by its matrices' abstract
+    order, as no image of a group is larger than the group.
 
     Inside run_manifest each distinct recipe that JSON can encode is built
     once, nested ones (coset parents, wreath factors, a matches target)
@@ -230,6 +232,7 @@ def _build_recipe(recipe: dict) -> LabeledAction:
             H = PermGroup(parent.degree,
                           [parent.perm_of(M) for M in sub_mats.matrices],
                           label=sub_mats.label)
+            H.order_bound = sub_mats.abstract_order or None
         else:
             H = construct_recipe(sub_recipe).group
             if H.degree != parent.degree:

@@ -109,7 +109,7 @@ def test_labels_distinct_and_consistent():
     for M, p in zip(grp.matrices, perms):
         for _ in range(100):
             i = rng.randrange(act.degree)
-            assert act.labels[p.images[i]] == act.act(act.labels[i], M)
+            assert act.labels[p.images[i]] == M.apply(act.labels[i])
 
 
 def test_perm_of_outside_orbit():

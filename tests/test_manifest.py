@@ -196,6 +196,26 @@ def test_order_under_bound_matches_unbounded_chain(recipe):
     assert G.order() == full <= G.order_bound
 
 
+def test_a_matrix_coset_subgroup_is_bounded_by_its_matrix_order(monkeypatch):
+    # deg36-coset's subgroup GO+(6,2) acts through Sp(6,2) on 63 vectors;
+    # its first chain stops at the abstract order 2 * 20160
+    seen = []
+
+    def keep(G, H):
+        seen.append(H)
+        return recipes_coset_action(G, H)
+
+    recipes_coset_action = recipes.coset_action
+    monkeypatch.setattr(recipes, "coset_action", keep)
+    construct_recipe(_corpus_recipes()["deg36-coset"])
+    (H,) = seen
+    assert H.order_bound == 40320 and H.order() == 40320
+    free = StabilizerChain(H.degree, H.gens)
+    assert free.order() == 40320
+    assert (sum(sum(lvl.done) for lvl in H.chain().levels)
+            < sum(sum(lvl.done) for lvl in free.levels))
+
+
 def test_generator_recipes_carry_no_bound():
     perm = construct_recipe({"kind": "perm-generators", "degree": 4,
                              "generators": [[1, 2, 3, 0]]})
@@ -543,6 +563,32 @@ def test_crashing_assertion_fails_only_its_check(monkeypatch):
     assert rep.exit_code == 1
 
 
+def test_a_repeated_question_is_answered_once_per_check(monkeypatch):
+    # deg36-base asks base-size twice, splitting its expectations by tag;
+    # only an answer, never an error, is reused, and only inside its check
+    calls = []
+    order, keys = OPS["order"]
+
+    def counted(act, p):
+        calls.append(p)
+        if p.get("node_budget") == 1:
+            raise ValueError("no answer")
+        return order(act, p)
+
+    monkeypatch.setitem(OPS, "order", (counted, keys + ("node_budget",)))
+    s4 = {"kind": "symmetric", "m": 4}
+    asked = [{"op": "order", "expect": 24, "tag": "direct"},
+             {"op": "order", "params": {"node_budget": 1}, "expect": 24, "tag": "direct"},
+             {"op": "order", "expect": 24, "tag": "derived"},
+             {"op": "order", "params": {"node_budget": 1}, "expect": 24, "tag": "derived"}]
+    rep = run_manifest({"schema": 1, "checks": [
+        {"id": "one", "recipe": s4, "assertions": asked},
+        {"id": "two", "recipe": s4, "assertions": asked[:1]}]})
+    assert calls == [{}, {"node_budget": 1}, {"node_budget": 1}, {}]
+    assert [a.ok for a in rep.checks[0].assertions] == [True, False, True, False]
+    assert rep.checks[1].status == "pass"
+
+
 def test_crashing_construction_fails_only_its_check(monkeypatch):
     def boom(m, k, alt=False):
         raise RuntimeError("no subsets today")
@@ -857,6 +903,15 @@ def test_recipe_json_cannot_encode_fails_only_its_check(recipe, cause):
     assert bad.error.startswith(f"construction: {cause}")
     assert good.status == "pass"
     assert len(rep.manifest_sha256) == 64
+
+
+def test_bundled_corpus_fingerprint_is_pinned():
+    # the digest of permres verify --manifest corpus --json, less elapsed_ms
+    # and with sorted keys, unchanged since the corpus reached 17 checks
+    rep = run_manifest(bundled_corpus())
+    assert rep.counts() == {"pass": 17, "fail": 0, "skipped-resource": 0}
+    doc = json.dumps(rep.fingerprint(), sort_keys=True).encode()
+    assert hashlib.sha256(doc).hexdigest().startswith("de372f949ed6d8b5")
 
 
 def test_corpus_report_is_the_same_in_any_check_order():
